@@ -9,10 +9,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .consistency import ConsistencyConfig, check_dependency_consistency, trivial_witness
-from .geometry import ComplexHyperplane, PoleError, embed_family, hyperplane_from_sphere_point
+from .geometry import PoleError, embed_family, hyperplane_from_sphere_point
 from .harness import (
     EquivConfig,
     GenSpec,
@@ -24,13 +22,12 @@ from .harness import (
     witness_from_transversal,
     write_instance,
     write_report,
-    _pair,
-    _unpair,
+    _hyperplane_from_json,
+    _hyperplane_json,
 )
 from .plotting import plot_instance
 from .transversal import (
     NotFound,
-    RealHyperplane,
     TransversalConfig,
     borsuk_map,
     borsuk_zero_dependence,
@@ -41,29 +38,10 @@ from .transversal import (
 )
 
 
-def _hyperplane_json(T) -> dict:
-    if isinstance(T, RealHyperplane):
-        return {
-            "normal": [float(u) for u in T.normal.tolist()],
-            "offset": float(T.offset),
-        }
-    return {
-        "normal": [_pair(z) for z in T.normal.tolist()],
-        "offset": _pair(T.offset),
-    }
-
-
-def _hyperplane_from_json(doc: dict, ambient: str):
-    if ambient == "real":
-        return RealHyperplane(np.asarray(doc["normal"], dtype=float), float(doc["offset"]))
-    normal = np.array([_unpair(p) for p in doc["normal"]], dtype=complex)
-    return ComplexHyperplane(normal, _unpair(doc["offset"]))
-
-
 def _load_instance(path: str) -> Instance:
     try:
         return read_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot read instance {path}: {exc}")
 
 
@@ -124,18 +102,11 @@ def _cmd_find(args) -> int:
     instance = _load_instance(args.instance)
     family = instance.family
     config = TransversalConfig(starts=args.starts, zero_tol=args.zero_tol, seed=args.seed)
-    if family.ambient == "real":
-        result = real_hyperplane_transversal(family, config)
-        if isinstance(result, NotFound):
-            print(f"not found: {result.reason} (best margin {result.best:.3e})")
-            return 1
-        print(dumps_canonical(_hyperplane_json(result)), end="")
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(dumps_canonical(_hyperplane_json(result)))
-        return 0
-    if args.method == "direction":
-        result = find_complex_transversal(family, config)
+    if family.ambient == "real" or args.method == "direction":
+        if family.ambient == "real":
+            result = real_hyperplane_transversal(family, config)
+        else:
+            result = find_complex_transversal(family, config)
         if isinstance(result, NotFound):
             print(f"not found: {result.reason} (best margin {result.best:.3e})")
             return 1
@@ -190,17 +161,9 @@ def _cmd_verify(args) -> int:
         with open(args.transversal) as fh:
             doc = json.load(fh)
         T = _hyperplane_from_json(doc, instance.ambient)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read transversal {args.transversal}: {exc}", file=sys.stderr)
         return 2
-    if instance.ambient == "real":
-        worst = 0.0
-        for _, poly in instance.family:
-            pr = poly.vertices @ T.normal
-            gap = max(pr.min() - T.offset, T.offset - pr.max(), 0.0)
-            worst = max(worst, float(gap))
-        print(f"max distance {worst:.3e}")
-        return 0 if worst <= args.tol else 1
     rep = verify_transversal(T, instance.family, tol=args.tol)
     for label, dist in rep.distances:
         print(f"{label}: {dist:.3e}")
@@ -230,7 +193,7 @@ def _cmd_plot(args) -> int:
         try:
             with open(args.transversal) as fh:
                 T = _hyperplane_from_json(json.load(fh), instance.ambient)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             print(f"error: cannot read transversal: {exc}", file=sys.stderr)
             return 2
     try:

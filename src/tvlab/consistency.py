@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Family
+from .geometry import Family, complex_to_real
 from .lp import FeasibilityCertificate, hulls_intersect, nontrivial_zero_in_cone
 
 DEP_RESIDUAL_TOL = 1e-9
@@ -302,10 +302,7 @@ def _lift_groups(family: Family, labels, coeffs):
         W = np.empty((n, V.shape[1] + 1), dtype=complex)
         W[:, :-1] = a * V
         W[:, -1] = a
-        G = np.empty((n, 2 * W.shape[1]), dtype=float)
-        G[:, 0::2] = W.real
-        G[:, 1::2] = W.imag
-        groups.append((label, G))
+        groups.append((label, complex_to_real(W)))
     return groups
 
 

@@ -49,20 +49,21 @@ def as_complex_point(coords) -> np.ndarray:
 
 
 def complex_to_real(z: np.ndarray) -> np.ndarray:
-    """View C^d as R^{2d}: (z_1, ..., z_d) -> (Re z_1, Im z_1, ..., Re z_d, Im z_d)."""
+    """View C^d as R^{2d} along the last axis:
+    (z_1, ..., z_d) -> (Re z_1, Im z_1, ..., Re z_d, Im z_d)."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty(2 * z.shape[-1], dtype=float)
-    out[0::2] = z.real
-    out[1::2] = z.imag
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=float)
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
     return out
 
 
 def real_to_complex(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`complex_to_real`."""
+    """Inverse of :func:`complex_to_real`, along the last axis."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] % 2:
         raise ValueError("real view of a complex vector has even length")
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def hermitian_inner(u, v) -> complex:
@@ -111,11 +112,7 @@ class Polytope:
         """Vertices as rows of R^{2d} (complex ambient) or R^d (real ambient)."""
         if self.ambient == "real":
             return np.asarray(self.vertices, dtype=float)
-        v = self.vertices
-        out = np.empty((v.shape[0], 2 * v.shape[1]), dtype=float)
-        out[:, 0::2] = v.real
-        out[:, 1::2] = v.imag
-        return out
+        return complex_to_real(self.vertices)
 
 
 @dataclass(frozen=True, eq=False)

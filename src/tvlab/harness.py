@@ -40,6 +40,7 @@ from .transversal import (
     NotFound,
     RealHyperplane,
     TransversalConfig,
+    _PolygonBatch,
     borsuk_map,
     complex_transversal_for_normal,
     find_borsuk_zero,
@@ -107,7 +108,26 @@ def _pair(z) -> list:
 
 
 def _unpair(p) -> complex:
+    if not isinstance(p, (list, tuple)) or len(p) != 2:
+        raise ValueError(f"expected an [re, im] pair, got {p!r}")
     return complex(float(p[0]), float(p[1]))
+
+
+def _hyperplane_json(T) -> dict:
+    """Normal and offset as [re, im] pairs, for both ambients."""
+    return {"normal": [_pair(z) for z in T.normal.tolist()], "offset": _pair(T.offset)}
+
+
+def _hyperplane_from_json(doc: dict, ambient: str):
+    """Inverse of :func:`_hyperplane_json`; a real hyperplane must have no
+    imaginary part."""
+    normal = np.array([_unpair(p) for p in doc["normal"]], dtype=complex)
+    offset = _unpair(doc["offset"])
+    if ambient == "complex":
+        return ComplexHyperplane(normal, offset)
+    if np.any(normal.imag) or offset.imag:
+        raise ValueError("a real hyperplane has no imaginary part")
+    return RealHyperplane(normal.real, offset.real)
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +149,11 @@ class Instance:
         if self.witness is not None and not self.witness.covers(self.family):
             raise ValueError("witness does not cover every family label")
         if self.planted is not None:
-            if self.family.ambient == "complex":
-                if not isinstance(self.planted, ComplexHyperplane):
-                    raise ValueError("complex instance needs a complex transversal")
-                rep = verify_transversal(self.planted, self.family, tol=PLANTED_TOL)
-                if not rep.passed:
-                    raise ValueError(
-                        f"planted transversal misses a set by {rep.max_distance:.3e}"
-                    )
-            else:
-                if not isinstance(self.planted, RealHyperplane):
-                    raise ValueError("real instance needs a real hyperplane")
-                for label, poly in self.family:
-                    pr = poly.vertices @ self.planted.normal
-                    if not (
-                        pr.min() - PLANTED_TOL
-                        <= self.planted.offset
-                        <= pr.max() + PLANTED_TOL
-                    ):
-                        raise ValueError(f"planted hyperplane misses {label!r}")
+            rep = verify_transversal(self.planted, self.family, tol=PLANTED_TOL)
+            if not rep.passed:
+                raise ValueError(
+                    f"planted transversal misses a set by {rep.max_distance:.3e}"
+                )
 
     @property
     def ambient(self) -> str:
@@ -175,16 +181,7 @@ class Instance:
                 "assignment": {l: self.witness.assignment[l] for l in self.family.labels},
             }
         if self.planted is not None:
-            if self.ambient == "complex":
-                doc["planted"] = {
-                    "normal": [_pair(z) for z in self.planted.normal.tolist()],
-                    "offset": _pair(self.planted.offset),
-                }
-            else:
-                doc["planted"] = {
-                    "normal": [[float(u), 0.0] for u in self.planted.normal.tolist()],
-                    "offset": [float(self.planted.offset), 0.0],
-                }
+            doc["planted"] = _hyperplane_json(self.planted)
         doc["seed"] = self.seed
         if self.note:
             doc["note"] = self.note
@@ -196,19 +193,20 @@ def instance_from_json(doc: dict) -> Instance:
     if ambient not in ("real", "complex"):
         raise ValueError("ambient must be 'real' or 'complex'")
     d = int(doc["d"])
+    if not doc["sets"]:
+        raise ValueError("an instance needs at least one set")
     labels = []
     polys = []
     for entry in doc["sets"]:
         labels.append(entry["label"])
         if ambient == "complex":
-            verts = np.array(
-                [[_unpair(p) for p in row] for row in entry["vertices"]], dtype=complex
-            )
+            verts = [[_unpair(p) for p in row] for row in entry["vertices"]]
         else:
-            verts = np.array(entry["vertices"], dtype=float)
-        if verts.shape[1] != d:
+            verts = entry["vertices"]
+        poly = Polytope(ambient, verts)
+        if poly.dim != d:
             raise ValueError("vertex dimension disagrees with d")
-        polys.append(Polytope(ambient, verts))
+        polys.append(poly)
     family = Family(tuple(labels), tuple(polys))
 
     witness = None
@@ -220,20 +218,10 @@ def instance_from_json(doc: dict) -> Instance:
         ).reshape(len(w["points"]), k)
         witness = ConsistencyWitness(k, pts, {l: int(i) for l, i in w["assignment"].items()})
 
-    planted = None
-    if "planted" in doc:
-        p = doc["planted"]
-        if ambient == "complex":
-            normal = np.array([_unpair(q) for q in p["normal"]], dtype=complex)
-            planted = ComplexHyperplane(normal, _unpair(p["offset"]))
-        else:
-            normal = np.array([float(q[0]) for q in p["normal"]])
-            planted = RealHyperplane(normal, float(p["offset"][0]))
-
     return Instance(
         family,
         witness=witness,
-        planted=planted,
+        planted=_hyperplane_from_json(doc["planted"], ambient) if "planted" in doc else None,
         seed=int(doc.get("seed", 0)),
         note=str(doc.get("note", "")),
     )
@@ -324,27 +312,6 @@ def _orthonormal_complement(a: np.ndarray) -> np.ndarray:
     return np.conj(Vh[1:])
 
 
-def _closest_set_point(poly: Polytope, a: np.ndarray, b: complex) -> np.ndarray:
-    """The polytope point whose projection coefficient is nearest b, found
-    over all vertex-pair segments (the minimum lies on the hull boundary
-    whenever it is not zero)."""
-    V = poly.vertices
-    c = V @ np.conj(a) - b
-    best = None
-    for i in range(len(c)):
-        for j in range(i, len(c)):
-            delta = c[j] - c[i]
-            den = abs(delta) ** 2
-            t = 0.0 if den < 1e-30 else float(
-                np.clip(-(c[i].conjugate() * delta).real / den, 0.0, 1.0)
-            )
-            val = abs(c[i] + t * delta)
-            if best is None or val < best[0]:
-                best = (val, i, j, t)
-    _, i, j, t = best
-    return (1.0 - t) * V[i] + t * V[j]
-
-
 def witness_from_transversal(
     instance: Instance, T: ComplexHyperplane, tol: float = 1e-6
 ) -> ConsistencyWitness:
@@ -372,9 +339,15 @@ def witness_from_transversal(
     for idx, (label, poly) in enumerate(family):
         cert, point = flat_meets_polytope([(a, b)], poly)
         if not cert.feasible or point is None:
-            # the transversal passes only within tol; project the nearest
-            # set point onto T instead
-            q = _closest_set_point(poly, a, b)
+            # the transversal passes only within tol; project onto T the set
+            # point whose coefficient is nearest b, on the vertex-pair
+            # segment the closest-point kernel picks
+            batch = _PolygonBatch(family)
+            i1, i2 = batch.pairs[idx]
+            _, k, t = batch.closest(batch.coeffs(a[None, :])[idx] - b, i1, i2)
+            V, k = poly.vertices, int(k[0])
+            t = float(t[0, k])
+            q = (1.0 - t) * V[i1[k]] + t * V[i2[k]]
             point = q - (hermitian_inner(q, a) - b) * a
         rows.append(np.conj(basis) @ (point - z0))
         assignment[label] = idx
@@ -687,14 +660,9 @@ def reverify_report(doc: dict) -> list:
                 problems.append(f"trial {trial}: {p}")
         oracle = record.get("oracle")
         if oracle and oracle.get("common_point"):
-            z = _unpair(oracle["point"])
-            point = np.array([[z.real, z.imag]])
+            point = np.array([[_unpair(oracle["point"])]])
             for label, poly in family:
-                hull = np.column_stack(
-                    [poly.vertices[:, 0].real, poly.vertices[:, 0].imag]
-                )
-                res = hulls_intersect(point, hull, exact=True)
-                if not res.feasible:
+                if not hulls_intersect(point, poly, exact=True).feasible:
                     problems.append(
                         f"trial {trial}: oracle point outside {label}"
                     )

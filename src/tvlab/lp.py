@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Polytope
+from .geometry import Polytope, complex_to_real
 
 PIVOT_TOL = 1e-11
 FEAS_TOL = 1e-9
@@ -32,6 +32,10 @@ FEAS_TOL = 1e-9
 
 class UnboundedError(RuntimeError):
     """Objective unbounded below on a feasible region."""
+
+
+class SolverError(RuntimeError):
+    """The solver reached a state that its theory rules out."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +85,10 @@ def _solve_standard_float(A, b, c=None):
     """Solve min c.x s.t. Ax = b, x >= 0 in floats.
 
     Returns (status, x, y, objective): status in {'feasible', 'infeasible',
-    'unbounded'}; x the witness / optimum, y the Farkas functional for the
-    original (unscaled) rows when infeasible.
+    'unbounded', 'inconclusive'}; x the witness / optimum, y the Farkas
+    functional for the original (unscaled) rows when infeasible.  Phase 1 is
+    bounded in exact arithmetic, so an unbounded phase 1 is an artefact of the
+    absolute pivot tolerance and reported as inconclusive.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -100,7 +106,8 @@ def _solve_standard_float(A, b, c=None):
     basis = list(range(n, n + m))
 
     status, _ = _pivot_loop_float(T, basis, n + m)
-    assert status == "optimal"  # phase 1 is always bounded
+    if status != "optimal":
+        return "inconclusive", None, None, None
     phase1_obj = -T[m, -1]
     if phase1_obj > FEAS_TOL:
         y_scaled = 1.0 - T[m, n : n + m]
@@ -210,7 +217,8 @@ def _solve_standard_exact(A, b, c=None):
     basis = list(range(n, n + m))
 
     status, _ = _pivot_loop_exact(T, basis, n + m)
-    assert status == "optimal"
+    if status != "optimal":
+        raise SolverError("exact phase 1 reported an unbounded ray")
     phase1_obj = -T[-1][-1]
     if phase1_obj > zero:
         y = [(one - T[-1][n + i]) * sgn[i] for i in range(m)]
@@ -397,7 +405,7 @@ def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificat
             witness = _merge_free(lp, x)
             if _verify_feasible(lp, witness, exact=False):
                 return FeasibilityCertificate("feasible", witness=witness)
-        elif _verify_farkas(lp, tuple(y), exact=False):
+        elif status == "infeasible" and _verify_farkas(lp, tuple(y), exact=False):
             return FeasibilityCertificate("infeasible", farkas=tuple(y))
         # fall through: numerically inconclusive, escalate
 
@@ -434,10 +442,7 @@ def _vertex_rows(obj) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if np.iscomplexobj(arr):
-        out = np.empty((arr.shape[0], 2 * arr.shape[1]), dtype=float)
-        out[:, 0::2] = arr.real
-        out[:, 1::2] = arr.imag
-        return out
+        return complex_to_real(arr)
     return arr.astype(float)
 
 

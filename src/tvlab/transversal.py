@@ -25,11 +25,12 @@ from .geometry import (
     _closest_to_origin,
     _hull2d,
     closest_coeff,
-    hermitian_inner,
+    complex_to_real,
     project_polytope,
+    real_to_complex,
 )
 from .consistency import AffineDependence
-from .lp import LinearProgram, lp_feasible
+from .lp import LinearProgram, SolverError, lp_feasible
 
 ZERO_TOL = 1e-6
 VERIFY_TOL = 1e-4
@@ -134,7 +135,10 @@ class _PolygonBatch:
 
     @staticmethod
     def closest(C: np.ndarray, i1, i2):
-        """Per-row closest point of the point set C[row] to the origin."""
+        """Per row: the closest point of the hull of C[row] to the origin
+        (0 when the origin is inside), the index k of the vertex pair
+        (i1[k], i2[k]) whose segment holds the closest boundary point, and
+        the (row, pair) array of nearest-point parameters t on each segment."""
         A = C[:, i1]
         B = C[:, i2]
         D = B - A
@@ -156,7 +160,7 @@ class _PolygonBatch:
         else:
             maxgap = np.full(C.shape[0], 2.0 * np.pi)
         inside = maxgap <= np.pi + 1e-12
-        return np.where(inside, 0.0 + 0.0j, q)
+        return np.where(inside, 0.0 + 0.0j, q), best, t
 
     def closest_all(self, X: np.ndarray, shift=None):
         """(m, n_sets) closest coefficients; shift translates each row's
@@ -165,7 +169,7 @@ class _PolygonBatch:
         for s, (C, (i1, i2)) in enumerate(zip(self.coeffs(X), self.pairs)):
             if shift is not None:
                 C = C - shift[:, None]
-            out[:, s] = self.closest(C, i1, i2)
+            out[:, s] = self.closest(C, i1, i2)[0]
         return out
 
 
@@ -201,22 +205,24 @@ class _BorsukBatch:
         return np.linalg.norm(self.values(X), axis=1)
 
 
-def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: float):
-    """Minimize objective(unit rows) over the unit sphere by coordinate
-    pattern search with step decay; returns (best unit vector, best value).
+def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: float,
+                 unit=slice(None)):
+    """Minimize objective(rows) by coordinate pattern search with step
+    decay, keeping the coordinates selected by unit on the unit sphere (all
+    of them by default); returns (best vector, best value).
 
-    objective maps an (m, n) batch of unit vectors to m values; descent
+    objective maps an (m, n) batch of such vectors to m values; descent
     stops early at the target value."""
-    n = u0.shape[0]
-    u = u0 / np.linalg.norm(u0)
+    u = np.array(u0, dtype=float)
+    u[unit] /= np.linalg.norm(u0[unit])
     val = float(objective(u[None, :])[0])
     step = config.step_init
-    eye = np.eye(n)
+    eye = np.eye(u.shape[0])
     for _ in range(config.iters):
         if val <= target or step < 1e-13:
             break
         cands = np.vstack([u + step * eye, u - step * eye])
-        cands /= np.linalg.norm(cands, axis=1)[:, None]
+        cands[:, unit] /= np.linalg.norm(cands[:, unit], axis=1)[:, None]
         vals = objective(cands)
         j = int(np.argmin(vals))
         if vals[j] < val - 1e-16:
@@ -398,7 +404,7 @@ def polygon_intersection_margin(a: np.ndarray, family: Family) -> float:
     offsets = []
     for poly in family.sets:
         c = poly.vertices @ np.conj(a)
-        for (nx, ny), off in _polygon_halfplanes(np.column_stack([c.real, c.imag])):
+        for (nx, ny), off in _polygon_halfplanes(complex_to_real(c[:, None])):
             normals.append((nx, ny))
             offsets.append(off)
     E = len(normals)
@@ -409,19 +415,23 @@ def polygon_intersection_margin(a: np.ndarray, family: Family) -> float:
     )
     lp = LinearProgram(E, 0, rows, (0.0, 0.0, 1.0), objective=tuple(offsets))
     cert = lp_feasible(lp)
-    assert cert.feasible  # outward normals of bounded polygons always combine to zero
+    if not cert.feasible:
+        # outward normals of bounded polygons always combine to zero
+        raise SolverError("margin LP of bounded polygons reported infeasible")
     y = np.asarray(cert.witness)
     return float(y @ np.asarray(offsets))
 
 
-def _canonical_phase(a: np.ndarray) -> np.ndarray:
-    """Rotate the first coordinate of nonnegligible modulus real-positive;
-    removes the global-phase redundancy of projective normals."""
+def _canonical_phase(a: np.ndarray, b: complex):
+    """(mu a, conj(mu) b) for the unit mu that turns the first coordinate
+    of a of nonnegligible modulus real-positive: both pairs name the same
+    hyperplane, and this removes the global-phase redundancy of normals."""
     a = np.asarray(a, dtype=complex)
     for v in a:
         if abs(v) > 1e-9:
-            return a * (np.conj(v) / abs(v))
-    return a
+            mu = np.conj(v) / abs(v)
+            return a * mu, complex(np.conj(mu) * b)
+    return a, complex(b)
 
 
 def find_complex_transversal(family: Family, config: TransversalConfig | None = None):
@@ -453,39 +463,17 @@ def find_complex_transversal(family: Family, config: TransversalConfig | None = 
 
     def objective(Z: np.ndarray) -> np.ndarray:
         # rows: (unit a in R^{2d} | b in R^2), normalized on the a-part only
-        A = Z[:, : 2 * d : 2] + 1j * Z[:, 1 : 2 * d : 2]
-        b = Z[:, 2 * d] + 1j * Z[:, 2 * d + 1]
-        q = batch.closest_all(A, shift=b)
+        W = real_to_complex(Z)
+        q = batch.closest_all(W[:, :d], shift=W[:, d])
         return np.abs(q).max(axis=1)
-
-    def joint_min(z0):
-        z = z0.copy()
-        anorm = np.linalg.norm(z[: 2 * d])
-        z[: 2 * d] /= anorm
-        val = float(objective(z[None, :])[0])
-        step = config.step_init
-        eye = np.eye(2 * d + 2)
-        for _ in range(config.iters):
-            if val <= 1e-12 or step < 1e-13:
-                break
-            cands = z[None, :] + np.vstack([step * eye, -step * eye])
-            cands[:, : 2 * d] /= np.linalg.norm(cands[:, : 2 * d], axis=1)[:, None]
-            vals = objective(cands)
-            j = int(np.argmin(vals))
-            if vals[j] < val - 1e-16:
-                z = cands[j]
-                val = float(vals[j])
-            else:
-                step *= config.step_decay
-        return z, val
 
     rng = np.random.default_rng(config.seed)
     best_margin = -np.inf
     best_a = None
     for _ in range(config.starts):
         z0 = rng.standard_normal(2 * d + 2)
-        z, _ = joint_min(z0)
-        a = z[: 2 * d : 2] + 1j * z[1 : 2 * d : 2]
+        z, _ = _pattern_min(objective, z0, config, 1e-12, unit=slice(0, 2 * d))
+        a = real_to_complex(z)[:d]
         a = a / np.linalg.norm(a)
         margin = polygon_intersection_margin(a, family)
         if margin > best_margin:
@@ -494,20 +482,9 @@ def find_complex_transversal(family: Family, config: TransversalConfig | None = 
         if margin >= -MARGIN_TOL:
             b = complex_transversal_for_normal(a, family)
             if not isinstance(b, NotFound):
-                return ComplexHyperplane(_canonical_phase(a), _rotate_offset(a, b))
+                return ComplexHyperplane(*_canonical_phase(a, b))
     return NotFound("no common projected point at budget", best=float(best_margin),
                     x=best_a)
-
-
-def _rotate_offset(a: np.ndarray, b: complex) -> complex:
-    """Offset transform matching _canonical_phase: (a, b) and (mu a, conj(mu) b)
-    name the same hyperplane for unit mu."""
-    a = np.asarray(a, dtype=complex)
-    for v in a:
-        if abs(v) > 1e-9:
-            mu = np.conj(v) / abs(v)
-            return complex(np.conj(mu) * b)
-    return complex(b)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +518,7 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
     best_u = None
 
     def norms(U: np.ndarray) -> np.ndarray:
-        X = U[:, 0::2] + 1j * U[:, 1::2]
-        return ev.norms(X)
+        return ev.norms(real_to_complex(U))
 
     for _ in range(config.starts):
         u0 = rng.standard_normal(n)
@@ -551,11 +527,11 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
             best_val = val
             best_u = u
         if val <= config.zero_tol:
-            x = u[0::2] + 1j * u[1::2]
+            x = real_to_complex(u)
             if float(np.linalg.norm(x[:-1])) >= POLE_GUARD:
                 return SpherePoint.normalized(x)
             # pole-adjacent: reject and continue with the next start
-    x_best = None if best_u is None else best_u[0::2] + 1j * best_u[1::2]
+    x_best = None if best_u is None else real_to_complex(best_u)
     return NotFound("no zero of f at budget", best=float(best_val), x=x_best)
 
 
@@ -586,15 +562,23 @@ def borsuk_zero_dependence(x: SpherePoint, embedded: Family, phi,
 # verification
 
 
-def verify_transversal(T: ComplexHyperplane, family: Family, tol: float = ZERO_TOL) -> VerificationReport:
-    """Per-set distance from the hyperplane: the exact 2-D distance from the
-    offset to each projected coefficient polygon (projection along the
-    normal is an isometry onto the normal's complex line)."""
-    if family.ambient != "complex" or family.dim != T.dim:
-        raise ValueError("family and hyperplane dimensions must agree")
+def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> VerificationReport:
+    """Per-set distance from the hyperplane.
+
+    Complex T: the exact 2-D distance from the offset to each projected
+    coefficient polygon (projection along the normal is an isometry onto the
+    normal's complex line).  Real T: the distance from the offset to each
+    projection interval [min u.v, max u.v]."""
+    ambient = "real" if isinstance(T, RealHyperplane) else "complex"
+    if family.ambient != ambient or family.dim != T.normal.shape[0]:
+        raise ValueError("family and hyperplane ambients and dimensions must agree")
     dists = []
     for label, poly in family:
-        c = poly.vertices @ np.conj(T.normal) - T.offset
-        q = _closest_to_origin([(z.real, z.imag) for z in c.tolist()])
-        dists.append((label, float(np.hypot(*q))))
+        if ambient == "real":
+            pr = poly.vertices @ T.normal
+            dist = max(pr.min() - T.offset, T.offset - pr.max(), 0.0)
+        else:
+            c = poly.vertices @ np.conj(T.normal) - T.offset
+            dist = np.hypot(*_closest_to_origin([(z.real, z.imag) for z in c.tolist()]))
+        dists.append((label, float(dist)))
     return VerificationReport(tuple(dists), tol)

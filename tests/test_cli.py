@@ -82,6 +82,44 @@ def test_verify_exit_one_on_miss(tmp_path):
 def test_missing_input_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", str(tmp_path / "nope.json"), "--transversal", "x"]) == 2
+    # malformed instances: no sets, and a set without vertices
+    no_sets = tmp_path / "no_sets.json"
+    no_sets.write_text(json.dumps({"ambient": "complex", "d": 1, "sets": []}))
+    assert main(["check", str(no_sets)]) == 2
+    no_verts = tmp_path / "no_verts.json"
+    no_verts.write_text(
+        json.dumps({"ambient": "complex", "d": 1, "sets": [{"label": "S0", "vertices": []}]})
+    )
+    assert main(["check", str(no_verts)]) == 2
+    # documents of the wrong shape: a list for an instance or a transversal
+    not_a_doc = tmp_path / "list.json"
+    not_a_doc.write_text("[]")
+    assert main(["check", str(not_a_doc)]) == 2
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--d", "1", "--sets", "2", "--seed", "0", "-o", str(inst)]) == 0
+    assert main(["verify", str(inst), "--transversal", str(not_a_doc)]) == 2
+    capsys.readouterr()
+
+
+def test_real_hyperplane_codec_round_trip(tmp_path, capsys):
+    inst = tmp_path / "real.json"
+    planted = tmp_path / "planted.json"
+    t = tmp_path / "t.json"
+    args = ["gen", "--ambient", "real", "--planted", "--d", "2", "--sets", "4", "--seed", "3"]
+    assert main(args + ["-o", str(inst)]) == 0
+    # the instance's own planted block is a valid transversal file
+    planted.write_text(json.dumps(json.loads(inst.read_text())["planted"]))
+    assert main(["verify", str(inst), "--transversal", str(planted)]) == 0
+    assert main(["find", str(inst), "-o", str(t)]) == 0
+    doc = json.loads(t.read_text())
+    assert all(len(p) == 2 and p[1] == 0 for p in doc["normal"])
+    assert main(["verify", str(inst), "--transversal", str(t)]) == 0
+    out = capsys.readouterr().out
+    assert "S3: " in out and "(pass)" in out
+    # a real transversal with an imaginary part is an input error
+    doc["normal"][0][1] = 0.5
+    t.write_text(json.dumps(doc))
+    assert main(["verify", str(inst), "--transversal", str(t)]) == 2
     capsys.readouterr()
 
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from tvlab.consistency import ConsistencyConfig, check_dependency_consistency
-from tvlab.geometry import ComplexHyperplane
+from tvlab.geometry import ComplexHyperplane, Family, Polytope, hermitian_inner
 from tvlab.harness import (
     EquivConfig,
     GenSpec,
     Instance,
+    _orthonormal_complement,
     dumps_canonical,
     gen_instance,
     instance_from_json,
@@ -24,6 +25,7 @@ from tvlab.harness import (
     write_instance,
     write_report,
 )
+from tvlab.lp import flat_meets_polytope
 from tvlab.transversal import RealHyperplane, verify_transversal
 
 
@@ -164,6 +166,27 @@ def test_witness_rejects_missing_transversal():
     far = ComplexHyperplane(inst.planted.normal, inst.planted.offset + 10.0)
     with pytest.raises(ValueError):
         witness_from_transversal(inst, far)
+
+
+def test_witness_fallback_projects_nearest_set_point():
+    # a segment whose coefficient segment passes 1e-7 beside the offset:
+    # verification passes at 1e-6 while the flat-meets-polytope LP is
+    # infeasible, so the witness point comes from the closest-point fallback
+    inst = gen_instance(GenSpec(d=2, n_sets=3, planted=True, seed=5))
+    T = inst.planted
+    a, b = T.normal, T.offset
+    basis = _orthonormal_complement(a)
+    miss = 1e-7
+    e = basis[0]  # a unit vector orthogonal to the normal
+    seg = np.array([(b + miss - 0.3j) * a + 0.2 * e, (b + miss + 0.3j) * a - 0.4 * e])
+    family = Family(inst.family.labels + ("X",), inst.family.sets + (Polytope("complex", seg),))
+    assert verify_transversal(T, family, tol=1e-6).passed
+    assert not flat_meets_polytope([(a, b)], family["X"])[0].feasible
+    w = witness_from_transversal(Instance(family), T, tol=1e-6)
+    point = b * a + basis.T @ w.point_of("X")
+    assert abs(hermitian_inner(point, a) - b) < 1e-12  # on T
+    # nearest set point: the segment's midpoint, whose coefficient is b + miss
+    assert np.linalg.norm(point - seg.mean(axis=0)) == pytest.approx(miss, rel=1e-6)
 
 
 def test_witness_chain_consistency_pass():

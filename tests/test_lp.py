@@ -78,6 +78,16 @@ def test_exact_path_matches():
     assert cert.farkas_exact is not None
 
 
+def test_tiny_pivots_escalate_to_exact():
+    # every pivot entry sits below the absolute float pivot tolerance, so
+    # float phase 1 sees a spurious unbounded ray; the exact path answers
+    lp = LinearProgram(1, 0, ((9e-12,), (9e-12,)), (1.0, 1.0))
+    cert = lp_feasible(lp)
+    assert cert.feasible and cert.exact
+    assert cert.witness_exact[0] * Fraction(9e-12) == 1
+    assert cert.witness[0] == pytest.approx(1.0 / 9e-12)
+
+
 def test_agrees_with_brute_force_oracle():
     rng = np.random.default_rng(0)
     for trial in range(300):

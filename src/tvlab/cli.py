@@ -73,7 +73,7 @@ def _cmd_check(args) -> int:
         source = "witness from planted transversal"
     else:
         witness, source = trivial_witness(family), "trivial witness"
-    config = ConsistencyConfig(samples=args.samples, residual_tol=args.tol, exact=args.exact)
+    config = ConsistencyConfig(samples=args.samples, exact=args.exact)
     verdict = check_dependency_consistency(family, witness, config)
     print(f"using {source} (target dimension {witness.k})")
     print(
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="dependency-consistency check")
     p.add_argument("instance")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=_cmd_check)
 

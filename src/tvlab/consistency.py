@@ -29,7 +29,6 @@ import numpy as np
 from .geometry import Family, complex_to_real
 from .lp import FeasibilityCertificate, hulls_intersect, nontrivial_zero_in_cone
 
-DEP_RESIDUAL_TOL = 1e-9
 NULLSPACE_TOL = 1e-10
 SUPPORT_TOL = 1e-10
 
@@ -175,7 +174,6 @@ class SeparationViolation:
 class ConsistencyConfig:
     samples: int = 64
     seed: int = 0
-    residual_tol: float = DEP_RESIDUAL_TOL
     nullspace_tol: float = NULLSPACE_TOL
     exact: bool = False  # rational arithmetic for every lift decision
     keep_lifts: bool = False
@@ -313,8 +311,9 @@ def lift_dependence(
 
     Uses the exact equivalence, for vertex-generated sets, between the
     definition's lift and convex-cone membership of the origin among the
-    per-vertex generators.  Returns a Lift or a NoLift; a NoLift from the
-    float path is always confirmed by a rational run before being reported.
+    per-vertex generators.  Returns a Lift or a NoLift; a NoLift always
+    carries an exact Farkas certificate, because lp_feasible confirms every
+    infeasible verdict in rational arithmetic.
     """
     config = config or ConsistencyConfig()
     # labels whose coefficient vanishes identically cannot affect the sums
@@ -323,8 +322,6 @@ def lift_dependence(
         family, [dep.labels[i] for i in active], [dep.coeffs[i] for i in active]
     )
     cz = nontrivial_zero_in_cone(groups, exact=config.exact)
-    if not cz.certificate.feasible and not cz.certificate.exact:
-        cz = nontrivial_zero_in_cone(groups, exact=True)
     if not cz.certificate.feasible:
         return NoLift(dep, cz.certificate)
     by_label = {label: lam for label, lam in cz.weights}
@@ -428,14 +425,6 @@ def separates_consistently(
                 )
                 if hulls.feasible:
                     continue
-                if not hulls.certificate.exact:
-                    hulls = hulls_intersect(
-                        _union_vertices(family, f1),
-                        _union_vertices(family, f2),
-                        exact=True,
-                    )
-                    if hulls.feasible:
-                        continue
                 return ConsistencyVerdict(
                     "fail",
                     samples_budget=0,

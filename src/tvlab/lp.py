@@ -2,18 +2,20 @@
 
 Every separation, intersection, and cone-membership question in the toolkit
 reduces to feasibility of a standard-form system  A x = b, x >= 0  (free
-variables are split into positive and negative parts).  Two arithmetic paths
-share the same tableau algorithm:
+variables are split into positive and negative parts).  One tableau routine
+solves it in either of two arithmetics, chosen once per solve:
 
-* a float path (numpy tableau, Dantzig pivoting with a Bland fallback) used
-  inside search loops, trusted to 1e-9 residuals;
-* an exact path over ``fractions.Fraction`` with Bland's anti-cycling rule
-  throughout, used for consistency verdicts and certificates.  Binary floats
-  are exact rationals, so escalation never changes the instance.
+* floats (a ``float64`` tableau with absolute tolerances, Dantzig pivoting
+  with a Bland fallback), fast enough for search loops;
+* exact rationals (an ``object`` tableau of ``fractions.Fraction``, no
+  tolerances, Bland's anti-cycling rule throughout).  Binary floats are exact
+  rationals, so escalation never changes the instance.
 
-Infeasibility is certified by a Farkas functional y with  y'A <= 0  and
-y'b > 0 (componentwise equality on columns of free variables); feasibility by
-the witness itself.
+:func:`lp_feasible` keeps a float answer only when it is a witness that
+re-substitutes to within 1e-9; every other float outcome is decided again in
+exact arithmetic, so every infeasible verdict is exact.  Infeasibility is
+certified by a Farkas functional y with  y'A <= 0  and y'b > 0 (componentwise
+equality on columns of free variables); feasibility by the witness itself.
 """
 
 from __future__ import annotations
@@ -39,221 +41,115 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# float tableau simplex
+# tableau simplex, in float or in Fraction arithmetic
+
+
+@dataclass(frozen=True)
+class _Arithmetic:
+    """What the float and the exact solve differ in: the tableau entries,
+    the tolerances that suit them and the entering-column rule."""
+
+    convert: object  # float array -> array of tableau entries
+    pivot_tol: float  # reduced costs >= -pivot_tol are optimal; entries <= it never pivot
+    feas_tol: float  # a phase-1 optimum above this means infeasible
+    tie_tol: float  # relative slack within which ratios tie
+    bland_after: int  # Dantzig's rule before this iteration, Bland's from it
+
+
+_FLOAT = _Arithmetic(lambda a: a, PIVOT_TOL, FEAS_TOL, 1e-12, 200)
+_EXACT = _Arithmetic(np.frompyfunc(Fraction, 1, 1), 0, 0, 0, 0)
 
 
 def _pivot(T, basis, i, j):
-    piv_row = T[i] / T[i, j]
-    col = T[:, j].copy()
-    T -= np.outer(col, piv_row)
-    T[i] = piv_row
-    T[:, j] = 0.0
-    T[i, j] = 1.0
+    """Pivot on T[i, j], touching only rows with a nonzero in column j."""
+    T[i] /= T[i, j]
+    col = T[:, j]
+    rows = np.nonzero(col)[0]
+    rows = rows[rows != i]
+    T[rows] -= np.outer(col[rows], T[i])
     basis[i] = j
 
 
-def _pivot_loop_float(T, basis, ncols, bland_after=200, max_iter=20000):
-    """Minimize the cost row over columns < ncols. Returns 'optimal' or the
-    index of an unbounded entering column."""
+def _pivot_loop(T, basis, ncols, ar: _Arithmetic, max_iter=20000):
+    """Minimize the cost row over columns < ncols; returns 'optimal' or
+    'unbounded'."""
     for it in range(max_iter):
         r = T[-1, :ncols]
-        if it < bland_after:
+        if it < ar.bland_after:
             j = int(np.argmin(r))
-            if r[j] >= -PIVOT_TOL:
-                return "optimal", None
+            if r[j] >= -ar.pivot_tol:
+                return "optimal"
         else:
-            below = np.nonzero(r < -PIVOT_TOL)[0]
+            below = np.nonzero(r < -ar.pivot_tol)[0]
             if below.size == 0:
-                return "optimal", None
+                return "optimal"
             j = int(below[0])
         col = T[:-1, j]
-        rhs = T[:-1, -1]
-        mask = col > PIVOT_TOL
-        if not mask.any():
-            return "unbounded", j
-        ratios = np.full(col.shape, np.inf)
-        ratios[mask] = rhs[mask] / col[mask]
-        best = np.min(ratios)
+        rows = np.nonzero(col > ar.pivot_tol)[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[rows, -1] / col[rows]
+        best = ratios.min()
         # ties broken by smallest basis label, which cheaply discourages cycling
-        cand = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        i = int(min(cand, key=lambda ii: basis[ii]))
+        tied = rows[ratios <= best + ar.tie_tol * (1 + abs(best))]
+        i = int(min(tied, key=lambda ii: basis[ii]))
         _pivot(T, basis, i, j)
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SolverError("simplex iteration limit exceeded")
 
 
-def _solve_standard_float(A, b, c=None):
-    """Solve min c.x s.t. Ax = b, x >= 0 in floats.
+def _solve_standard(A, b, c, ar: _Arithmetic):
+    """Solve min c.x s.t. Ax = b, x >= 0 (c may be None) in arithmetic ar.
 
-    Returns (status, x, y, objective): status in {'feasible', 'infeasible',
-    'unbounded', 'inconclusive'}; x the witness / optimum, y the Farkas
-    functional for the original (unscaled) rows when infeasible.  Phase 1 is
-    bounded in exact arithmetic, so an unbounded phase 1 is an artefact of the
-    absolute pivot tolerance and reported as inconclusive.
+    Returns (status, x, y): status in {'feasible', 'infeasible', 'unbounded',
+    'inconclusive'}; x the witness / optimum, y the Farkas functional for the
+    original (unscaled) rows when infeasible.  Phase 1 is bounded in exact
+    arithmetic, so an unbounded phase 1 is an artefact of the float pivot
+    tolerance and reported as inconclusive.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, n = A.shape
     sgn = np.where(b < 0, -1.0, 1.0)
-    As = A * sgn[:, None]
-    bs = b * sgn
-
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = As
+    T[:m, :n] = A * sgn[:, None]
     T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = bs
+    T[:m, -1] = b * sgn
     T[m, n : n + m] = 1.0
+    T = ar.convert(T)
+    sgn = ar.convert(sgn)
     T[m] -= T[:m].sum(axis=0)
     basis = list(range(n, n + m))
 
-    status, _ = _pivot_loop_float(T, basis, n + m)
-    if status != "optimal":
-        return "inconclusive", None, None, None
-    phase1_obj = -T[m, -1]
-    if phase1_obj > FEAS_TOL:
-        y_scaled = 1.0 - T[m, n : n + m]
-        y = y_scaled * sgn
-        return "infeasible", None, y, None
+    if _pivot_loop(T, basis, n + m, ar) != "optimal":
+        return "inconclusive", None, None
+    if -T[m, -1] > ar.feas_tol:
+        return "infeasible", None, (1 - T[m, n : n + m]) * sgn
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            row = T[i, :n]
-            js = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            if js.size:
-                _pivot(T, basis, i, int(js[0]))
-                keep.append(i)
-            # else: redundant row, skip it in phase 2
-        else:
-            keep.append(i)
-    if len(keep) < m:
-        T = np.vstack([T[keep], T[-1:]])
-        basis = [basis[i] for i in keep]
-        m = len(keep)
+            js = np.nonzero(abs(T[i, :n]) > ar.pivot_tol)[0]
+            if not js.size:
+                continue  # redundant row, skip it in phase 2
+            _pivot(T, basis, i, int(js[0]))
+        keep.append(i)
+    T = T[keep + [m]]
+    basis = [basis[i] for i in keep]
 
     if c is not None:
-        c = np.asarray(c, dtype=float)
-        T[-1, :] = 0.0
-        T[-1, :n] = c
+        cost = np.zeros(T.shape[1])
+        cost[:n] = c
+        T[-1] = ar.convert(cost)
+        c = T[-1, :n].copy()
         for i, bi in enumerate(basis):
-            if bi < n and c[bi] != 0.0:
+            if bi < n and c[bi] != 0:
                 T[-1] -= c[bi] * T[i]
-        status, _ = _pivot_loop_float(T, basis, n)
-        if status == "unbounded":
-            return "unbounded", None, None, None
+        if _pivot_loop(T, basis, n, ar) != "optimal":
+            return "unbounded", None, None
 
-    x = np.zeros(n)
+    x = ar.convert(np.zeros(n))
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = T[i, -1]
-    obj = float(c @ x) if c is not None else None
-    return "feasible", x, None, obj
-
-
-# ---------------------------------------------------------------------------
-# exact tableau simplex over Fraction, Bland's rule throughout
-
-
-def _to_fraction_matrix(A):
-    return [[Fraction(x) for x in row] for row in A]
-
-
-def _pivot_exact(T, basis, i, j):
-    piv = T[i][j]
-    T[i] = [v / piv for v in T[i]]
-    row_i = T[i]
-    for k, row in enumerate(T):
-        if k == i:
-            continue
-        f = row[j]
-        if f:
-            T[k] = [v - f * w for v, w in zip(row, row_i)]
-    basis[i] = j
-
-
-def _pivot_loop_exact(T, basis, ncols):
-    zero = Fraction(0)
-    while True:
-        cost = T[-1]
-        j = next((jj for jj in range(ncols) if cost[jj] < zero), None)
-        if j is None:
-            return "optimal", None
-        best = None
-        best_i = None
-        for i in range(len(T) - 1):
-            a = T[i][j]
-            if a > zero:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[best_i]):
-                    best = ratio
-                    best_i = i
-        if best_i is None:
-            return "unbounded", j
-        _pivot_exact(T, basis, best_i, j)
-
-
-def _solve_standard_exact(A, b, c=None):
-    """Exact-rational counterpart of :func:`_solve_standard_float`.
-
-    Accepts floats (converted exactly) or Fractions; returns Fraction vectors.
-    """
-    A = _to_fraction_matrix(A)
-    b = [Fraction(x) for x in b]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    one, zero = Fraction(1), Fraction(0)
-    sgn = [-one if bi < zero else one for bi in b]
-    As = [[s * x for x in row] for s, row in zip(sgn, A)]
-    bs = [s * x for s, x in zip(sgn, b)]
-
-    T = []
-    for i in range(m):
-        row = As[i] + [one if k == i else zero for k in range(m)] + [bs[i]]
-        T.append(row)
-    cost = [zero] * n + [one] * m + [zero]
-    for i in range(m):
-        cost = [cv - rv for cv, rv in zip(cost, T[i])]
-    T.append(cost)
-    basis = list(range(n, n + m))
-
-    status, _ = _pivot_loop_exact(T, basis, n + m)
-    if status != "optimal":
-        raise SolverError("exact phase 1 reported an unbounded ray")
-    phase1_obj = -T[-1][-1]
-    if phase1_obj > zero:
-        y = [(one - T[-1][n + i]) * sgn[i] for i in range(m)]
-        return "infeasible", None, y
-    rows_keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            j = next((jj for jj in range(n) if T[i][jj] != zero), None)
-            if j is not None:
-                _pivot_exact(T, basis, i, j)
-                rows_keep.append(i)
-        else:
-            rows_keep.append(i)
-    if len(rows_keep) < m:
-        T = [T[i] for i in rows_keep] + [T[-1]]
-        basis = [basis[i] for i in rows_keep]
-        m = len(rows_keep)
-
-    if c is not None:
-        c = [Fraction(x) for x in c]
-        cost = [zero] * (n + m + 1)
-        cost[:n] = list(c)
-        T[-1] = cost
-        for i, bi in enumerate(basis):
-            if bi < n and c[bi]:
-                f = c[bi]
-                T[-1] = [v - f * w for v, w in zip(T[-1], T[i])]
-        status, _ = _pivot_loop_exact(T, basis, n)
-        if status == "unbounded":
-            return "unbounded", None, None
-
-    x = [zero] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i][-1]
     return "feasible", x, None
 
 
@@ -261,40 +157,49 @@ def _solve_standard_exact(A, b, c=None):
 # public problem and certificate types
 
 
+def _read_only(values, what: str) -> np.ndarray:
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    arr = np.array(values, dtype=float, order="C")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min objective.x  s.t.  rows . x = rhs, with the first
-    ``n_nonneg`` variables constrained >= 0 and the remaining ``n_free``
-    unconstrained.  Objective may be None (pure feasibility)."""
+    """min objective.x  s.t.  rows @ x = rhs, with the first ``n_nonneg``
+    variables constrained >= 0 and the remaining ``n_free`` unconstrained.
+
+    ``rows`` (m, n), ``rhs`` (m,) and ``objective`` (n,) are held as
+    read-only float arrays; ``objective`` may be None (pure feasibility)."""
 
     n_nonneg: int
     n_free: int
-    rows: tuple
-    rhs: tuple
-    objective: tuple | None = None
+    rows: np.ndarray
+    rhs: np.ndarray
+    objective: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_nonneg < 0 or self.n_free < 0:
             raise ValueError("variable counts must be nonnegative")
-        n = self.n_nonneg + self.n_free
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        rhs = tuple(float(v) for v in self.rhs)
-        if len(rows) != len(rhs):
+        n = self.n_vars
+        rows = _read_only(self.rows, "coefficients")
+        if rows.size == 0:
+            rows = rows.reshape(len(rows), n)
+        rhs = _read_only(self.rhs, "coefficients")
+        if rows.ndim != 2 or rhs.shape != rows.shape[:1]:
             raise ValueError("row/rhs length mismatch")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("row length does not match variable count")
-        vals = [v for row in rows for v in row] + list(rhs)
-        if not all(np.isfinite(vals)):
-            raise ValueError("coefficients must be finite")
-        obj = self.objective
-        if obj is not None:
-            obj = tuple(float(v) for v in obj)
-            if len(obj) != n:
-                raise ValueError("objective length does not match variable count")
+        if rows.shape[1] != n:
+            raise ValueError("row length does not match variable count")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "objective", obj)
+        if self.objective is not None:
+            obj = _read_only(self.objective, "objective")
+            if obj.shape != (n,):
+                raise ValueError("objective length does not match variable count")
+            object.__setattr__(self, "objective", obj)
 
     @property
     def n_vars(self) -> int:
@@ -309,6 +214,7 @@ class FeasibilityCertificate:
     is a row functional y with y'A <= 0 on nonnegative-variable columns,
     y'A = 0 on free-variable columns, and y'b > 0.  ``exact`` marks results
     from the rational path; the ``*_exact`` fields then carry Fractions.
+    Infeasible certificates from :func:`lp_feasible` are always exact.
     """
 
     status: str
@@ -323,102 +229,61 @@ class FeasibilityCertificate:
         return self.status == "feasible"
 
 
-def _verify_feasible(lp: LinearProgram, witness, exact: bool) -> bool:
-    if exact:
-        w = [Fraction(v) for v in witness]
-        for row, rhs in zip(lp.rows, lp.rhs):
-            s = sum(Fraction(a) * x for a, x in zip(row, w))
-            if s != Fraction(rhs):
-                return False
-        return all(x >= 0 for x in w[: lp.n_nonneg])
+def _verify_feasible(lp: LinearProgram, witness) -> bool:
+    """Float re-substitution of a float witness."""
     w = np.asarray(witness, dtype=float)
-    A = np.asarray(lp.rows, dtype=float).reshape(len(lp.rows), lp.n_vars)
-    resid = A @ w - np.asarray(lp.rhs) if len(lp.rows) else np.zeros(0)
+    resid = lp.rows @ w - lp.rhs
     return (
         float(np.max(np.abs(resid), initial=0.0)) <= FEAS_TOL
         and float(np.min(w[: lp.n_nonneg], initial=0.0)) >= -FEAS_TOL
     )
 
 
-def _verify_farkas(lp: LinearProgram, y, exact: bool) -> bool:
-    if exact:
-        yv = [Fraction(v) for v in y]
-        dots = []
-        for j in range(lp.n_vars):
-            dots.append(sum(Fraction(lp.rows[i][j]) * yv[i] for i in range(len(yv))))
-        if any(d > 0 for d in dots[: lp.n_nonneg]):
-            return False
-        if any(d != 0 for d in dots[lp.n_nonneg :]):
-            return False
-        return sum(Fraction(r) * v for r, v in zip(lp.rhs, yv)) > 0
-    yv = np.asarray(y, dtype=float)
-    A = np.asarray(lp.rows, dtype=float).reshape(len(lp.rows), lp.n_vars)
-    dots = yv @ A
-    if float(np.max(dots[: lp.n_nonneg], initial=0.0)) > FEAS_TOL:
-        return False
-    if lp.n_free and float(np.max(np.abs(dots[lp.n_nonneg :]))) > FEAS_TOL:
-        return False
-    return float(yv @ np.asarray(lp.rhs)) > 0
-
-
 def _split_free(lp: LinearProgram):
     """Standard-form matrix with free variables split into x+ - x-."""
-    m = len(lp.rows)
-    n = lp.n_nonneg + 2 * lp.n_free
-    A = np.zeros((m, n))
-    rows = np.asarray(lp.rows, dtype=float).reshape(m, lp.n_vars) if m else np.zeros((0, lp.n_vars))
-    A[:, : lp.n_nonneg] = rows[:, : lp.n_nonneg]
-    A[:, lp.n_nonneg : lp.n_nonneg + lp.n_free] = rows[:, lp.n_nonneg :]
-    A[:, lp.n_nonneg + lp.n_free :] = -rows[:, lp.n_nonneg :]
+    k = lp.n_nonneg
+    A = np.hstack([lp.rows, -lp.rows[:, k:]])
     c = None
     if lp.objective is not None:
-        c = np.concatenate(
-            [
-                np.asarray(lp.objective[: lp.n_nonneg]),
-                np.asarray(lp.objective[lp.n_nonneg :]),
-                -np.asarray(lp.objective[lp.n_nonneg :]),
-            ]
-        )
-    return A, np.asarray(lp.rhs, dtype=float), c
+        c = np.concatenate([lp.objective, -lp.objective[k:]])
+    return A, lp.rhs, c
 
 
 def _merge_free(lp: LinearProgram, x):
-    head = list(x[: lp.n_nonneg])
-    plus = x[lp.n_nonneg : lp.n_nonneg + lp.n_free]
-    minus = x[lp.n_nonneg + lp.n_free :]
-    return tuple(head + [p - q for p, q in zip(plus, minus)])
+    k, f = lp.n_nonneg, lp.n_free
+    return tuple(x[:k]) + tuple(x[k : k + f] - x[k + f :])
 
 
 def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificate:
     """Certified feasibility (and optimization, when an objective is given).
 
-    The float path escalates to the exact path on its own whenever the
-    certificate it produced does not re-verify.  Raises
+    The float path answers only with a witness that re-verifies; an
+    infeasible, inconclusive or unverified float result is decided again in
+    exact arithmetic, so every infeasible certificate is exact.  Raises
     :class:`UnboundedError` when an objective is supplied and unbounded.
     """
     A, b, c = _split_free(lp)
+    status = None
     if not exact:
-        status, x, y, _ = _solve_standard_float(A, b, c)
-        if status == "unbounded":
-            raise UnboundedError("objective unbounded on the feasible region")
+        status, x, _ = _solve_standard(A, b, c, _FLOAT)
         if status == "feasible":
             witness = _merge_free(lp, x)
-            if _verify_feasible(lp, witness, exact=False):
+            if _verify_feasible(lp, witness):
                 return FeasibilityCertificate("feasible", witness=witness)
-        elif status == "infeasible" and _verify_farkas(lp, tuple(y), exact=False):
-            return FeasibilityCertificate("infeasible", farkas=tuple(y))
-        # fall through: numerically inconclusive, escalate
-
-    status, x, y = _solve_standard_exact(A, b, c)
+    # a float phase 2 that found an unbounded ray is trusted as it stands
+    if status != "unbounded":
+        status, x, y = _solve_standard(A, b, c, _EXACT)
     if status == "unbounded":
         raise UnboundedError("objective unbounded on the feasible region")
+    if status == "inconclusive":
+        raise SolverError("exact phase 1 reported an unbounded ray")
     if status == "feasible":
         witness = _merge_free(lp, x)
         return FeasibilityCertificate(
             "feasible",
             witness=tuple(float(v) for v in witness),
             exact=True,
-            witness_exact=tuple(witness),
+            witness_exact=witness,
         )
     return FeasibilityCertificate(
         "infeasible",
@@ -471,16 +336,14 @@ def hulls_intersect(U, V, exact: bool = False) -> HullIntersection:
         raise ValueError("dimension mismatch between the two hulls")
     d = Ur.shape[1]
     nu, nv = Ur.shape[0], Vr.shape[0]
-    rows = []
-    rhs = []
-    for i in range(d):
-        rows.append(tuple(Ur[:, i]) + tuple(-Vr[:, i]))
-        rhs.append(0.0)
-    rows.append((1.0,) * nu + (0.0,) * nv)
-    rhs.append(1.0)
-    rows.append((0.0,) * nu + (1.0,) * nv)
-    rhs.append(1.0)
-    lp = LinearProgram(nu + nv, 0, tuple(rows), tuple(rhs))
+    rows = np.zeros((d + 2, nu + nv))
+    rows[:d, :nu] = Ur.T
+    rows[:d, nu:] = -Vr.T
+    rows[d, :nu] = 1.0
+    rows[d + 1, nu:] = 1.0
+    rhs = np.zeros(d + 2)
+    rhs[d:] = 1.0
+    lp = LinearProgram(nu + nv, 0, rows, rhs)
     cert = lp_feasible(lp, exact=exact)
     point = None
     if cert.feasible:
@@ -502,9 +365,10 @@ def kirchberger_separated(U, V, k: int, exact: bool = False) -> KirchbergerVerdi
 
     Subsets are enumerated lexicographically over the concatenated index
     range (U first), so the reported violating subset is deterministic.
+    Complex points of C^m are read in R^{2m}, so they need k = 2m.
     """
-    Ur = _vertex_rows(np.asarray(U, dtype=float))
-    Vr = _vertex_rows(np.asarray(V, dtype=float))
+    Ur = _vertex_rows(U)
+    Vr = _vertex_rows(V)
     if Ur.shape[1] != k or Vr.shape[1] != k:
         raise ValueError(f"points must lie in R^{k}")
     nu, nv = Ur.shape[0], Vr.shape[0]
@@ -539,13 +403,12 @@ def flat_meets_polytope(equalities, poly: Polytope, exact: bool = False):
         if a.shape != (poly.dim,):
             raise ValueError("constraint dimension mismatch")
         proj = V @ np.conj(a)
-        rows.append(tuple(proj.real))
-        rhs.append(complex(b).real)
-        rows.append(tuple(proj.imag))
-        rhs.append(complex(b).imag)
-    rows.append((1.0,) * n)
+        b = complex(b)
+        rows += [proj.real, proj.imag]
+        rhs += [b.real, b.imag]
+    rows.append(np.ones(n))
     rhs.append(1.0)
-    lp = LinearProgram(n, 0, tuple(rows), tuple(rhs))
+    lp = LinearProgram(n, 0, np.vstack(rows), np.array(rhs))
     cert = lp_feasible(lp, exact=exact)
     point = None
     if cert.feasible:
@@ -578,11 +441,10 @@ def nontrivial_zero_in_cone(groups, exact: bool = False) -> ConeZero:
     if cols.shape[1] != dim or any(g.shape[1] != dim for _, g in groups):
         raise ValueError("all generators must share dimension")
     n = cols.shape[0]
-    rows = [tuple(cols[:, i]) for i in range(dim)]
-    rhs = [0.0] * dim
-    rows.append((1.0,) * n)
-    rhs.append(1.0)
-    lp = LinearProgram(n, 0, tuple(rows), tuple(rhs))
+    rows = np.vstack([cols.T, np.ones(n)])
+    rhs = np.zeros(dim + 1)
+    rhs[dim] = 1.0
+    lp = LinearProgram(n, 0, rows, rhs)
     cert = lp_feasible(lp, exact=exact)
     if not cert.feasible:
         return ConeZero(cert, None, None)

@@ -335,26 +335,18 @@ def complex_transversal_for_normal(a: np.ndarray, family: Family):
         raise ValueError("normal must have unit norm")
     sizes = [p.n_vertices for p in family.sets]
     total = sum(sizes)
-    rows = []
-    rhs = []
+    # per set: Re and Im of sum(lam c) - b = 0, then sum(lam) = 1
+    rows = np.zeros((3 * len(sizes), total + 2))
     pos = 0
-    for poly, n in zip(family.sets, sizes):
+    for s, (poly, n) in enumerate(zip(family.sets, sizes)):
         c = poly.vertices @ np.conj(a)
-        for part, target in ((c.real, 0), (c.imag, 1)):
-            row = [0.0] * total + [0.0, 0.0]
-            row[pos : pos + n] = list(part)
-            row[total + target] = -1.0
-            rows.append(tuple(row))
-            rhs.append(0.0)
-        row = [0.0] * (total + 2)
-        row[pos : pos + n] = [1.0] * n
-        rows.append(tuple(row))
-        rhs.append(1.0)
+        rows[3 * s, pos : pos + n] = c.real
+        rows[3 * s + 1, pos : pos + n] = c.imag
+        rows[3 * s + 2, pos : pos + n] = 1.0
+        rows[3 * s : 3 * s + 2, total : total + 2] = -np.eye(2)
         pos += n
-    lp = LinearProgram(total, 2, tuple(rows), tuple(rhs))
+    lp = LinearProgram(total, 2, rows, np.tile([0.0, 0.0, 1.0], len(sizes)))
     cert = lp_feasible(lp)
-    if not cert.feasible and not cert.exact:
-        cert = lp_feasible(lp, exact=True)
     if not cert.feasible:
         return NotFound("projected polygons have no common point", exhaustive=True)
     return complex(cert.witness[total], cert.witness[total + 1])
@@ -407,19 +399,14 @@ def polygon_intersection_margin(a: np.ndarray, family: Family) -> float:
         for (nx, ny), off in _polygon_halfplanes(complex_to_real(c[:, None])):
             normals.append((nx, ny))
             offsets.append(off)
-    E = len(normals)
-    rows = (
-        tuple(n[0] for n in normals),
-        tuple(n[1] for n in normals),
-        (1.0,) * E,
-    )
-    lp = LinearProgram(E, 0, rows, (0.0, 0.0, 1.0), objective=tuple(offsets))
+    rows = np.vstack([np.array(normals, dtype=float).T, np.ones(len(normals))])
+    lp = LinearProgram(len(normals), 0, rows, (0.0, 0.0, 1.0), objective=offsets)
     cert = lp_feasible(lp)
     if not cert.feasible:
         # outward normals of bounded polygons always combine to zero
         raise SolverError("margin LP of bounded polygons reported infeasible")
     y = np.asarray(cert.witness)
-    return float(y @ np.asarray(offsets))
+    return float(y @ lp.objective)
 
 
 def _canonical_phase(a: np.ndarray, b: complex):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvlab
 from tvlab.cli import main
 from tvlab.geometry import ComplexHyperplane, Polytope, Family
 from tvlab.harness import GenSpec, Instance, gen_instance, write_instance
@@ -162,3 +167,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_python_m_tvlab_runs_the_cli():
+    src = str(Path(tvlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-m", "tvlab", "--help"], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert "equiv" in run.stdout

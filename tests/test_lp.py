@@ -88,6 +88,36 @@ def test_tiny_pivots_escalate_to_exact():
     assert cert.witness[0] == pytest.approx(1.0 / 9e-12)
 
 
+def test_float_infeasible_verdict_is_confirmed_exactly():
+    # y = 1 has y'A = 9e-12, inside the float tolerance, so the float tableau
+    # calls this program infeasible; x = 1/9e-12 solves it exactly
+    cert = lp_feasible(LinearProgram(1, 0, ((9e-12,),), (1.0,)))
+    assert cert.feasible and cert.exact
+    assert cert.witness_exact[0] * Fraction(9e-12) == 1
+
+
+def test_program_without_rows_assigns_every_variable():
+    for exact in (False, True):
+        cert = lp_feasible(LinearProgram(2, 0, (), ()), exact=exact)
+        assert cert.feasible and cert.witness == (0.0, 0.0)
+    assert cert.witness_exact == (Fraction(0), Fraction(0))
+    cert = lp_feasible(LinearProgram(1, 1, (), ()), exact=True)
+    assert len(cert.witness) == 2
+
+
+def test_program_holds_read_only_arrays():
+    rows = np.array([[1.0, 2.0]])
+    lp = LinearProgram(1, 1, rows, [3.0], objective=(1.0, 0.0))
+    rows[0, 0] = 5.0  # the program keeps its own copy
+    assert lp.rows.shape == (1, 2) and lp.rows[0, 0] == 1.0
+    assert lp.rhs.shape == (1,) and lp.objective.shape == (2,)
+    with pytest.raises(ValueError):
+        lp.rows[0, 0] = 0.0
+    assert LinearProgram(3, 0, (), ()).rows.shape == (0, 3)
+    with pytest.raises(ValueError):
+        LinearProgram(1, 0, np.array([[1j]]), (1.0,))  # no silent real part
+
+
 def test_agrees_with_brute_force_oracle():
     rng = np.random.default_rng(0)
     for trial in range(300):
@@ -219,6 +249,15 @@ def test_kirchberger_equals_full_hull_verdict():
         )
 
 
+def test_kirchberger_reads_complex_points_in_r2m():
+    # i and -i share their real part but are distinct points of C^1 = R^2
+    assert kirchberger_separated(np.array([[1j]]), np.array([[-1j]]), 2).separated
+    v = kirchberger_separated(np.array([[1j], [-1j]]), np.array([[0j]]), 2)
+    assert not v.separated and np.allclose(v.common_point, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        kirchberger_separated(np.array([[1j]]), np.array([[-1j]]), 1)
+
+
 # -- flat_meets_polytope -------------------------------------------------------
 
 
@@ -278,3 +317,63 @@ def test_cone_planted_combination():
         gens = np.vstack([g1 - shift, g2 - shift])
         assert np.linalg.norm(lam @ gens) < 1e-9
         assert lam.sum() == pytest.approx(1.0)
+
+
+# -- dev-only oracle -------------------------------------------------------------
+
+
+def _highs_outcome(lp):
+    """('infeasible' | 'unbounded' | 'optimal', value) from HiGHS."""
+    from scipy.optimize import linprog
+
+    bounds = [(0, None)] * lp.n_nonneg + [(None, None)] * lp.n_free
+    zero = np.zeros(lp.n_vars)
+    res = linprog(zero, A_eq=lp.rows, b_eq=lp.rhs, bounds=bounds, method="highs")
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return "infeasible", None
+    if lp.objective is None:
+        return "optimal", None
+    res = linprog(lp.objective, A_eq=lp.rows, b_eq=lp.rhs, bounds=bounds, method="highs")
+    # the region is feasible, so HiGHS's "infeasible or unbounded" is unbounded
+    assert res.status in (0, 2, 3), res.message
+    return ("optimal", res.fun) if res.status == 0 else ("unbounded", None)
+
+
+def _tvlab_outcome(lp, exact):
+    try:
+        cert = lp_feasible(lp, exact=exact)
+    except UnboundedError:
+        return "unbounded", None
+    if not cert.feasible:
+        assert cert.exact  # every infeasible verdict is exact
+        return "infeasible", None
+    if lp.objective is None:
+        return "optimal", None
+    if exact:
+        value = sum(Fraction(c) * x for c, x in zip(lp.objective, cert.witness_exact))
+        return "optimal", float(value)
+    return "optimal", float(lp.objective @ np.asarray(cert.witness))
+
+
+def test_agrees_with_highs_oracle():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(300):
+        m = int(rng.integers(1, 4))
+        n_free = int(rng.integers(0, 3))
+        n_nonneg = int(rng.integers(0 if n_free else 1, 5))
+        n = n_nonneg + n_free
+        rows = np.round(rng.standard_normal((m, n)) * 2, 1)
+        rhs = np.round(rng.standard_normal(m) * 2, 1)
+        objective = np.round(rng.standard_normal(n) * 2, 1) if trial % 2 else None
+        lp = LinearProgram(n_nonneg, n_free, rows, rhs, objective=objective)
+        want, value = _highs_outcome(lp)
+        seen.add(want)
+        for exact in (False, True):
+            got, got_value = _tvlab_outcome(lp, exact)
+            assert got == want, f"trial {trial} exact={exact}"
+            if value is not None:
+                assert got_value == pytest.approx(value, abs=1e-7), f"trial {trial}"
+    assert seen == {"infeasible", "unbounded", "optimal"}

@@ -8,8 +8,12 @@ Two checkers live here:
   dependence on points chosen inside the sets.  Dependences are enumerated
   subfamily by subfamily up to support size 2k+3; one-dimensional null
   spaces contribute their unique circuit, higher-dimensional ones are
-  sampled at a seeded budget.  A pass is therefore "pass at budget" while a
-  fail carries an exact, rationally confirmed certificate.
+  sampled at a seeded budget.  The cone LPs of a subfamily's dependences
+  share one layout and are solved as one lock-step float block; a
+  dependence whose float witness does not re-verify is decided alone, in
+  exact arithmetic where needed, so every lift equals the one-dependence
+  answer.  A pass is therefore "pass at budget" while a fail carries an
+  exact, rationally confirmed certificate.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
   subfamily pairs of total size at most k+2.
@@ -22,12 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
 from .geometry import Family, complex_to_real
-from .lp import FeasibilityCertificate, hulls_intersect, nontrivial_zero_in_cone
+from .lp import (
+    FeasibilityCertificate,
+    float_witnesses,
+    hulls_intersect,
+    nontrivial_zero_in_cone,
+)
 
 NULLSPACE_TOL = 1e-10
 SUPPORT_TOL = 1e-10
@@ -178,6 +187,10 @@ class ConsistencyConfig:
     exact: bool = False  # rational arithmetic for every lift decision
     keep_lifts: bool = False
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {self.samples}")
+
 
 # ---------------------------------------------------------------------------
 # complex null spaces (column-pivoted elimination)
@@ -291,17 +304,84 @@ def enumerate_dependences(
 # lifting
 
 
-def _lift_groups(family: Family, labels, coeffs):
-    """Generators (a_F v, a_F) in C^{d+1}, read in R^{2d+2}, per vertex."""
-    groups = []
-    for label, a in zip(labels, coeffs):
+def _lift_generators(family: Family, labels, coeffs):
+    """Generators (a_F v, a_F) in C^{d+1}, read in R^{2d+2}, per vertex, for
+    a block of coefficient rows ``coeffs`` (B, s) over the support ``labels``;
+    returns (B, n, 2d+2) with the vertices of all labels in label order."""
+    parts = []
+    for g, label in enumerate(labels):
         V = family[label].vertices  # (n, d) complex
-        n = V.shape[0]
-        W = np.empty((n, V.shape[1] + 1), dtype=complex)
-        W[:, :-1] = a * V
-        W[:, -1] = a
-        groups.append((label, complex_to_real(W)))
-    return groups
+        a = coeffs[:, g, None]
+        W = np.empty((len(coeffs), V.shape[0], V.shape[1] + 1), dtype=complex)
+        W[..., :-1] = a[..., None] * V
+        W[..., -1] = a
+        parts.append(complex_to_real(W))
+    return np.concatenate(parts, axis=1)
+
+
+def _vertex_spans(family: Family, labels):
+    """(label, start, stop) of each label's generators in _lift_generators."""
+    spans, stop = [], 0
+    for label in labels:
+        start, stop = stop, stop + len(family[label].vertices)
+        spans.append((label, start, stop))
+    return spans
+
+
+def _lift_groups(family: Family, labels, coeffs):
+    """(label, generators) pairs of one dependence, as nontrivial_zero_in_cone
+    takes them."""
+    G = _lift_generators(family, labels, np.asarray(coeffs, dtype=complex)[None])[0]
+    return [(label, G[a:b]) for label, a, b in _vertex_spans(family, labels)]
+
+
+def _lift_block(family: Family, deps, config: ConsistencyConfig) -> list:
+    """Lift dependences that share their support labels and their zero
+    coefficients, in order, up to and including the first NoLift.
+
+    Their cone LPs share one layout and are solved in one lock-step float
+    tableau.  An LP whose float witness does not re-verify (or that has none)
+    is decided alone through nontrivial_zero_in_cone, where lp_feasible
+    escalates it to exact arithmetic; with ``config.exact`` every LP is
+    decided alone, exactly.  Each result equals that of
+    :func:`lift_dependence` on the dependence alone.
+    """
+    labels = deps[0].labels
+    # labels whose coefficient vanishes identically cannot affect the sums
+    active = [i for i, a in enumerate(deps[0].coeffs) if abs(a) > 0.0]
+    act_labels = [labels[i] for i in active]
+    coeffs = np.array([[dep.coeffs[i] for i in active] for dep in deps])
+    G = _lift_generators(family, act_labels, coeffs)  # (B, n, dim)
+    B, n, dim = G.shape
+    rows = np.concatenate([G.transpose(0, 2, 1), np.ones((B, 1, n))], axis=1)
+    rhs = np.zeros((B, dim + 1))
+    rhs[:, dim] = 1.0
+    witnesses = [None] * B if config.exact else float_witnesses(rows, rhs)
+    spans = _vertex_spans(family, act_labels)
+    out = []
+    for dep, lam, gens in zip(deps, witnesses, G):
+        if lam is None:
+            groups = [(label, gens[a:b]) for label, a, b in spans]
+            cz = nontrivial_zero_in_cone(groups, exact=config.exact)
+            if not cz.certificate.feasible:
+                out.append(NoLift(dep, cz.certificate))
+                return out
+            lam = np.asarray(cz.certificate.witness)
+        by_label = {label: lam[a:b] for label, a, b in spans}
+        rs = []
+        points = []
+        vweights = []
+        for label in dep.labels:
+            V = family[label].vertices
+            lam_f = by_label.get(label)
+            if lam_f is None:
+                lam_f = np.zeros(V.shape[0])
+            r = float(lam_f.sum())
+            rs.append(r)
+            points.append((lam_f @ V) / r if r > 0.0 else V[0])
+            vweights.append(lam_f / r if r > 0.0 else lam_f)
+        out.append(Lift(dep, tuple(rs), np.asarray(points), tuple(vweights)))
+    return out
 
 
 def lift_dependence(
@@ -315,36 +395,21 @@ def lift_dependence(
     carries an exact Farkas certificate, because lp_feasible confirms every
     infeasible verdict in rational arithmetic.
     """
-    config = config or ConsistencyConfig()
-    # labels whose coefficient vanishes identically cannot affect the sums
-    active = [i for i, a in enumerate(dep.coeffs) if abs(a) > 0.0]
-    groups = _lift_groups(
-        family, [dep.labels[i] for i in active], [dep.coeffs[i] for i in active]
-    )
-    cz = nontrivial_zero_in_cone(groups, exact=config.exact)
-    if not cz.certificate.feasible:
-        return NoLift(dep, cz.certificate)
-    by_label = {label: lam for label, lam in cz.weights}
-    rs = []
-    points = []
-    vweights = []
-    for label in dep.labels:
-        V = family[label].vertices
-        lam = by_label.get(label)
-        if lam is None:
-            lam = np.zeros(V.shape[0])
-        r = float(lam.sum())
-        rs.append(r)
-        points.append((lam @ V) / r if r > 0.0 else V[0])
-        vweights.append(lam / r if r > 0.0 else lam)
-    return Lift(dep, tuple(rs), np.asarray(points), tuple(vweights))
+    return _lift_block(family, [dep], config or ConsistencyConfig())[0]
+
+
+def _block_key(dep: AffineDependence):
+    """Consecutive dependences with equal keys (support labels and zero
+    coefficients) are lifted as one block: their cone LPs share one layout."""
+    return dep.labels, tuple(abs(a) > 0.0 for a in dep.coeffs)
 
 
 def check_dependency_consistency(
     family: Family, witness: ConsistencyWitness, config: ConsistencyConfig | None = None
 ) -> ConsistencyVerdict:
     """Pass iff every enumerated dependence lifts; the first failure (in
-    enumeration order) is returned with its certificate."""
+    enumeration order) is returned with its certificate.  Each subfamily's
+    dependences are lifted as one block (see :func:`_lift_block`)."""
     config = config or ConsistencyConfig()
     if family.ambient != "complex":
         raise ValueError("dependency consistency is a complex-ambient check")
@@ -353,24 +418,24 @@ def check_dependency_consistency(
     max_resid = 0.0
     worst = None
     lifts = [] if config.keep_lifts else None
-    for dep in deps:
-        res = lift_dependence(family, dep, config)
-        if isinstance(res, NoLift):
-            return ConsistencyVerdict(
-                "fail",
-                samples_budget=config.samples,
-                n_dependences=len(deps),
-                n_circuits=n_circuits,
-                n_sampled=len(deps) - n_circuits,
-                violation=res,
-            )
-        r0, r1 = res.residuals()
-        resid = max(r0, r1)
-        if resid > max_resid:
-            max_resid = resid
-            worst = res
-        if lifts is not None:
-            lifts.append(res)
+    for _, block in groupby(deps, key=_block_key):
+        for res in _lift_block(family, list(block), config):
+            if isinstance(res, NoLift):
+                return ConsistencyVerdict(
+                    "fail",
+                    samples_budget=config.samples,
+                    n_dependences=len(deps),
+                    n_circuits=n_circuits,
+                    n_sampled=len(deps) - n_circuits,
+                    violation=res,
+                )
+            r0, r1 = res.residuals()
+            resid = max(r0, r1)
+            if resid > max_resid:
+                max_resid = resid
+                worst = res
+            if lifts is not None:
+                lifts.append(res)
     return ConsistencyVerdict(
         "pass",
         samples_budget=config.samples,

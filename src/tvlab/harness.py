@@ -35,7 +35,12 @@ from .geometry import (
     hermitian_inner,
     hyperplane_from_sphere_point,
 )
-from .lp import hulls_intersect, flat_meets_polytope, nontrivial_zero_in_cone
+from .lp import (
+    _float_flat_points,
+    flat_meets_polytope,
+    hulls_intersect,
+    nontrivial_zero_in_cone,
+)
 from .transversal import (
     NotFound,
     RealHyperplane,
@@ -336,9 +341,14 @@ def witness_from_transversal(
     basis = _orthonormal_complement(a)
     rows = []
     assignment = {}
+    # the per-set flat programs are solved as blocks of one layout; a set
+    # the float block leaves undecided is decided alone
+    points = _float_flat_points([(a, b)], family.sets)
     for idx, (label, poly) in enumerate(family):
-        cert, point = flat_meets_polytope([(a, b)], poly)
-        if not cert.feasible or point is None:
+        point = points[idx]
+        if point is None:
+            _, point = flat_meets_polytope([(a, b)], poly)
+        if point is None:
             # the transversal passes only within tol; project onto T the set
             # point whose coefficient is nearest b, on the vertex-pair
             # segment the closest-point kernel picks

@@ -11,11 +11,22 @@ solves it in either of two arithmetics, chosen once per solve:
   tolerances, Bland's anti-cycling rule throughout).  Binary floats are exact
   rationals, so escalation never changes the instance.
 
+The tableau carries a leading batch axis: programs of one shape pivot in
+lock-step, each with its own entering column, ratio test and tie break, and
+a single program is a batch of one.  :func:`float_witnesses` solves such a
+batch in floats (the consistency checker's cone LPs, one block per
+subfamily); every pivot leaves the rows with a zero in the pivot column
+untouched, so an element's result does not depend on its batch.
+
 :func:`lp_feasible` keeps a float answer only when it is a witness that
-re-substitutes to within 1e-9; every other float outcome is decided again in
-exact arithmetic, so every infeasible verdict is exact.  Infeasibility is
-certified by a Farkas functional y with  y'A <= 0  and y'b > 0 (componentwise
-equality on columns of free variables); feasibility by the witness itself.
+re-substitutes to within 1e-9.  A float infeasible verdict is certified from
+the final phase-1 basis: its dual y is solved exactly (floats are dyadic
+rationals, so in integers) and kept when y'A <= 0 and y'b > 0 hold exactly,
+after QSopt_ex (Applegate, Cook, Dash & Espinoza, 2007).  Every other float
+outcome is decided again in exact arithmetic, so every infeasible verdict is
+exact.  Infeasibility is certified by a Farkas functional y with  y'A <= 0
+and y'b > 0 (componentwise equality on columns of free variables);
+feasibility by the witness itself.
 """
 
 from __future__ import annotations
@@ -60,97 +71,179 @@ _FLOAT = _Arithmetic(lambda a: a, PIVOT_TOL, FEAS_TOL, 1e-12, 200)
 _EXACT = _Arithmetic(np.frompyfunc(Fraction, 1, 1), 0, 0, 0, 0)
 
 
-def _pivot(T, basis, i, j):
-    """Pivot on T[i, j], touching only rows with a nonzero in column j."""
-    T[i] /= T[i, j]
-    col = T[:, j]
-    rows = np.nonzero(col)[0]
-    rows = rows[rows != i]
-    T[rows] -= np.outer(col[rows], T[i])
-    basis[i] = j
+def _pivot(T, basis, i, j, col):
+    """Pivot every element e of the batch on T[e, i[e], j[e]], where col[e]
+    is column j[e] of T[e] before the pivot.  The update is masked to the
+    rows with a nonzero in the pivot column, so a zero row keeps its bits,
+    signed zeros included, and costs no Fraction work."""
+    e = np.arange(len(T))
+    prow = T[e, i] / col[e, i][:, None]
+    T[e, i] = prow
+    col[e, i] = 0  # the pivot row itself is done
+    mask = (col != 0)[:, :, None]
+    prod = np.multiply(col[:, :, None], prow[:, None, :], out=None, where=mask)
+    np.subtract(T, prod, out=T, where=mask)
+    basis[e, i] = j
 
 
-def _pivot_loop(T, basis, ncols, ar: _Arithmetic, max_iter=20000):
-    """Minimize the cost row over columns < ncols; returns 'optimal' or
-    'unbounded'."""
+def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
+    """Minimize the cost row of every element marked in ``live`` over
+    columns < ncols, pivoting all of them in lock-step.  Each element keeps
+    its own entering column, ratio test and tie break, and leaves the loop
+    when it is optimal or unbounded.  Returns a boolean array marking the
+    unbounded elements."""
+    unbounded = np.zeros(len(T), dtype=bool)
+    act = np.flatnonzero(live)
+    if not len(act) or not ncols:
+        return unbounded
+    # the elements still pivoting, gathered (or T itself when all are live)
+    W, Wb = (T, basis) if len(act) == len(T) else (T[act], basis[act])
+    k = np.arange(len(act))
     for it in range(max_iter):
-        r = T[-1, :ncols]
+        r = W[:, -1, :ncols]
         if it < ar.bland_after:
-            j = int(np.argmin(r))
-            if r[j] >= -ar.pivot_tol:
-                return "optimal"
+            j = r.argmin(axis=1)
+            go = ~(r[k, j] >= -ar.pivot_tol)
         else:
-            below = np.nonzero(r < -ar.pivot_tol)[0]
-            if below.size == 0:
-                return "optimal"
-            j = int(below[0])
-        col = T[:-1, j]
-        rows = np.nonzero(col > ar.pivot_tol)[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
+            below = r < -ar.pivot_tol
+            j = below.argmax(axis=1)
+            go = below.any(axis=1)
+        col = W[k, :, j]
+        ok = col[:, :-1] > ar.pivot_tol
+        stay = go & ok.any(axis=1)
+        if not stay.all():
+            leave = ~stay
+            unbounded[act[go & leave]] = True
+            if W is not T:
+                T[act[leave]], basis[act[leave]] = W[leave], Wb[leave]
+            if not stay.any():
+                return unbounded
+            act, W, Wb, j, col, ok = (v[stay] for v in (act, W, Wb, j, col, ok))
+            k = np.arange(len(act))
+        ratios = np.full(ok.shape, np.inf, dtype=T.dtype)
+        np.divide(W[:, :-1, -1], col[:, :-1], out=ratios, where=ok)
+        best = ratios.min(axis=1, keepdims=True)
         # ties broken by smallest basis label, which cheaply discourages cycling
-        tied = rows[ratios <= best + ar.tie_tol * (1 + abs(best))]
-        i = int(min(tied, key=lambda ii: basis[ii]))
-        _pivot(T, basis, i, j)
+        tied = ratios <= best + ar.tie_tol * (1 + abs(best))
+        _pivot(W, Wb, np.where(tied, Wb, T.shape[2]).argmin(axis=1), j, col)
     raise SolverError("simplex iteration limit exceeded")
 
 
-def _solve_standard(A, b, c, ar: _Arithmetic):
-    """Solve min c.x s.t. Ax = b, x >= 0 (c may be None) in arithmetic ar.
+_STATUS = np.array(["feasible", "infeasible", "unbounded", "inconclusive"], dtype=object)
 
-    Returns (status, x, y): status in {'feasible', 'infeasible', 'unbounded',
-    'inconclusive'}; x the witness / optimum, y the Farkas functional for the
-    original (unscaled) rows when infeasible.  Phase 1 is bounded in exact
-    arithmetic, so an unbounded phase 1 is an artefact of the float pivot
-    tolerance and reported as inconclusive.
+
+def _solve_standard(A, b, c, ar: _Arithmetic):
+    """Solve min c.x s.t. Ax = b, x >= 0 in arithmetic ar for a batch of
+    programs of one shape: A (B, m, n), b (B, m), c (B, n) or None.
+
+    Returns (status, x, y, basis): per element a status in {'feasible',
+    'infeasible', 'unbounded', 'inconclusive'}; x (B, n) the witness /
+    optimum of feasible elements; y (B, m) the Farkas functional for the
+    original (unscaled) rows of infeasible ones; basis (B, m) the basis
+    labels, columns of [A' | I] with A' the rows scaled to b >= 0, as
+    phase 1 left them.  Phase 1 is bounded in exact arithmetic, so an
+    unbounded phase 1 is an artefact of the float pivot tolerance and
+    reported as inconclusive.
     """
-    m, n = A.shape
+    B, m, n = A.shape
     sgn = np.where(b < 0, -1.0, 1.0)
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A * sgn[:, None]
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b * sgn
-    T[m, n : n + m] = 1.0
+    T = np.zeros((B, m + 1, n + m + 1))
+    T[:, :m, :n] = A * sgn[:, :, None]
+    T[:, :m, n : n + m] = np.eye(m)
+    T[:, :m, -1] = b * sgn
+    T[:, m, n : n + m] = 1.0
     T = ar.convert(T)
     sgn = ar.convert(sgn)
-    T[m] -= T[:m].sum(axis=0)
-    basis = list(range(n, n + m))
+    T[:, m] -= T[:, :m].sum(axis=1)
+    basis = np.empty((B, m), dtype=int)
+    basis[:] = np.arange(n, n + m)
 
-    if _pivot_loop(T, basis, n + m, ar) != "optimal":
-        return "inconclusive", None, None
-    if -T[m, -1] > ar.feas_tol:
-        return "infeasible", None, (1 - T[m, n : n + m]) * sgn
+    inconclusive = _pivot_loop(T, basis, np.ones(B, dtype=bool), n + m, ar)
+    infeasible = ~inconclusive & (-T[:, m, -1] > ar.feas_tol)
+    y = (1 - T[:, m, n : n + m]) * sgn
+    phase1 = basis.copy()
+    ok = ~(inconclusive | infeasible)
 
-    # drive leftover artificials out of the basis; drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            js = np.nonzero(abs(T[i, :n]) > ar.pivot_tol)[0]
-            if not js.size:
-                continue  # redundant row, skip it in phase 2
-            _pivot(T, basis, i, int(js[0]))
-        keep.append(i)
-    T = T[keep + [m]]
-    basis = [basis[i] for i in keep]
+    # drive leftover artificials out of the basis; a row left without a
+    # pivot is redundant and zeroed, so it never pivots or changes again
+    art = ok[:, None] & (basis >= n)
+    for i in np.flatnonzero(art.any(axis=0)):
+        e = np.flatnonzero(art[:, i])
+        nz = abs(T[e, i, :n]) > ar.pivot_tol
+        has = nz.any(axis=1)
+        T[e[~has], i] = 0
+        e = e[has]
+        W, Wb, j = T[e], basis[e], nz[has].argmax(axis=1)
+        _pivot(W, Wb, np.full(len(e), i), j, W[np.arange(len(e)), :, j])
+        T[e], basis[e] = W, Wb
 
-    if c is not None:
-        cost = np.zeros(T.shape[1])
-        cost[:n] = c
-        T[-1] = ar.convert(cost)
-        c = T[-1, :n].copy()
-        for i, bi in enumerate(basis):
-            if bi < n and c[bi] != 0:
-                T[-1] -= c[bi] * T[i]
-        if _pivot_loop(T, basis, n, ar) != "optimal":
-            return "unbounded", None, None
+    unbounded = np.zeros(B, dtype=bool)
+    if c is not None and ok.any():
+        e = np.flatnonzero(ok)
+        cost = np.zeros((len(e), T.shape[2]))
+        cost[:, :n] = c[e]
+        T[e, m] = ar.convert(cost)
+        ce = T[e, m, :n].copy()
+        for i in range(m if n else 0):
+            bi = basis[e, i]
+            cb = ce[np.arange(len(e)), np.minimum(bi, n - 1)]
+            sel = (bi < n) & (cb != 0)
+            T[e[sel], m] -= cb[sel, None] * T[e[sel], i]
+        unbounded = _pivot_loop(T, basis, ok, n, ar)
 
-    x = ar.convert(np.zeros(n))
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i, -1]
-    return "feasible", x, None
+    x = ar.convert(np.zeros((B, n)))
+    ee, ii = np.nonzero(ok[:, None] & (basis < n))
+    x[ee, basis[ee, ii]] = T[ee, ii, -1]
+    status = _STATUS[infeasible + 2 * unbounded + 3 * inconclusive]
+    return status, x, y, phase1
+
+
+def _integer_solve(M, v):
+    """(z, d) with M z = d v and d != 0, for a square matrix M and a vector
+    v of Python integers, by fraction-free Gauss-Jordan elimination (Bareiss)
+    in which every division is exact; None when M is singular."""
+    m = len(v)
+    R = [list(row) + [x] for row, x in zip(M, v)]
+    d = 1
+    for k in range(m):
+        p = next((r for r in range(k, m) if R[r][k]), None)
+        if p is None:
+            return None
+        R[k], R[p] = R[p], R[k]
+        piv = R[k]
+        for i in range(m):
+            if i != k:
+                f = R[i][k]
+                R[i] = [(piv[k] * x - f * y) // d for x, y in zip(R[i], piv)]
+        d = piv[k]
+    return [row[-1] for row in R], d
+
+
+def _basis_farkas(A, b, basis):
+    """Exact Farkas functional read off a final float phase-1 basis, or None.
+
+    With A' and b' the rows scaled to b' >= 0, the phase-1 dual y solves
+    y'B = c_B' for the basis columns B of [A' | I], whose costs c_B are 1 on
+    artificial columns and 0 elsewhere.  Floats are dyadic rationals, so
+    2^e [A' | b'] is an integer matrix for one e, and y is found in integer
+    arithmetic.  When y'A' <= 0 and y'b' > 0 hold exactly, y carried back
+    through the row signs certifies Ax = b, x >= 0 infeasible."""
+    m, n = A.shape
+    sgn = np.where(b < 0, -1, 1)
+    floats = np.column_stack([A * sgn[:, None], b * sgn]).ravel().tolist()
+    ratios = [v.as_integer_ratio() for v in floats]
+    scale = max(q for _, q in ratios)  # a power of two
+    N = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(m, n + 1)
+    basis = basis.tolist()
+    cols = [N[:, j].tolist() if j < n else [scale * (i == j - n) for i in range(m)] for j in basis]
+    solved = _integer_solve(cols, [int(j >= n) for j in basis])
+    if solved is None:
+        return None
+    z, d = solved
+    z = np.array(z, dtype=object) * (1 if d > 0 else -1)  # y = scale z / |d|
+    if not (z @ N[:, :n] <= 0).all() or not z @ N[:, n] > 0:
+        return None
+    return np.array([Fraction(scale * v * s, abs(d)) for v, s in zip(z, sgn.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +322,13 @@ class FeasibilityCertificate:
         return self.status == "feasible"
 
 
-def _verify_feasible(lp: LinearProgram, witness) -> bool:
+def _verify_feasible(rows, rhs, n_nonneg, witness) -> bool:
     """Float re-substitution of a float witness."""
     w = np.asarray(witness, dtype=float)
-    resid = lp.rows @ w - lp.rhs
+    resid = rows @ w - rhs
     return (
         float(np.max(np.abs(resid), initial=0.0)) <= FEAS_TOL
-        and float(np.min(w[: lp.n_nonneg], initial=0.0)) >= -FEAS_TOL
+        and float(np.min(w[:n_nonneg], initial=0.0)) >= -FEAS_TOL
     )
 
 
@@ -257,22 +350,29 @@ def _merge_free(lp: LinearProgram, x):
 def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificate:
     """Certified feasibility (and optimization, when an objective is given).
 
-    The float path answers only with a witness that re-verifies; an
-    infeasible, inconclusive or unverified float result is decided again in
-    exact arithmetic, so every infeasible certificate is exact.  Raises
-    :class:`UnboundedError` when an objective is supplied and unbounded.
+    The float path answers only with a witness that re-verifies, or with
+    the exact Farkas functional of its final phase-1 basis when that checks
+    out in rationals; any other float result is decided again in exact
+    arithmetic, so every infeasible certificate is exact.  The program is
+    solved as a batch of one.  Raises :class:`UnboundedError` when an
+    objective is supplied and unbounded.
     """
     A, b, c = _split_free(lp)
+    batch = (A[None], b[None], None if c is None else c[None])
     status = None
     if not exact:
-        status, x, _ = _solve_standard(A, b, c, _FLOAT)
+        status, x, _, basis = (v[0] for v in _solve_standard(*batch, _FLOAT))
         if status == "feasible":
             witness = _merge_free(lp, x)
-            if _verify_feasible(lp, witness):
+            if _verify_feasible(lp.rows, lp.rhs, lp.n_nonneg, witness):
                 return FeasibilityCertificate("feasible", witness=witness)
+        elif status == "infeasible":
+            y = _basis_farkas(A, b, basis)
+            if y is not None:
+                return _infeasible(y)
     # a float phase 2 that found an unbounded ray is trusted as it stands
     if status != "unbounded":
-        status, x, y = _solve_standard(A, b, c, _EXACT)
+        status, x, y, _ = (v[0] for v in _solve_standard(*batch, _EXACT))
     if status == "unbounded":
         raise UnboundedError("objective unbounded on the feasible region")
     if status == "inconclusive":
@@ -285,12 +385,30 @@ def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificat
             exact=True,
             witness_exact=witness,
         )
+    return _infeasible(y)
+
+
+def _infeasible(y) -> FeasibilityCertificate:
     return FeasibilityCertificate(
         "infeasible",
         farkas=tuple(float(v) for v in y),
         exact=True,
         farkas_exact=tuple(y),
     )
+
+
+def float_witnesses(rows, rhs) -> list:
+    """Float witnesses of a batch of programs  rows[e] @ x = rhs[e], x >= 0
+    of one shape (rows (B, m, n), rhs (B, m)), solved in one lock-step
+    tableau.  An entry is None where the float solve gave no witness that
+    re-verifies as in :func:`lp_feasible`; the caller decides those
+    programs alone with :func:`lp_feasible`, which escalates them."""
+    status, x, _, _ = _solve_standard(rows, rhs, None, _FLOAT)
+    n = rows.shape[2]
+    return [
+        w if s == "feasible" and _verify_feasible(r, h, n, w) else None
+        for s, w, r, h in zip(status, x, rows, rhs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +502,11 @@ def kirchberger_separated(U, V, k: int, exact: bool = False) -> KirchbergerVerdi
     return KirchbergerVerdict(True)
 
 
-def flat_meets_polytope(equalities, poly: Polytope, exact: bool = False):
-    """Intersection of a complex affine flat with a complex polytope.
-
-    equalities: iterable of (a, rhs) with a in C^d and rhs complex, each
-    encoding <z, a> = rhs under the Hermitian convention (conjugate-linear in
-    a).  Feasible iff some convex combination of the polytope's vertices
-    satisfies every equality; returns (certificate, point or None).
-    """
+def _flat_program(equalities, poly: Polytope):
+    """(rows, rhs) of the convex-weight program of flat_meets_polytope."""
     if poly.ambient != "complex":
         raise ValueError("flat_meets_polytope expects a complex polytope")
     V = poly.vertices
-    n = V.shape[0]
     rows = []
     rhs = []
     for a, b in equalities:
@@ -406,15 +517,43 @@ def flat_meets_polytope(equalities, poly: Polytope, exact: bool = False):
         b = complex(b)
         rows += [proj.real, proj.imag]
         rhs += [b.real, b.imag]
-    rows.append(np.ones(n))
+    rows.append(np.ones(V.shape[0]))
     rhs.append(1.0)
-    lp = LinearProgram(n, 0, np.vstack(rows), np.array(rhs))
-    cert = lp_feasible(lp, exact=exact)
+    return np.vstack(rows), np.array(rhs)
+
+
+def flat_meets_polytope(equalities, poly: Polytope, exact: bool = False):
+    """Intersection of a complex affine flat with a complex polytope.
+
+    equalities: iterable of (a, rhs) with a in C^d and rhs complex, each
+    encoding <z, a> = rhs under the Hermitian convention (conjugate-linear in
+    a).  Feasible iff some convex combination of the polytope's vertices
+    satisfies every equality; returns (certificate, point or None).
+    """
+    rows, rhs = _flat_program(equalities, poly)
+    cert = lp_feasible(LinearProgram(rows.shape[1], 0, rows, rhs), exact=exact)
     point = None
     if cert.feasible:
         lam = np.asarray(cert.witness)
-        point = lam @ V
+        point = lam @ poly.vertices
     return cert, point
+
+
+def _float_flat_points(equalities, polys) -> list:
+    """Per polytope, the point flat_meets_polytope finds on its float path,
+    with the programs of polytopes of equal vertex count solved as one
+    block; None where the polytope has to be decided alone by
+    flat_meets_polytope."""
+    points = [None] * len(polys)
+    by_size = {}
+    for idx, poly in enumerate(polys):
+        by_size.setdefault(len(poly.vertices), []).append(idx)
+    for idxs in by_size.values():
+        rows, rhs = zip(*(_flat_program(equalities, polys[i]) for i in idxs))
+        for i, lam in zip(idxs, float_witnesses(np.array(rows), np.array(rhs))):
+            if lam is not None:
+                points[i] = lam @ polys[i].vertices
+    return points
 
 
 @dataclass(frozen=True, eq=False)

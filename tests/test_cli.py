@@ -104,6 +104,9 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
     assert main(["gen", "--d", "1", "--sets", "2", "--seed", "0", "-o", str(inst)]) == 0
     assert main(["verify", str(inst), "--transversal", str(not_a_doc)]) == 2
     capsys.readouterr()
+    # a negative sample budget is named, not left to fail inside numpy
+    assert main(["check", str(inst), "--samples", "-3"]) == 2
+    assert "samples" in capsys.readouterr().err
 
 
 def test_real_hyperplane_codec_round_trip(tmp_path, capsys):

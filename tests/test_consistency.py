@@ -4,6 +4,8 @@ the exact support reducer."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tvlab.consistency import (
     Lift,
     NoLift,
     _complex_nullspace,
+    _lift_groups,
     check_dependency_consistency,
     enumerate_dependences,
     lift_dependence,
@@ -22,6 +25,7 @@ from tvlab.consistency import (
     trivial_witness,
 )
 from tvlab.geometry import Family, Polytope
+from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
 from tvlab.lp import nontrivial_zero_in_cone
 
 
@@ -173,8 +177,6 @@ def test_fail_on_disjoint_singletons_same_image():
     s0, s1 = nolift.dependence.residuals(w)
     assert s0 < 1e-9 and s1 < 1e-9
     # certificate re-check by an independent rational run
-    from tvlab.consistency import _lift_groups
-
     groups = _lift_groups(fam, nolift.dependence.labels, nolift.dependence.coeffs)
     assert not nontrivial_zero_in_cone(groups, exact=True).certificate.feasible
 
@@ -303,3 +305,126 @@ def test_reducer_identity_below_bound():
     red = reduce_dependence_support(dep, w, max_support=5)
     assert red.labels == dep.labels
     assert red.coeffs == dep.coeffs
+
+
+# -- block lifting ------------------------------------------------------------------
+
+
+def _gen_case(n_sets, seed, planted):
+    """A d=2 family with a planted-transversal witness, or with Gaussian
+    targets in C^1 (built as the refutation benchmark builds them)."""
+    inst = gen_instance(GenSpec(d=2, n_sets=n_sets, planted=planted, seed=seed))
+    if planted:
+        return inst.family, witness_from_transversal(inst, inst.planted)
+    rng = np.random.default_rng([seed, 1])
+    pts = rng.standard_normal((n_sets, 1)) + 1j * rng.standard_normal((n_sets, 1))
+    assignment = {l: i for i, l in enumerate(inst.family.labels)}
+    return inst.family, ConsistencyWitness(1, pts, assignment)
+
+
+# (sets, seed, planted) -> (status, dependences, circuits, sampled, violating
+# labels, max_lift_residual.hex()) at samples=32, recorded when every lift was
+# still solved on its own; the first three fail inside a sampled block of 32
+# (first no-lift at position 15, 11 and 14; the last two blocks hold three
+# no-lifts each), the other fails are circuits
+GOLDEN = {
+    (4, 31, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
+    (4, 1111, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
+    (4, 1337, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
+    (3, 1, True): ("pass", 1, 1, 0, None, "0x1.43b0f532b2e5dp-52"),
+    (4, 2, True): ("pass", 36, 4, 32, None, "0x1.cb2708efe7113p-48"),
+    (5, 3, True): ("pass", 202, 10, 192, None, "0x1.7410dbd542427p-48"),
+    (6, 4, True): ("pass", 692, 20, 672, None, "0x1.746d62b6a33cdp-42"),
+    (6, 5, True): ("pass", 692, 20, 672, None, "0x1.c5d47d1f49c16p-39"),
+    (5, 6, True): ("pass", 202, 10, 192, None, "0x1.101c60d3d8f53p-45"),
+    (4, 11, False): ("fail", 36, 4, 32, ("S0", "S1", "S2"), "0x0.0p+0"),
+    (5, 12, False): ("fail", 202, 10, 192, ("S0", "S3", "S4"), "0x0.0p+0"),
+    (6, 13, False): ("fail", 692, 20, 672, ("S0", "S2", "S3"), "0x0.0p+0"),
+    (4, 14, False): ("pass", 36, 4, 32, None, "0x1.8170f9660295bp-49"),
+    (5, 15, False): ("fail", 202, 10, 192, ("S0", "S1", "S2"), "0x0.0p+0"),
+    (6, 16, False): ("fail", 692, 20, 672, ("S0", "S1", "S2"), "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=str)
+def test_block_lifts_keep_recorded_verdicts(case):
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=32, seed=case[1], keep_lifts=True)
+    v = check_dependency_consistency(fam, w, cfg)
+    violating = v.violation.dependence.labels if v.violation is not None else None
+    got = (v.status, v.n_dependences, v.n_circuits, v.n_sampled, violating)
+    assert got + (v.max_lift_residual.hex(),) == GOLDEN[case]
+    assert v.violation is None or v.violation.exact
+    # a lift does not depend on the block it was solved in
+    for lift in v.lifts or ():
+        alone = lift_dependence(fam, lift.dependence, cfg)
+        assert np.asarray(lift.r).tobytes() == np.asarray(alone.r).tobytes()
+        assert lift.points.tobytes() == alone.points.tobytes()
+
+
+def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
+    import tvlab.consistency as consistency
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(4, 2, True)
+    cfg = ConsistencyConfig(samples=32, seed=2, keep_lifts=True)
+    deps = enumerate_dependences(fam, w, cfg)
+    target = deps[10]
+    assert target.origin == "sampled" and deps[9].labels == deps[11].labels == target.labels
+    cols = np.vstack([g for _, g in consistency._lift_groups(fam, target.labels, target.coeffs)])
+    target_rows = np.vstack([cols.T, np.ones(len(cols))])
+
+    verify = lp._verify_feasible
+
+    def reject_target(rows, rhs, n_nonneg, witness):
+        if np.array_equal(rows, target_rows):
+            return False
+        return verify(rows, rhs, n_nonneg, witness)
+
+    alone = []
+    cone = consistency.nontrivial_zero_in_cone
+
+    def spy(groups, exact=False):
+        alone.append(cone(groups, exact=exact))
+        return alone[-1]
+
+    monkeypatch.setattr(lp, "_verify_feasible", reject_target)
+    monkeypatch.setattr(consistency, "nontrivial_zero_in_cone", spy)
+    v = check_dependency_consistency(fam, w, cfg)
+    assert v.passed and v.n_dependences == len(deps) == 36
+    # only the rejected program left the block, and it was decided exactly
+    assert len(alone) == 1
+    cert = alone[0].certificate
+    assert cert.feasible and cert.exact
+    lift = v.lifts[10]
+    assert lift.dependence.coeffs == target.coeffs
+    exact = lift_dependence(fam, target, ConsistencyConfig(exact=True))
+    assert np.asarray(lift.r).tobytes() == np.asarray(exact.r).tobytes()
+
+
+@pytest.mark.parametrize("seed", [31, 1111, 1337])
+def test_nolift_inside_sampled_block_is_the_first_failure(seed):
+    fam, w = _gen_case(4, seed, False)
+    cfg = ConsistencyConfig(samples=32, seed=seed)
+    deps = enumerate_dependences(fam, w, cfg)
+    results = [lift_dependence(fam, d, cfg) for d in deps]
+    first = next(i for i, r in enumerate(results) if isinstance(r, NoLift))
+    assert deps[first].origin == "sampled" and deps[first - 1].labels == deps[first].labels
+    v = check_dependency_consistency(fam, w, cfg)
+    assert v.status == "fail" and v.n_dependences == len(deps) == 36
+    dep = v.violation.dependence
+    assert (dep.labels, dep.coeffs) == (deps[first].labels, deps[first].coeffs)
+    # the certificate is an exact Farkas functional of this dependence's cone
+    cert = v.violation.certificate
+    assert cert.exact and not cert.feasible
+    cols = np.vstack([g for _, g in _lift_groups(fam, dep.labels, dep.coeffs)])
+    rows = np.vstack([cols.T, np.ones(len(cols))])
+    y = cert.farkas_exact
+    yA = [sum(yi * Fraction(a) for yi, a in zip(y, col)) for col in rows.T]
+    assert all(t <= 0 for t in yA) and y[-1] > 0
+
+
+def test_config_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        ConsistencyConfig(samples=-3)
+    assert ConsistencyConfig(samples=0).samples == 0

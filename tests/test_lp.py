@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tvlab.lp as lp_module
 from tvlab.geometry import Polytope
 from tvlab.lp import (
     LinearProgram,
@@ -377,3 +378,65 @@ def test_agrees_with_highs_oracle():
             if value is not None:
                 assert got_value == pytest.approx(value, abs=1e-7), f"trial {trial}"
     assert seen == {"infeasible", "unbounded", "optimal"}
+
+
+# -- lock-step tableau ----------------------------------------------------------
+
+
+def test_pivot_leaves_rows_with_a_zero_in_the_pivot_column_untouched():
+    # row 1 has a zero in the pivot column; subtracting 0 * (-0.5) = -0.0
+    # from its -0.0 would turn it into +0.0
+    T = np.array([[[2.0, -1.0, 4.0], [0.0, -0.0, -3.0], [1.0, 1.0, 5.0]]])
+    untouched = T[0, 1].tobytes()
+    basis = np.array([[0, 1]])
+    lp_module._pivot(T, basis, np.array([0]), np.array([0]), T[[0], :, 0].copy())
+    assert T[0, 1].tobytes() == untouched
+    assert T[0, 0].tolist() == [1.0, -0.5, 2.0] and T[0, 2].tolist() == [0.0, 1.5, 3.0]
+    assert basis.tolist() == [[0, 1]]
+
+
+def test_lock_step_batch_matches_single_solves():
+    # programs of one shape, some feasible and some not, solved as one batch
+    # and one at a time: same status and bitwise the same witness
+    rng = np.random.default_rng(4)
+    A = np.round(rng.standard_normal((40, 3, 6)) * 2, 1)
+    b = np.round(rng.standard_normal((40, 3)) * 2, 1)
+    c = np.round(rng.standard_normal((40, 6)), 1)
+    for cost in (None, c):
+        status, x, _, basis = lp_module._solve_standard(A, b, cost, lp_module._FLOAT)
+        assert {"feasible", "infeasible"} <= set(status)
+        for e in range(len(A)):
+            one_cost = None if cost is None else cost[e : e + 1]
+            one = lp_module._solve_standard(A[e : e + 1], b[e : e + 1], one_cost, lp_module._FLOAT)
+            assert one[0][0] == status[e]
+            assert one[3][0].tolist() == basis[e].tolist()
+            if status[e] == "feasible":
+                assert one[1][0].tobytes() == x[e].tobytes()
+
+
+def test_float_infeasible_verdict_is_certified_from_the_basis(monkeypatch):
+    # x >= 0 with x1 + x2 = -1 and x1 - x2 = 3: the rows are sign-flipped for
+    # phase 1, and the certificate must hold for the original rows
+    lp = LinearProgram(2, 0, ((1.0, 1.0), (1.0, -1.0)), (-1.0, 3.0))
+    arithmetics = []
+    solve = lp_module._solve_standard
+
+    def spy(A, b, c, ar):
+        arithmetics.append(ar)
+        return solve(A, b, c, ar)
+
+    monkeypatch.setattr(lp_module, "_solve_standard", spy)
+    cert = lp_feasible(lp)
+    assert not cert.feasible and cert.exact
+    assert arithmetics == [lp_module._FLOAT]  # no Fraction tableau was run
+    y = cert.farkas_exact
+    assert all(isinstance(v, Fraction) for v in y)
+    yA = [sum(yi * Fraction(a) for yi, a in zip(y, col)) for col in lp.rows.T]
+    assert all(v <= 0 for v in yA)
+    assert sum(yi * Fraction(bi) for yi, bi in zip(y, lp.rhs)) > 0
+    # disjoint hulls in the plane: certified the same way
+    arithmetics.clear()
+    U = np.array([[0.1, 0.2], [0.7, -0.3], [0.4, 0.9]])
+    res = hulls_intersect(U, np.array([[3.1, 2.0], [2.6, 3.3]]))
+    assert not res.feasible and res.certificate.exact
+    assert arithmetics == [lp_module._FLOAT]

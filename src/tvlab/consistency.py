@@ -8,7 +8,9 @@ Two checkers live here:
   dependence on points chosen inside the sets.  Dependences are enumerated
   subfamily by subfamily up to support size 2k+3; one-dimensional null
   spaces contribute their unique circuit, higher-dimensional ones are
-  sampled at a seeded budget.  The cone LPs of a subfamily's dependences
+  sampled at a seeded budget.  Each subfamily's candidates are canonicalised
+  (unit norm, support, real-positive pivot) as one array block and
+  deduplicated in candidate order.  The cone LPs of a subfamily's dependences
   share one layout and are solved as one lock-step float block; a
   dependence whose float witness does not re-verify is decided alone, in
   exact arithmetic where needed, so every lift equals the one-dependence
@@ -228,28 +230,34 @@ def _complex_nullspace(M: np.ndarray, tol: float = NULLSPACE_TOL) -> np.ndarray:
     return basis
 
 
-def _canonical_coeffs(a: np.ndarray, support_tol: float = SUPPORT_TOL):
-    """Unit norm, largest-modulus entry rotated real-positive; returns
-    (support index tuple, canonical coefficient array) or None for ~0."""
-    nrm = float(np.linalg.norm(a))
-    if nrm <= support_tol:
-        return None
-    a = a / nrm
-    support = tuple(int(i) for i in np.nonzero(np.abs(a) > support_tol)[0])
-    if not support:
-        return None
-    a = a[list(support)]
-    i_star = int(np.argmax(np.abs(a)))
-    a = a / a[i_star]
-    a = a / np.linalg.norm(a)
-    return support, a
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex block, to the bit: sqrt(re.re +
+    im.im) with each product summed by BLAS dot, as the batched matmul of
+    (N, 1, s) by (N, s, 1) sums it (einsum sums in another order)."""
+    re, im = A.real, A.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def _dependence_key(labels, coeffs):
-    parts = [",".join(labels)]
-    for c in coeffs:
-        parts.append(f"{c.real:.9f},{c.imag:.9f}")
-    return "|".join(parts)
+def _canonical_blocks(A: np.ndarray, support_tol: float = SUPPORT_TOL):
+    """Canonicalise the candidate rows of a complex block A (N, s) together:
+    unit norm, support |a| > support_tol, then the largest-modulus supported
+    entry rotated real-positive and the row renormalised.  Yields (rows,
+    support, coeffs) for each support pattern, in order of first occurrence;
+    rows of norm at most support_tol, or with empty support, are left out.
+    Every row gets the bits of the same steps run on that row alone."""
+    nrm = _row_norms(A)
+    keep = np.flatnonzero(nrm > support_tol)
+    A = A[keep] / nrm[keep, None]
+    groups = {}
+    for r, pattern in enumerate(map(tuple, (np.abs(A) > support_tol).tolist())):
+        groups.setdefault(pattern, []).append(r)
+    for pattern, rows in groups.items():
+        support = np.flatnonzero(pattern)
+        if not support.size:
+            continue
+        sub = A[np.ix_(rows, support)]
+        sub = sub / sub[np.arange(len(rows)), np.argmax(np.abs(sub), axis=1), None]
+        yield keep[rows], support, sub / _row_norms(sub)[:, None]
 
 
 def enumerate_dependences(
@@ -257,7 +265,11 @@ def enumerate_dependences(
 ):
     """All circuit dependences plus sampled higher-nullity directions, over
     subfamilies of size at most 2k+3, in increasing-size lexicographic order,
-    deduplicated up to global complex scaling."""
+    deduplicated up to global complex scaling.
+
+    A subfamily's candidates (its circuit or its samples) are canonicalised
+    as one block by :func:`_canonical_blocks` and deduplicated by support
+    labels and coefficients to nine decimals, keeping the first in order."""
     config = config or ConsistencyConfig()
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
@@ -277,26 +289,27 @@ def enumerate_dependences(
             if nullity == 0:
                 continue
             if nullity == 1:
-                candidates = [basis[:, 0]]
+                candidates = basis.T
                 origin = "circuit"
             else:
                 q, _ = np.linalg.qr(basis)
                 g = rng.standard_normal((nullity, config.samples)) + 1j * rng.standard_normal(
                     (nullity, config.samples)
                 )
-                candidates = list((q @ g).T)
+                candidates = (q @ g).T
                 origin = "sampled"
-            for a in candidates:
-                canon = _canonical_coeffs(np.asarray(a))
-                if canon is None:
-                    continue
-                support, coeffs = canon
+            found = [None] * len(candidates)
+            for rows, support, coeffs in _canonical_blocks(candidates):
                 sup_labels = tuple(sub[i] for i in support)
-                key = _dependence_key(sup_labels, coeffs)
+                fmt = "|".join(["%.9f,%.9f"] * len(support))
+                parts = coeffs.view(float).tolist()
+                for r, c, p in zip(rows.tolist(), coeffs.tolist(), parts):
+                    found[r] = ((sup_labels, fmt % tuple(p)), c)
+            for key, c in filter(None, found):
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(AffineDependence(sup_labels, tuple(coeffs.tolist()), origin))
+                out.append(AffineDependence(key[0], tuple(c), origin))
     return out
 
 

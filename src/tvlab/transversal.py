@@ -47,6 +47,12 @@ class TransversalConfig:
     seed: int = 0
     angle_resolution: int = 10000  # exhaustive grid for the real d=2 sweep
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if not (np.isfinite(self.zero_tol) and self.zero_tol >= 0):
+            raise ValueError(f"zero_tol must be finite and nonnegative, got {self.zero_tol}")
+
 
 @dataclass(frozen=True, eq=False)
 class RealHyperplane:

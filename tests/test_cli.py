@@ -107,6 +107,17 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
     # a negative sample budget is named, not left to fail inside numpy
     assert main(["check", str(inst), "--samples", "-3"]) == 2
     assert "samples" in capsys.readouterr().err
+    # a search that cannot run is a usage error, not a search that found nothing
+    for args, field in (
+        (["--starts", "0"], "starts"),
+        (["--starts", "-2"], "starts"),
+        (["--method", "borsuk", "--zero-tol", "-1"], "zero_tol"),
+        (["--method", "borsuk", "--zero-tol", "nan"], "zero_tol"),
+        (["--method", "borsuk", "--zero-tol", "inf"], "zero_tol"),
+    ):
+        assert main(["find", str(inst)] + args) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and "not found" not in captured.out
 
 
 def test_real_hyperplane_codec_round_trip(tmp_path, capsys):

@@ -4,17 +4,20 @@ the exact support reducer."""
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tvlab.consistency import (
+    SUPPORT_TOL,
     AffineDependence,
     ConsistencyConfig,
     ConsistencyWitness,
     Lift,
     NoLift,
+    _canonical_blocks,
     _complex_nullspace,
     _lift_groups,
     check_dependency_consistency,
@@ -107,6 +110,75 @@ def test_dependences_satisfy_their_equations():
         s0, s1 = dep.residuals(w)
         assert s0 < 1e-9 and s1 < 1e-9
         assert len(dep.labels) <= 2 * w.k + 3
+
+
+def _canonical_coeffs_reference(a, support_tol=SUPPORT_TOL):
+    """Canonicalisation of one candidate alone, as enumerate_dependences ran
+    it row by row before _canonical_blocks: the reference for its bits."""
+    nrm = float(np.linalg.norm(a))
+    if nrm <= support_tol:
+        return None
+    a = a / nrm
+    support = tuple(int(i) for i in np.nonzero(np.abs(a) > support_tol)[0])
+    if not support:
+        return None
+    a = a[list(support)]
+    i_star = int(np.argmax(np.abs(a)))
+    a = a / a[i_star]
+    a = a / np.linalg.norm(a)
+    return support, a
+
+
+@pytest.mark.parametrize("s", range(2, 8))
+def test_block_canonicalisation_matches_rows_alone(s):
+    rng = np.random.default_rng([s, 5])
+    n = 300
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    q, _ = np.linalg.qr(gauss(s, 2))
+    sampled = (q @ gauss(2, n)).T  # non-contiguous, as enumerate_dependences samples
+    # one entry just below or just above the support threshold, in a unit row
+    near_tol = gauss(n, s)
+    cols = rng.integers(0, s, n)
+    near_tol[np.arange(n), cols] = 0.0
+    near_tol /= np.linalg.norm(near_tol, axis=1, keepdims=True)
+    phase = np.exp(2j * np.pi * rng.random(n))
+    near_tol[np.arange(n), cols] = SUPPORT_TOL * np.where(np.arange(n) % 2, 1.001, 0.999) * phase
+    near_tol[7] = 0.0
+    near_tol[8] = 1e-12
+    assert not sampled.flags.c_contiguous
+    for block in (sampled, near_tol):
+        got = {}
+        for rows, support, coeffs in _canonical_blocks(block):
+            for r, c in zip(rows.tolist(), coeffs):
+                got[r] = (tuple(support.tolist()), c.tobytes())
+        want = {}
+        for r, a in enumerate(block):
+            ref = _canonical_coeffs_reference(a)
+            if ref is not None:
+                want[r] = (ref[0], ref[1].tobytes())
+        assert got == want
+    # both sides of the threshold occur, and the zero rows are skipped
+    sizes = {len(sup) for sup, _ in got.values()}
+    assert sizes == {s - 1, s} and 7 not in got and 8 not in got
+
+
+def test_zero_coefficient_circuit_is_a_duplicate():
+    fam = _family("complex", [[0j]], [[1 + 0j]], [[2 + 0j]], [[3 + 0j]])
+    w = _witness(1, [[0j], [1 + 0j], [2 + 0j]], {"S0": 0, "S1": 0, "S2": 1, "S3": 2})
+    cfg = ConsistencyConfig(samples=4, seed=0)
+    deps = enumerate_dependences(fam, w, cfg)
+    # {S0,S1,S2} and {S0,S1,S3} have circuits (1,-1,0): both reduce to the
+    # circuit of {S0,S1} and are dropped
+    assert [(d.labels, d.origin) for d in deps] == [
+        (("S0", "S1"), "circuit"),
+        (("S0", "S2", "S3"), "circuit"),
+        (("S1", "S2", "S3"), "circuit"),
+    ] + [(("S0", "S1", "S2", "S3"), "sampled")] * 4
+    (first,) = enumerate_dependences(fam.subfamily(("S0", "S1")), w, cfg)
+    assert deps[0].coeffs == first.coeffs
 
 
 # -- lift_dependence -------------------------------------------------------------
@@ -362,6 +434,44 @@ def test_block_lifts_keep_recorded_verdicts(case):
         assert lift.points.tobytes() == alone.points.tobytes()
 
 
+def _enumeration_digest(deps):
+    h = hashlib.sha256()
+    for dep in deps:
+        h.update(repr((dep.labels, dep.origin)).encode())
+        for c in dep.coeffs:
+            h.update(f"{c.real.hex()},{c.imag.hex()};".encode())
+    return h.hexdigest()
+
+
+# sha256 over the labels, origin and coefficient bits of every enumerated
+# dependence of each GOLDEN case at samples=32, recorded when each candidate
+# was still canonicalised on its own
+ENUMERATION_DIGESTS = {
+    (4, 31, False): "1be5b7c65c2669f7f8ed71c50e6ad2a63426e0989468092fd386bf5847a8aa92",
+    (4, 1111, False): "3fce9512ec31e1444a726a03a047efdc753421f60e5e5e83cf74e150862db20e",
+    (4, 1337, False): "fea8af7f1c2b8a71c37532f7ee6023e0c852c8c9e351d8dc6a02eb11dbc4e6e1",
+    (3, 1, True): "30f6536125c99e0eadddbca34f10a9e716569ef220c640b7d9152f0771642f36",
+    (4, 2, True): "5e67b981a884a8a2c773165d7b81ab5dad507ada5c0e19269382682564dbcb81",
+    (5, 3, True): "e0c1b4fd95add907f052bc193239b0fa7028f5c06a1646145d9d43bc47b6202b",
+    (6, 4, True): "5f82c8d9a6f0b44af475f7d9f266cc511c0a29d492ba47d0a1639514500b30e6",
+    (6, 5, True): "916b2fac62642eafca2a3bcf16a2ec01fd49876f86e74fd295345c28a7f08a6c",
+    (5, 6, True): "ac172d4352287cc25fec5f03fb239ba1430bbb23f67da92dfd4ace03f2e75405",
+    (4, 11, False): "cda57397011f890b7a172eb741bc77bcb46d3ae12c731a851ebdf2bc1c680527",
+    (5, 12, False): "2abe350015a3532c7fe0944c2762ee2406db5a79184b08effaee4b953097eb3e",
+    (6, 13, False): "c68e255f9725ba29197c11fe7b6ea85270f908eebe5044471de6cc79fce3e7ad",
+    (4, 14, False): "29b0a1bfc566013a78f1ca7151e03981c103152112782fff01ae556f47d7f4da",
+    (5, 15, False): "024f881435960dfa7282f586c4da812fed13c1acb5454cae4416c02453edf1a1",
+    (6, 16, False): "0c913596e0b8fb6df7aef838262344c42850e3ff6166a5218bcdbd3ff554c114",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=str)
+def test_enumeration_keeps_recorded_bits(case):
+    fam, w = _gen_case(*case)
+    deps = enumerate_dependences(fam, w, ConsistencyConfig(samples=32, seed=case[1]))
+    assert _enumeration_digest(deps) == ENUMERATION_DIGESTS[case]
+
+
 def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
     import tvlab.consistency as consistency
     import tvlab.lp as lp
@@ -422,6 +532,22 @@ def test_nolift_inside_sampled_block_is_the_first_failure(seed):
     y = cert.farkas_exact
     yA = [sum(yi * Fraction(a) for yi, a in zip(y, col)) for col in rows.T]
     assert all(t <= 0 for t in yA) and y[-1] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a planted, hence consistent, family gets an exact "
+    "NoLift on a float-sampled dependence",
+)
+def test_planted_family_is_not_refuted():
+    # a planted family is consistent by construction (necessity-d2 seed 304,
+    # pool index 22); today the sampled dependence (S0, S1, S3, S5) fails to lift
+    inst = gen_instance(GenSpec(d=2, n_sets=6, planted=True, seed=868085967))
+    w = witness_from_transversal(inst, inst.planted)
+    v = check_dependency_consistency(
+        inst.family, w, ConsistencyConfig(samples=64, seed=868085967)
+    )
+    assert v.passed
 
 
 def test_config_rejects_negative_samples():

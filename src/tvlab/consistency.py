@@ -21,7 +21,7 @@ Two checkers live here:
   subfamily pairs of total size at most k+2.
 
 The Caratheodory-style support reducer for oversized dependences is also
-here; it runs in exact rational arithmetic.
+here; it runs in exact integer arithmetic (:mod:`tvlab._exact`).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
+from ._exact import gmul, integers, null_vector
 from .geometry import Family, complex_to_real
 from .lp import (
     FeasibilityCertificate,
@@ -332,6 +333,19 @@ def _lift_generators(family: Family, labels, coeffs):
     return np.concatenate(parts, axis=1)
 
 
+def _exact_generators(coeffs, points):
+    """Integer columns (s^2 a z, s a, 1), complex entries in real pairs, for
+    each coefficient a and each row z of its (n, k) array of points: the
+    generators (a z, a) of :func:`_lift_generators` and an affine 1, with a
+    and z Gaussian integers over one scale s.  Scaling a row keeps the null
+    space and the cone LP's answer."""
+    flat = [complex(c) for c in coeffs] + [complex(z) for P in points for z in np.ravel(P)]
+    ints, _ = integers([x for z in flat for x in (z.real, z.imag)])
+    pairs = iter(zip(ints[::2], ints[1::2]))
+    cols = [(next(pairs), P) for P in points]  # the coefficients come first
+    return [[x for _ in row for x in gmul(a, next(pairs))] + [*a, 1] for a, P in cols for row in P]
+
+
 def _vertex_spans(family: Family, labels):
     """(label, start, stop) of each label's generators in _lift_generators."""
     spans, stop = [], 0
@@ -339,13 +353,6 @@ def _vertex_spans(family: Family, labels):
         start, stop = stop, stop + len(family[label].vertices)
         spans.append((label, start, stop))
     return spans
-
-
-def _lift_groups(family: Family, labels, coeffs):
-    """(label, generators) pairs of one dependence, as nontrivial_zero_in_cone
-    takes them."""
-    G = _lift_generators(family, labels, np.asarray(coeffs, dtype=complex)[None])[0]
-    return [(label, G[a:b]) for label, a, b in _vertex_spans(family, labels)]
 
 
 def _lift_block(family: Family, deps, config: ConsistencyConfig) -> list:
@@ -518,89 +525,33 @@ def separates_consistently(
 # Caratheodory support reduction (exact arithmetic)
 
 
-def _fraction_pair(z: complex):
-    return Fraction(float(z.real)), Fraction(float(z.imag))
-
-
-def _exact_null_vector(columns):
-    """A nonzero rational vector z with M z = 0 for the given columns, or
-    None when the columns are linearly independent."""
-    m = len(columns[0])
-    n = len(columns)
-    M = [[columns[j][i] for j in range(n)] for i in range(m)]
-    zero = Fraction(0)
-    pivots = {}  # col -> row
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if M[r][col] != zero:
-                sel = r
-                break
-        if sel is None:
-            continue
-        M[row], M[sel] = M[sel], M[row]
-        piv = M[row][col]
-        M[row] = [v / piv for v in M[row]]
-        for r in range(m):
-            if r != row and M[r][col] != zero:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[row])]
-        pivots[col] = row
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    f = free[0]
-    z = [zero] * n
-    z[f] = Fraction(1)
-    for col, r in pivots.items():
-        z[col] = -M[r][f]
-    return z
-
-
 def reduce_dependence_support(
     dep: AffineDependence, witness: ConsistencyWitness, max_support: int | None = None
 ) -> AffineDependence:
     """Shrink a dependence to support at most 2k+3 by positive rescalings.
 
-    Runs in exact rational arithmetic on the paired real coordinates of the
-    points (a_F phi(F), a_F); the output coefficients are s_F * a_F with
-    s_F > 0 and satisfy both dependence equations to rounding error only.
+    Runs in exact arithmetic on the paired real coordinates of the points
+    (a_F phi(F), a_F), in integers (:func:`_exact_generators`); the output
+    coefficients are s_F * a_F with s_F > 0 and satisfy both dependence
+    equations to rounding error only.
     """
     k = witness.k
     if max_support is None:
         max_support = 2 * k + 3
     labels = list(dep.labels)
     coeffs = [complex(c) for c in dep.coeffs]
-    # exact complex pairs for a_F and a_F*phi(F), flattened to R^{2k+2} plus a ones row
-    def q_column(label, a):
-        ar, ai = _fraction_pair(a)
-        col = []
-        for z in np.asarray(witness.point_of(label)).ravel():
-            pr, pi = _fraction_pair(complex(z))
-            col.append(ar * pr - ai * pi)
-            col.append(ar * pi + ai * pr)
-        col.append(ar)
-        col.append(ai)
-        col.append(Fraction(1))  # affine row over the q points
-        return col
-
+    # column F: s^2 a_F phi(F), s a_F and 1 (the affine row over the q points)
+    cols = _exact_generators(coeffs, [witness.point_of(l).reshape(1, k) for l in labels])
     weights = [Fraction(1)] * len(labels)
     while len(labels) > max_support:
-        cols = [q_column(l, c) for l, c in zip(labels, coeffs)]
-        z = _exact_null_vector(cols)
+        z = null_vector(list(zip(*cols)))
         if z is None:
             break  # affinely independent; cannot shrink further
-        if not any(v > 0 for v in z):
-            z = [-v for v in z]
         t = min(w / v for w, v in zip(weights, z) if v > 0)
         weights = [w - t * v for w, v in zip(weights, z)]
         keep = [i for i, w in enumerate(weights) if w != 0]
-        labels = [labels[i] for i in keep]
-        coeffs = [coeffs[i] for i in keep]
-        weights = [weights[i] for i in keep]
+        labels, coeffs, weights, cols = (
+            [x[i] for i in keep] for x in (labels, coeffs, weights, cols)
+        )
     new_coeffs = [float(w) * c for w, c in zip(weights, coeffs)]
     return AffineDependence(tuple(labels), tuple(new_coeffs))

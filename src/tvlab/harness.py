@@ -5,6 +5,9 @@ Documents are serialized through a deterministic emitter: fixed key order,
 floats at 17 significant digits, complex numbers as [re, im] pairs.  Reading
 a document back and re-serializing it reproduces the file byte for byte,
 and reports depend only on (seed, config, version), never on wall time.
+:func:`reverify_report` re-decides a stored no-lift exactly, on generators
+rebuilt from the instance's own numbers, and checks a float lift in
+rationals to 1e-9.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from ._exact import gmul
 from .consistency import (
     ConsistencyConfig,
     ConsistencyVerdict,
     ConsistencyWitness,
     Lift,
     NoLift,
-    _lift_groups,
+    _exact_generators,
     check_dependency_consistency,
     trivial_witness,
 )
@@ -35,12 +39,7 @@ from .geometry import (
     hermitian_inner,
     hyperplane_from_sphere_point,
 )
-from .lp import (
-    _float_flat_points,
-    flat_meets_polytope,
-    hulls_intersect,
-    nontrivial_zero_in_cone,
-)
+from .lp import _EXACT, _float_flat_points, _solve_standard, flat_meets_polytope, hulls_intersect
 from .transversal import (
     NotFound,
     RealHyperplane,
@@ -577,85 +576,66 @@ def run_equivalence(config: EquivConfig) -> ExperimentReport:
 # rational re-verification of stored certificates
 
 
-def _frac(x) -> Fraction:
-    return Fraction(float(x))
-
-
-def _frac_pair(p) -> tuple:
-    return (_frac(p[0]), _frac(p[1]))
-
-
-def _cmul(u, v):
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
 def _reverify_lift(doc: dict, family: Family, tol=Fraction(1, 10**9)) -> list:
-    """Exact-arithmetic re-check of a stored lift: nonnegative weights,
-    convex vertex certificates, and both dependence equations."""
+    """Rational re-check of a stored lift: nonnegative weights, convex vertex
+    certificates, and both dependence equations.  A lift is a float solution
+    of its cone LP, exact in none of these conditions, so each holds to
+    ``tol``."""
     problems = []
+
+    def off(terms):  # a sum of Gaussian rationals that is not 0 to tol
+        return any(abs(sum(t[i] for t in terms)) > tol for i in (0, 1))
+
     labels = doc["labels"]
-    coeffs = [_frac_pair(p) for p in doc["coeffs"]]
-    r = [_frac(v) for v in doc["r"]]
-    if any(v < 0 for v in r):
+    coeffs = [tuple(map(Fraction, p)) for p in doc["coeffs"]]
+    r = [Fraction(v) for v in doc["r"]]
+    if any(v < -tol for v in r):
         problems.append("negative lift weight")
-    if all(v == 0 for v in r):
+    if all(abs(v) <= tol for v in r):
         problems.append("all lift weights vanish")
     poly_of = dict(zip(family.labels, family.sets))
-    d = family.dim
-    points = [[_frac_pair(p) for p in row] for row in doc["points"]]
+    points = [[tuple(map(Fraction, p)) for p in row] for row in doc["points"]]
     for label, ws, pt, weight in zip(labels, doc["vertex_weights"], points, r):
         if weight == 0:
             continue
-        V = poly_of[label].vertices
-        fw = [_frac(w) for w in ws]
-        if any(w < 0 for w in fw):
+        V = poly_of[label].vertices.tolist()
+        fw = [Fraction(w) for w in ws]
+        if any(w < -tol for w in fw):
             problems.append(f"negative vertex weight for {label}")
         if abs(sum(fw) - 1) > tol:
             problems.append(f"vertex weights of {label} do not sum to one")
-        for col in range(d):
-            re = sum(w * _frac(V[i, col].real) for i, w in enumerate(fw))
-            im = sum(w * _frac(V[i, col].imag) for i, w in enumerate(fw))
-            if abs(re - pt[col][0]) > tol or abs(im - pt[col][1]) > tol:
+        for col in range(family.dim):
+            combo = [(w * Fraction(v[col].real), w * Fraction(v[col].imag)) for v, w in zip(V, fw)]
+            if off(combo + [(-pt[col][0], -pt[col][1])]):
                 problems.append(f"stored point of {label} is not the certified combination")
                 break
     # sum r_F a_F = 0 and sum (r_F a_F) p_F = 0
-    s_re = sum(w * c[0] for w, c in zip(r, coeffs))
-    s_im = sum(w * c[1] for w, c in zip(r, coeffs))
-    if abs(s_re) > tol or abs(s_im) > tol:
+    ra = [(w * c[0], w * c[1]) for w, c in zip(r, coeffs)]
+    if off(ra):
         problems.append("lift violates the coefficient equation")
-    for col in range(d):
-        t_re = Fraction(0)
-        t_im = Fraction(0)
-        for w, c, pt in zip(r, coeffs, points):
-            prod = _cmul((w * c[0], w * c[1]), pt[col])
-            t_re += prod[0]
-            t_im += prod[1]
-        if abs(t_re) > tol or abs(t_im) > tol:
-            problems.append("lift violates the point equation")
-            break
+    if any(off([gmul(c, pt[col]) for c, pt in zip(ra, points)]) for col in range(family.dim)):
+        problems.append("lift violates the point equation")
     return problems
 
 
 def _reverify_nolift(doc: dict, family: Family) -> list:
-    """Re-run the cone feasibility decision in exact arithmetic: a stored
-    no-lift verdict must stay infeasible."""
-    from .consistency import AffineDependence
-
-    dep = AffineDependence(
-        tuple(doc["labels"]),
-        tuple(_unpair(p) for p in doc["coeffs"]),
-        origin=doc.get("origin", "circuit"),
-    )
-    groups = _lift_groups(family, dep.labels, np.asarray(dep.coeffs))
-    cone = nontrivial_zero_in_cone(groups, exact=True)
-    if cone.certificate.feasible:
+    """Re-decide a stored no-lift verdict in exact arithmetic: is 0 a convex
+    combination of the generators (a_F v, a_F), v a vertex of F?  They are
+    rebuilt as Gaussian rationals from the stored coefficients and the
+    instance's vertices, and the cone LP must stay infeasible."""
+    coeffs = [_unpair(p) for p in doc["coeffs"]]
+    cols = _exact_generators(coeffs, [family[label].vertices for label in doc["labels"]])
+    rows = np.array(cols, dtype=object).T
+    rhs = np.array([0] * (len(rows) - 1) + [1], dtype=object)
+    if _solve_standard(rows[None], rhs[None], None, _EXACT)[0][0] == "feasible":
         return ["stored no-lift verdict is rationally liftable after all"]
     return []
 
 
 def reverify_report(doc: dict) -> list:
-    """Rational re-check of every stored certificate in a report; returns
-    the list of discrepancies (empty means clean)."""
+    """Rational re-check of every stored certificate in a report (no-lifts
+    exactly, lifts to 1e-9); returns the list of discrepancies (empty means
+    clean)."""
     config = equiv_config_from_json(doc["config"])
     problems = []
     for record in doc["records"]:

@@ -21,12 +21,12 @@ untouched, so an element's result does not depend on its batch.
 :func:`lp_feasible` keeps a float answer only when it is a witness that
 re-substitutes to within 1e-9.  A float infeasible verdict is certified from
 the final phase-1 basis: its dual y is solved exactly (floats are dyadic
-rationals, so in integers) and kept when y'A <= 0 and y'b > 0 hold exactly,
-after QSopt_ex (Applegate, Cook, Dash & Espinoza, 2007).  Every other float
-outcome is decided again in exact arithmetic, so every infeasible verdict is
-exact.  Infeasibility is certified by a Farkas functional y with  y'A <= 0
-and y'b > 0 (componentwise equality on columns of free variables);
-feasibility by the witness itself.
+rationals, so in integers, by :mod:`tvlab._exact`) and kept when y'A <= 0
+and y'b > 0 hold exactly, after QSopt_ex (Applegate, Cook, Dash & Espinoza,
+2007).  Every other float outcome is decided again in exact arithmetic, so
+every infeasible verdict is exact.  Infeasibility is certified by a Farkas
+functional y with  y'A <= 0  and y'b > 0 (componentwise equality on columns
+of free variables); feasibility by the witness itself.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._exact import integers, solve
 from .geometry import Polytope, complex_to_real
 
 PIVOT_TOL = 1e-11
@@ -134,7 +135,8 @@ _STATUS = np.array(["feasible", "infeasible", "unbounded", "inconclusive"], dtyp
 
 def _solve_standard(A, b, c, ar: _Arithmetic):
     """Solve min c.x s.t. Ax = b, x >= 0 in arithmetic ar for a batch of
-    programs of one shape: A (B, m, n), b (B, m), c (B, n) or None.
+    programs of one shape: A (B, m, n), b (B, m), c (B, n) or None.  A and
+    b may be object arrays of integers or Fractions for the exact solve.
 
     Returns (status, x, y, basis): per element a status in {'feasible',
     'infeasible', 'unbounded', 'inconclusive'}; x (B, n) the witness /
@@ -146,8 +148,9 @@ def _solve_standard(A, b, c, ar: _Arithmetic):
     reported as inconclusive.
     """
     B, m, n = A.shape
-    sgn = np.where(b < 0, -1.0, 1.0)
-    T = np.zeros((B, m + 1, n + m + 1))
+    dtype = np.result_type(A, b, float)
+    sgn = np.where(b < 0, -1, 1).astype(dtype)
+    T = np.zeros((B, m + 1, n + m + 1), dtype=dtype)
     T[:, :m, :n] = A * sgn[:, :, None]
     T[:, :m, n : n + m] = np.eye(m)
     T[:, :m, -1] = b * sgn
@@ -198,52 +201,29 @@ def _solve_standard(A, b, c, ar: _Arithmetic):
     return status, x, y, phase1
 
 
-def _integer_solve(M, v):
-    """(z, d) with M z = d v and d != 0, for a square matrix M and a vector
-    v of Python integers, by fraction-free Gauss-Jordan elimination (Bareiss)
-    in which every division is exact; None when M is singular."""
-    m = len(v)
-    R = [list(row) + [x] for row, x in zip(M, v)]
-    d = 1
-    for k in range(m):
-        p = next((r for r in range(k, m) if R[r][k]), None)
-        if p is None:
-            return None
-        R[k], R[p] = R[p], R[k]
-        piv = R[k]
-        for i in range(m):
-            if i != k:
-                f = R[i][k]
-                R[i] = [(piv[k] * x - f * y) // d for x, y in zip(R[i], piv)]
-        d = piv[k]
-    return [row[-1] for row in R], d
-
-
 def _basis_farkas(A, b, basis):
     """Exact Farkas functional read off a final float phase-1 basis, or None.
 
     With A' and b' the rows scaled to b' >= 0, the phase-1 dual y solves
     y'B = c_B' for the basis columns B of [A' | I], whose costs c_B are 1 on
     artificial columns and 0 elsewhere.  Floats are dyadic rationals, so
-    2^e [A' | b'] is an integer matrix for one e, and y is found in integer
-    arithmetic.  When y'A' <= 0 and y'b' > 0 hold exactly, y carried back
+    2^e [A' | b'] is an integer matrix for one e, and y is found by the
+    integer elimination of :mod:`tvlab._exact`.  When y'A' <= 0 and y'b' > 0 hold exactly, y carried back
     through the row signs certifies Ax = b, x >= 0 infeasible."""
     m, n = A.shape
     sgn = np.where(b < 0, -1, 1)
-    floats = np.column_stack([A * sgn[:, None], b * sgn]).ravel().tolist()
-    ratios = [v.as_integer_ratio() for v in floats]
-    scale = max(q for _, q in ratios)  # a power of two
-    N = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(m, n + 1)
+    N, scale = integers(np.column_stack([A * sgn[:, None], b * sgn]).ravel().tolist())
+    N = np.array(N, dtype=object).reshape(m, n + 1)
     basis = basis.tolist()
     cols = [N[:, j].tolist() if j < n else [scale * (i == j - n) for i in range(m)] for j in basis]
-    solved = _integer_solve(cols, [int(j >= n) for j in basis])
+    solved = solve(cols, [int(j >= n) for j in basis])
     if solved is None:
         return None
-    z, d = solved
-    z = np.array(z, dtype=object) * (1 if d > 0 else -1)  # y = scale z / |d|
+    z, d = solved  # y = scale z / d
+    z = np.array(z, dtype=object)
     if not (z @ N[:, :n] <= 0).all() or not z @ N[:, n] > 0:
         return None
-    return np.array([Fraction(scale * v * s, abs(d)) for v, s in zip(z, sgn.tolist())])
+    return np.array([Fraction(scale * v * s, d) for v, s in zip(z, sgn.tolist())])
 
 
 # ---------------------------------------------------------------------------

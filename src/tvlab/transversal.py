@@ -562,6 +562,8 @@ def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> Verification
     coefficient polygon (projection along the normal is an isometry onto the
     normal's complex line).  Real T: the distance from the offset to each
     projection interval [min u.v, max u.v]."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     ambient = "real" if isinstance(T, RealHyperplane) else "complex"
     if family.ambient != ambient or family.dim != T.normal.shape[0]:
         raise ValueError("family and hyperplane ambients and dimensions must agree")

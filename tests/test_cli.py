@@ -118,6 +118,16 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
         assert main(["find", str(inst)] + args) == 2
         captured = capsys.readouterr()
         assert field in captured.err and "not found" not in captured.out
+    # a verification tolerance that is negative or not finite is named too
+    planted = tmp_path / "planted.json"
+    assert main(["gen", "--d", "1", "--sets", "2", "--seed", "0", "--planted", "-o", str(planted)]) == 0
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(json.load(open(planted))["planted"]))
+    capsys.readouterr()
+    for tol in ("-1", "nan", "inf"):
+        assert main(["verify", str(planted), "--transversal", str(t), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tol" in captured.err and "max distance" not in captured.out
 
 
 def test_real_hyperplane_codec_round_trip(tmp_path, capsys):

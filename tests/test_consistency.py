@@ -19,7 +19,7 @@ from tvlab.consistency import (
     NoLift,
     _canonical_blocks,
     _complex_nullspace,
-    _lift_groups,
+    _lift_generators,
     check_dependency_consistency,
     enumerate_dependences,
     lift_dependence,
@@ -39,6 +39,11 @@ def _family(ambient, *vertex_lists):
 
 def _witness(k, points, assignment):
     return ConsistencyWitness(k, np.asarray(points), assignment)
+
+
+def _cone_generators(fam, dep):
+    """The generators (a_F v, a_F) of a dependence's cone LP, one per row."""
+    return _lift_generators(fam, dep.labels, np.asarray(dep.coeffs, dtype=complex)[None])[0]
 
 
 # -- null space ----------------------------------------------------------------
@@ -249,7 +254,7 @@ def test_fail_on_disjoint_singletons_same_image():
     s0, s1 = nolift.dependence.residuals(w)
     assert s0 < 1e-9 and s1 < 1e-9
     # certificate re-check by an independent rational run
-    groups = _lift_groups(fam, nolift.dependence.labels, nolift.dependence.coeffs)
+    groups = [("all", _cone_generators(fam, nolift.dependence))]
     assert not nontrivial_zero_in_cone(groups, exact=True).certificate.feasible
 
 
@@ -371,6 +376,33 @@ def test_reducer_shrinks_stress_dependence():
             assert abs(ratio.imag) < 1e-9 and ratio.real > 0
 
 
+# sha256 over the labels and coefficient bits of reduce_dependence_support
+# on seeded oversized dependences, recorded when the reducer still ran
+# Gauss-Jordan elimination in Fractions
+REDUCER_DIGEST = "c23d5751283696dfc68042611f770d6c87a9d56853e50c8a961fabd9234731f3"
+
+
+def test_reducer_keeps_recorded_bits():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    for trial in range(30):
+        k = trial % 3
+        n = 2 * k + 3 + int(rng.integers(1, 5))
+        pts = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        if trial % 5 == 4:
+            pts = np.round(pts * 2) / 2  # a coarse grid: repeated and collinear points
+        w = ConsistencyWitness(k, pts, {f"S{i}": i for i in range(n)})
+        B = _complex_nullspace(np.vstack([np.ones((1, n), dtype=complex), pts.T]))
+        coeff = B @ (rng.standard_normal(B.shape[1]) + 1j * rng.standard_normal(B.shape[1]))
+        dep = AffineDependence(tuple(f"S{i}" for i in range(n)), tuple(coeff.tolist()))
+        red = reduce_dependence_support(dep, w)
+        assert len(red.labels) < n
+        h.update(repr(red.labels).encode())
+        for c in red.coeffs:
+            h.update(f"{c.real.hex()},{c.imag.hex()};".encode())
+    assert h.hexdigest() == REDUCER_DIGEST
+
+
 def test_reducer_identity_below_bound():
     w = _witness(1, [[0j], [1 + 0j]], {"S0": 0, "S1": 1})
     dep = AffineDependence(("S0", "S1"), (1.0, -1.0))
@@ -481,7 +513,7 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
     deps = enumerate_dependences(fam, w, cfg)
     target = deps[10]
     assert target.origin == "sampled" and deps[9].labels == deps[11].labels == target.labels
-    cols = np.vstack([g for _, g in consistency._lift_groups(fam, target.labels, target.coeffs)])
+    cols = _cone_generators(fam, target)
     target_rows = np.vstack([cols.T, np.ones(len(cols))])
 
     verify = lp._verify_feasible
@@ -527,7 +559,7 @@ def test_nolift_inside_sampled_block_is_the_first_failure(seed):
     # the certificate is an exact Farkas functional of this dependence's cone
     cert = v.violation.certificate
     assert cert.exact and not cert.feasible
-    cols = np.vstack([g for _, g in _lift_groups(fam, dep.labels, dep.coeffs)])
+    cols = _cone_generators(fam, dep)
     rows = np.vstack([cols.T, np.ones(len(cols))])
     y = cert.farkas_exact
     yA = [sum(yi * Fraction(a) for yi, a in zip(y, col)) for col in rows.T]

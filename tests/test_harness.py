@@ -15,6 +15,7 @@ from tvlab.harness import (
     GenSpec,
     Instance,
     _orthonormal_complement,
+    _run_trial,
     dumps_canonical,
     gen_instance,
     instance_from_json,
@@ -281,3 +282,30 @@ def test_reverify_detects_tampering():
             break
     assert tampered
     assert reverify_report(doc) != []
+
+
+def _report_doc(cfg, trials):
+    """A report document holding only the given trials of ``cfg``."""
+    records = [json.loads(dumps_canonical(_run_trial(cfg, t))) for t in trials]
+    return {"config": cfg.to_json(), "records": records}
+
+
+def test_reverify_takes_float_lift_signs_to_the_tolerance():
+    # trial 8 stores a vertex weight of S1 at -2.49e-14: the float lift LP
+    # accepts witnesses down to -FEAS_TOL, and the lift re-verifies to 1e-9
+    doc = _report_doc(EquivConfig(trials=10, d=2, seed=0, samples=16), [8])
+    ws = doc["records"][0]["consistency"]["worst_lift"]["vertex_weights"][1]
+    i = min(range(len(ws)), key=lambda j: ws[j])
+    assert -1e-13 < ws[i] < 0
+    assert reverify_report(doc) == []
+    ws[i] = -1e-6
+    assert "trial 8: negative vertex weight for S1" in reverify_report(doc)
+
+
+def test_reverify_detects_a_tampered_nolift():
+    doc = _report_doc(EquivConfig(trials=3, d=1, seed=0), range(3))
+    assert reverify_report(doc) == []
+    violation = next(filter(None, (r["consistency"]["violation"] for r in doc["records"])))
+    violation["coeffs"][0] = [0.0, 0.0]
+    problems = reverify_report(doc)
+    assert len(problems) == 1 and problems[0].endswith("rationally liftable after all")

@@ -11,11 +11,12 @@ Two checkers live here:
   sampled at a seeded budget.  Each subfamily's candidates are canonicalised
   (unit norm, support, real-positive pivot) as one array block and
   deduplicated in candidate order.  The cone LPs of a subfamily's dependences
-  share one layout and are solved as one lock-step float block; a
-  dependence whose float witness does not re-verify is decided alone, in
-  exact arithmetic where needed, so every lift equals the one-dependence
-  answer.  A pass is therefore "pass at budget" while a fail carries an
-  exact, rationally confirmed certificate.
+  share one layout and go through :func:`tvlab.lp.certify` as one batch,
+  whose one escalation path decides alone and exactly every LP that its
+  float block leaves uncertified, so every lift equals the one-dependence
+  answer.  A pass is therefore "pass at budget", while a fail carries an
+  exact Farkas certificate that the cone LP of a float-computed dependence
+  is infeasible.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
   subfamily pairs of total size at most k+2.
@@ -34,12 +35,8 @@ import numpy as np
 
 from ._exact import gmul, integers, null_vector
 from .geometry import Family, complex_to_real
-from .lp import (
-    FeasibilityCertificate,
-    float_witnesses,
-    hulls_intersect,
-    nontrivial_zero_in_cone,
-)
+from .lp import FeasibilityCertificate, _infeasible, certify, hulls_intersect
+from .lp import nontrivial_zero_in_cone  # not called here: perfbench/spans.py wraps this name
 
 NULLSPACE_TOL = 1e-10
 SUPPORT_TOL = 1e-10
@@ -193,6 +190,8 @@ class ConsistencyConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
+        if not (np.isfinite(self.nullspace_tol) and self.nullspace_tol >= 0):
+            raise ValueError(f"nullspace_tol must be finite and >= 0, got {self.nullspace_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,10 @@ def _exact_generators(coeffs, points):
     each coefficient a and each row z of its (n, k) array of points: the
     generators (a z, a) of :func:`_lift_generators` and an affine 1, with a
     and z Gaussian integers over one scale s.  Scaling a row keeps the null
-    space and the cone LP's answer."""
+    space and the cone LP's answer.  Raises ValueError unless there is one
+    array of points per coefficient."""
+    if len(coeffs) != len(points):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(points)} point arrays")
     flat = [complex(c) for c in coeffs] + [complex(z) for P in points for z in np.ravel(P)]
     ints, _ = integers([x for z in flat for x in (z.real, z.imag)])
     pairs = iter(zip(ints[::2], ints[1::2]))
@@ -359,12 +361,12 @@ def _lift_block(family: Family, deps, config: ConsistencyConfig) -> list:
     """Lift dependences that share their support labels and their zero
     coefficients, in order, up to and including the first NoLift.
 
-    Their cone LPs share one layout and are solved in one lock-step float
-    tableau.  An LP whose float witness does not re-verify (or that has none)
-    is decided alone through nontrivial_zero_in_cone, where lp_feasible
-    escalates it to exact arithmetic; with ``config.exact`` every LP is
-    decided alone, exactly.  Each result equals that of
-    :func:`lift_dependence` on the dependence alone.
+    Their cone LPs share one layout and go through :func:`tvlab.lp.certify`
+    as one batch (exactly with ``config.exact``): one lock-step float
+    tableau, a float witness kept only when it re-verifies, a NoLift
+    certified from its own final basis, and any other LP decided exactly,
+    alone.  Each result equals that of :func:`lift_dependence` on the
+    dependence alone.
     """
     labels = deps[0].labels
     # labels whose coefficient vanishes identically cannot affect the sums
@@ -376,17 +378,13 @@ def _lift_block(family: Family, deps, config: ConsistencyConfig) -> list:
     rows = np.concatenate([G.transpose(0, 2, 1), np.ones((B, 1, n))], axis=1)
     rhs = np.zeros((B, dim + 1))
     rhs[:, dim] = 1.0
-    witnesses = [None] * B if config.exact else float_witnesses(rows, rhs)
     spans = _vertex_spans(family, act_labels)
     out = []
-    for dep, lam, gens in zip(deps, witnesses, G):
-        if lam is None:
-            groups = [(label, gens[a:b]) for label, a, b in spans]
-            cz = nontrivial_zero_in_cone(groups, exact=config.exact)
-            if not cz.certificate.feasible:
-                out.append(NoLift(dep, cz.certificate))
-                return out
-            lam = np.asarray(cz.certificate.witness)
+    for dep, (lam, farkas) in zip(deps, certify(rows, rhs, exact=config.exact)):
+        if farkas is not None:
+            out.append(NoLift(dep, _infeasible(farkas)))
+            return out
+        lam = np.asarray(lam, dtype=float)  # an exact witness holds Fractions
         by_label = {label: lam[a:b] for label, a, b in spans}
         rs = []
         points = []
@@ -411,9 +409,9 @@ def lift_dependence(
 
     Uses the exact equivalence, for vertex-generated sets, between the
     definition's lift and convex-cone membership of the origin among the
-    per-vertex generators.  Returns a Lift or a NoLift; a NoLift always
-    carries an exact Farkas certificate, because lp_feasible confirms every
-    infeasible verdict in rational arithmetic.
+    per-vertex generators.  Returns a Lift or a NoLift: the dependence is a
+    block of one for :func:`_lift_block`, so a NoLift always carries an exact
+    Farkas certificate.
     """
     return _lift_block(family, [dep], config or ConsistencyConfig())[0]
 

@@ -39,7 +39,7 @@ from .geometry import (
     hermitian_inner,
     hyperplane_from_sphere_point,
 )
-from .lp import _EXACT, _float_flat_points, _solve_standard, flat_meets_polytope, hulls_intersect
+from .lp import _flat_program, certify, hulls_intersect
 from .transversal import (
     NotFound,
     RealHyperplane,
@@ -338,15 +338,21 @@ def witness_from_transversal(
     a, b = T.normal, T.offset
     z0 = b * a
     basis = _orthonormal_complement(a)
+    # the flat programs of sets with equal vertex counts are certified as
+    # one batch; a set whose program is infeasible gets no point from it
+    points = [None] * len(family.sets)
+    by_size = {}
+    for idx, poly in enumerate(family.sets):
+        by_size.setdefault(len(poly.vertices), []).append(idx)
+    for idxs in by_size.values():
+        rows, rhs = zip(*(_flat_program([(a, b)], family.sets[i]) for i in idxs))
+        for i, (lam, _) in zip(idxs, certify(np.array(rows), np.array(rhs))):
+            if lam is not None:
+                points[i] = np.asarray(lam, dtype=float) @ family.sets[i].vertices
     rows = []
     assignment = {}
-    # the per-set flat programs are solved as blocks of one layout; a set
-    # the float block leaves undecided is decided alone
-    points = _float_flat_points([(a, b)], family.sets)
     for idx, (label, poly) in enumerate(family):
         point = points[idx]
-        if point is None:
-            _, point = flat_meets_polytope([(a, b)], poly)
         if point is None:
             # the transversal passes only within tol; project onto T the set
             # point whose coefficient is nearest b, on the vertex-pair
@@ -581,7 +587,9 @@ def _reverify_lift(doc: dict, family: Family, tol=Fraction(1, 10**9)) -> list:
     certificates, and both dependence equations.  A lift is a float solution
     of its cone LP, exact in none of these conditions, so each holds to
     ``tol``."""
-    problems = []
+    problems = _ragged(doc, ("labels", "coeffs", "r", "points", "vertex_weights"))
+    if problems:
+        return problems
 
     def off(terms):  # a sum of Gaussian rationals that is not 0 to tol
         return any(abs(sum(t[i] for t in terms)) > tol for i in (0, 1))
@@ -623,13 +631,23 @@ def _reverify_nolift(doc: dict, family: Family) -> list:
     combination of the generators (a_F v, a_F), v a vertex of F?  They are
     rebuilt as Gaussian rationals from the stored coefficients and the
     instance's vertices, and the cone LP must stay infeasible."""
+    problems = _ragged(doc, ("labels", "coeffs"))
+    if problems:
+        return problems
     coeffs = [_unpair(p) for p in doc["coeffs"]]
     cols = _exact_generators(coeffs, [family[label].vertices for label in doc["labels"]])
     rows = np.array(cols, dtype=object).T
     rhs = np.array([0] * (len(rows) - 1) + [1], dtype=object)
-    if _solve_standard(rows[None], rhs[None], None, _EXACT)[0][0] == "feasible":
+    witness, _ = next(certify(rows[None], rhs[None], exact=True))
+    if witness is not None:
         return ["stored no-lift verdict is rationally liftable after all"]
     return []
+
+
+def _ragged(doc: dict, keys) -> list:
+    """A problem when the per-label lists of a stored record differ in length."""
+    lengths = ", ".join(f"{key} ({len(doc[key])})" for key in keys)
+    return [f"stored {lengths} differ in length"] if len({len(doc[k]) for k in keys}) > 1 else []
 
 
 def reverify_report(doc: dict) -> list:

@@ -13,20 +13,21 @@ solves it in either of two arithmetics, chosen once per solve:
 
 The tableau carries a leading batch axis: programs of one shape pivot in
 lock-step, each with its own entering column, ratio test and tie break, and
-a single program is a batch of one.  :func:`float_witnesses` solves such a
-batch in floats (the consistency checker's cone LPs, one block per
-subfamily); every pivot leaves the rows with a zero in the pivot column
-untouched, so an element's result does not depend on its batch.
+a single program is a batch of one.  Every pivot leaves the rows with a zero
+in the pivot column untouched, so an element's result does not depend on its
+batch.
 
-:func:`lp_feasible` keeps a float answer only when it is a witness that
-re-substitutes to within 1e-9.  A float infeasible verdict is certified from
-the final phase-1 basis: its dual y is solved exactly (floats are dyadic
-rationals, so in integers, by :mod:`tvlab._exact`) and kept when y'A <= 0
-and y'b > 0 hold exactly, after QSopt_ex (Applegate, Cook, Dash & Espinoza,
-2007).  Every other float outcome is decided again in exact arithmetic, so
-every infeasible verdict is exact.  Infeasibility is certified by a Farkas
-functional y with  y'A <= 0  and y'b > 0 (componentwise equality on columns
-of free variables); feasibility by the witness itself.
+:func:`certify` holds the one float-to-exact escalation policy, for a batch
+of programs of one shape and, as a batch of one, for :func:`lp_feasible`.  A
+float answer is kept only as a witness that re-substitutes to within 1e-9,
+or as the Farkas functional of the element's own final phase-1 basis: its
+dual y, solved exactly (floats are dyadic rationals, so in integers, by
+:mod:`tvlab._exact`) and kept when y'A <= 0 and y'b > 0 hold exactly, after
+QSopt_ex (Applegate, Cook, Dash & Espinoza, 2007).  Every other element is
+decided again in exact arithmetic, alone and only when the consumer reaches
+it, so every infeasible verdict is exact.  Infeasibility is certified by a
+Farkas functional y with  y'A <= 0  and y'b > 0 (componentwise equality on
+columns of free variables); feasibility by the witness itself.
 """
 
 from __future__ import annotations
@@ -312,60 +313,68 @@ def _verify_feasible(rows, rhs, n_nonneg, witness) -> bool:
     )
 
 
-def _split_free(lp: LinearProgram):
-    """Standard-form matrix with free variables split into x+ - x-."""
-    k = lp.n_nonneg
-    A = np.hstack([lp.rows, -lp.rows[:, k:]])
-    c = None
-    if lp.objective is not None:
-        c = np.concatenate([lp.objective, -lp.objective[k:]])
-    return A, lp.rhs, c
+def certify(rows, rhs, objective=None, n_free=0, exact=False):
+    """Certified feasibility of a batch of programs of one shape:
+    rows[e] @ x = rhs[e] with rows (B, m, n) and rhs (B, m), the last
+    ``n_free`` variables free and the others >= 0, minimizing
+    objective[e] @ x when ``objective`` (B, n) is given.
 
+    Unless ``exact``, the batch is solved in one lock-step float tableau.
+    Yields per program, in order, (x, None) with a witness x or (None, y)
+    with an exact Farkas functional y (Fractions): the float witness when
+    it re-substitutes to within FEAS_TOL, else the functional of the
+    program's own final phase-1 basis when it checks out exactly, else the
+    program's exact solve (a witness of Fractions), run only when the
+    consumer reaches it.  Exact input may hold integers or Fractions.
+    Raises :class:`UnboundedError` on an unbounded objective.
+    """
+    B, m, n = rows.shape
+    k = n - n_free
+    # free variables split into x+ - x-, and merged back
+    A = np.concatenate([rows, -rows[:, :, k:]], axis=2)
+    c = None if objective is None else np.concatenate([objective, -objective[:, k:]], axis=1)
 
-def _merge_free(lp: LinearProgram, x):
-    k, f = lp.n_nonneg, lp.n_free
-    return tuple(x[:k]) + tuple(x[k : k + f] - x[k + f :])
+    def merged(x):
+        x[..., k:n] -= x[..., n:]
+        return x[..., :n]
+
+    if not exact:
+        status, x, _, basis = _solve_standard(A, rhs, c, _FLOAT)
+        x = merged(x)
+    for e in range(B):
+        status_e = None if exact else status[e]
+        if status_e == "feasible" and _verify_feasible(rows[e], rhs[e], k, x[e]):
+            yield x[e], None
+            continue
+        y = _basis_farkas(A[e], rhs[e], basis[e]) if status_e == "infeasible" else None
+        if y is not None:
+            yield None, y
+            continue
+        if status_e != "unbounded":  # a float unbounded ray is trusted as it stands
+            one = slice(e, e + 1)
+            solved = _solve_standard(A[one], rhs[one], None if c is None else c[one], _EXACT)
+            status_e, x_e, y, _ = (v[0] for v in solved)
+        if status_e == "unbounded":
+            raise UnboundedError("objective unbounded on the feasible region")
+        if status_e == "inconclusive":
+            raise SolverError("exact phase 1 reported an unbounded ray")
+        yield (merged(x_e), None) if status_e == "feasible" else (None, y)
 
 
 def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificate:
-    """Certified feasibility (and optimization, when an objective is given).
-
-    The float path answers only with a witness that re-verifies, or with
-    the exact Farkas functional of its final phase-1 basis when that checks
-    out in rationals; any other float result is decided again in exact
-    arithmetic, so every infeasible certificate is exact.  The program is
-    solved as a batch of one.  Raises :class:`UnboundedError` when an
-    objective is supplied and unbounded.
-    """
-    A, b, c = _split_free(lp)
-    batch = (A[None], b[None], None if c is None else c[None])
-    status = None
-    if not exact:
-        status, x, _, basis = (v[0] for v in _solve_standard(*batch, _FLOAT))
-        if status == "feasible":
-            witness = _merge_free(lp, x)
-            if _verify_feasible(lp.rows, lp.rhs, lp.n_nonneg, witness):
-                return FeasibilityCertificate("feasible", witness=witness)
-        elif status == "infeasible":
-            y = _basis_farkas(A, b, basis)
-            if y is not None:
-                return _infeasible(y)
-    # a float phase 2 that found an unbounded ray is trusted as it stands
-    if status != "unbounded":
-        status, x, y, _ = (v[0] for v in _solve_standard(*batch, _EXACT))
-    if status == "unbounded":
-        raise UnboundedError("objective unbounded on the feasible region")
-    if status == "inconclusive":
-        raise SolverError("exact phase 1 reported an unbounded ray")
-    if status == "feasible":
-        witness = _merge_free(lp, x)
-        return FeasibilityCertificate(
-            "feasible",
-            witness=tuple(float(v) for v in witness),
-            exact=True,
-            witness_exact=witness,
-        )
-    return _infeasible(y)
+    """Certified feasibility (and optimization, when an objective is given)
+    of one program: :func:`certify` on a batch of one, so every infeasible
+    certificate is exact.  Raises :class:`UnboundedError` when an objective
+    is supplied and unbounded."""
+    objective = None if lp.objective is None else lp.objective[None]
+    x, y = next(certify(lp.rows[None], lp.rhs[None], objective, lp.n_free, exact))
+    if y is not None:
+        return _infeasible(y)
+    if x.dtype != object:
+        return FeasibilityCertificate("feasible", witness=tuple(x))
+    return FeasibilityCertificate(
+        "feasible", witness=tuple(float(v) for v in x), exact=True, witness_exact=tuple(x)
+    )
 
 
 def _infeasible(y) -> FeasibilityCertificate:
@@ -375,20 +384,6 @@ def _infeasible(y) -> FeasibilityCertificate:
         exact=True,
         farkas_exact=tuple(y),
     )
-
-
-def float_witnesses(rows, rhs) -> list:
-    """Float witnesses of a batch of programs  rows[e] @ x = rhs[e], x >= 0
-    of one shape (rows (B, m, n), rhs (B, m)), solved in one lock-step
-    tableau.  An entry is None where the float solve gave no witness that
-    re-verifies as in :func:`lp_feasible`; the caller decides those
-    programs alone with :func:`lp_feasible`, which escalates them."""
-    status, x, _, _ = _solve_standard(rows, rhs, None, _FLOAT)
-    n = rows.shape[2]
-    return [
-        w if s == "feasible" and _verify_feasible(r, h, n, w) else None
-        for s, w, r, h in zip(status, x, rows, rhs)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +512,6 @@ def flat_meets_polytope(equalities, poly: Polytope, exact: bool = False):
         lam = np.asarray(cert.witness)
         point = lam @ poly.vertices
     return cert, point
-
-
-def _float_flat_points(equalities, polys) -> list:
-    """Per polytope, the point flat_meets_polytope finds on its float path,
-    with the programs of polytopes of equal vertex count solved as one
-    block; None where the polytope has to be decided alone by
-    flat_meets_polytope."""
-    points = [None] * len(polys)
-    by_size = {}
-    for idx, poly in enumerate(polys):
-        by_size.setdefault(len(poly.vertices), []).append(idx)
-    for idxs in by_size.values():
-        rows, rhs = zip(*(_flat_program(equalities, polys[i]) for i in idxs))
-        for i, lam in zip(idxs, float_witnesses(np.array(rows), np.array(rhs))):
-            if lam is not None:
-                points[i] = lam @ polys[i].vertices
-    return points
 
 
 @dataclass(frozen=True, eq=False)

@@ -505,7 +505,6 @@ def test_enumeration_keeps_recorded_bits(case):
 
 
 def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
-    import tvlab.consistency as consistency
     import tvlab.lp as lp
 
     fam, w = _gen_case(4, 2, True)
@@ -523,25 +522,57 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
             return False
         return verify(rows, rhs, n_nonneg, witness)
 
-    alone = []
-    cone = consistency.nontrivial_zero_in_cone
+    exact_solves = []
+    solve = lp._solve_standard
 
-    def spy(groups, exact=False):
-        alone.append(cone(groups, exact=exact))
-        return alone[-1]
+    def spy(A, b, c, ar):
+        result = solve(A, b, c, ar)
+        if ar is lp._EXACT:
+            exact_solves.append((A, result[0]))
+        return result
 
     monkeypatch.setattr(lp, "_verify_feasible", reject_target)
-    monkeypatch.setattr(consistency, "nontrivial_zero_in_cone", spy)
+    monkeypatch.setattr(lp, "_solve_standard", spy)
     v = check_dependency_consistency(fam, w, cfg)
     assert v.passed and v.n_dependences == len(deps) == 36
-    # only the rejected program left the block, and it was decided exactly
-    assert len(alone) == 1
-    cert = alone[0].certificate
-    assert cert.feasible and cert.exact
+    # only the rejected program was escalated, alone, and decided exactly
+    assert len(exact_solves) == 1
+    A, status = exact_solves[0]
+    assert A.shape[0] == 1 and np.array_equal(A[0], target_rows)
+    assert status.tolist() == ["feasible"]
     lift = v.lifts[10]
     assert lift.dependence.coeffs == target.coeffs
     exact = lift_dependence(fam, target, ConsistencyConfig(exact=True))
     assert np.asarray(lift.r).tobytes() == np.asarray(exact.r).tobytes()
+
+
+@pytest.mark.parametrize("case", [c for c, g in GOLDEN.items() if g[0] == "fail"], ids=str)
+def test_block_certifies_its_nolift_from_its_own_basis(case, monkeypatch):
+    # one float tableau per lifted block and no float re-solve of the NoLift:
+    # its Farkas functional comes from its block's final basis, and is read
+    # off once, also in the blocks that hold three no-lifts
+    import tvlab.consistency as consistency
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(*case)
+    calls = []
+
+    def spy(module, name, tag=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(tag(*args) if tag else name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(consistency, "_lift_block")
+    spy(lp, "_basis_farkas")
+    spy(lp, "_solve_standard", lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
+    v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=32, seed=case[1]))
+    assert v.status == "fail" and v.violation.exact
+    assert calls.count("float") == calls.count("_lift_block") > 0
+    assert calls.count("_basis_farkas") == 1
 
 
 @pytest.mark.parametrize("seed", [31, 1111, 1337])
@@ -586,3 +617,13 @@ def test_config_rejects_negative_samples():
     with pytest.raises(ValueError, match="samples"):
         ConsistencyConfig(samples=-3)
     assert ConsistencyConfig(samples=0).samples == 0
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")], ids=str)
+def test_config_rejects_bad_nullspace_tol(tol):
+    # an infinite tolerance used to read every null space as the whole space:
+    # GenSpec(d=2, n_sets=4, planted=True, seed=3) then failed on 88
+    # dependences instead of passing on 12
+    with pytest.raises(ValueError, match="nullspace_tol"):
+        ConsistencyConfig(samples=8, nullspace_tol=tol)
+    assert ConsistencyConfig(nullspace_tol=0.0).nullspace_tol == 0.0

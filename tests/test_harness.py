@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from tvlab.consistency import ConsistencyConfig, check_dependency_consistency
+from tvlab.consistency import ConsistencyConfig, _exact_generators, check_dependency_consistency
 from tvlab.geometry import ComplexHyperplane, Family, Polytope, hermitian_inner
 from tvlab.harness import (
     EquivConfig,
@@ -309,3 +309,26 @@ def test_reverify_detects_a_tampered_nolift():
     violation["coeffs"][0] = [0.0, 0.0]
     problems = reverify_report(doc)
     assert len(problems) == 1 and problems[0].endswith("rationally liftable after all")
+
+
+def test_reverify_reports_records_whose_lists_differ_in_length():
+    # a malformed record is a problem, never an exception and never a check
+    # that zip silently truncates
+    doc = _report_doc(EquivConfig(trials=50, d=1, seed=0), [0])
+    violation = doc["records"][0]["consistency"]["violation"]
+    coeffs = violation["coeffs"]
+    assert len(violation["labels"]) == len(coeffs) == 2
+    for ragged in (coeffs[:1], coeffs + coeffs[:1]):
+        violation["coeffs"] = ragged
+        n = len(ragged)
+        assert reverify_report(doc) == [f"trial 0: stored labels (2), coeffs ({n}) differ in length"]
+    doc = _report_doc(EquivConfig(trials=50, d=2, seed=0), [12])
+    lift = doc["records"][0]["consistency"]["worst_lift"]
+    assert reverify_report(doc) == []
+    lift["r"].pop()
+    assert reverify_report(doc) == [
+        "trial 12: stored labels (5), coeffs (5), r (4), points (5), vertex_weights (5)"
+        " differ in length"
+    ]
+    with pytest.raises(ValueError, match="2 coefficients for 1 point arrays"):
+        _exact_generators([1.0, 1j], [np.zeros((1, 1))])

@@ -111,7 +111,7 @@ def _cmd_find(args) -> int:
             print(f"not found: {result.reason} (best margin {result.best:.3e})")
             return 1
         T = result
-        verify_tol = 1e-6
+        rep = verify_transversal(T, family, tol=1e-6)
     else:
         witness = _borsuk_witness(instance)
         if witness is None:
@@ -133,8 +133,7 @@ def _cmd_find(args) -> int:
             return 1
         residual = borsuk_map(x, emb, witness).norm
         print(f"zero residual {residual:.3e}")
-        verify_tol = 1e-4
-        rep = verify_transversal(T, family, tol=verify_tol)
+        rep = verify_transversal(T, family, tol=1e-4)
         if not rep.passed:
             # a zero whose hyperplane misses a set convicts the witness:
             # its dependence has no nonnegative lift
@@ -146,7 +145,6 @@ def _cmd_find(args) -> int:
                 f" witness convicted by the dependence on {labels}"
             )
             return 1
-    rep = verify_transversal(T, family, tol=verify_tol)
     print(dumps_canonical(_hyperplane_json(T)), end="")
     print(f"verify max distance {rep.max_distance:.3e}")
     if args.output:

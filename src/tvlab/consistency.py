@@ -181,6 +181,12 @@ class SeparationViolation:
 
 @dataclass(frozen=True)
 class ConsistencyConfig:
+    """Budget and arithmetic of a consistency check: samples random
+    dependences per subfamily whose null space has dimension above one,
+    drawn from the seeded generator; nullspace_tol decides null-space rank;
+    exact decides every lift in rational arithmetic; keep_lifts keeps each
+    lift in the verdict."""
+
     samples: int = 64
     seed: int = 0
     nullspace_tol: float = NULLSPACE_TOL

@@ -1,6 +1,7 @@
 """Complex/real vector geometry: embeddings, projections onto complex lines,
-closest-point computations on projected polygons, and recovery of a complex
-hyperplane from a unit sphere point.
+the one closest-point kernel for projected polygons (a vectorized block of
+rows; the monotone-chain hull here only draws and describes polygons), and
+recovery of a complex hyperplane from a unit sphere point.
 
 Conventions
 -----------
@@ -16,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,8 +205,11 @@ class ComplexHyperplane:
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"hyperplane normal must have unit norm, got {nrm!r}")
+        b = complex(self.offset)
+        if not np.isfinite(b):
+            raise ValueError(f"hyperplane offset must be finite, got {b!r}")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", complex(self.offset))
+        object.__setattr__(self, "offset", b)
 
     @property
     def dim(self) -> int:
@@ -250,6 +255,7 @@ def embed_polytope(poly: Polytope) -> Polytope:
 
 
 def embed_family(family: Family) -> Family:
+    """Embed every member of a complex family via :func:`embed_polytope`."""
     return Family(family.labels, tuple(embed_polytope(p) for p in family.sets))
 
 
@@ -263,12 +269,14 @@ def project_polytope(x: SpherePoint, poly: Polytope) -> ProjectedPolygon:
     return ProjectedPolygon(x.coords, tuple(coeffs.tolist()))
 
 
-# -- closest point of a 2-D convex hull to the origin ------------------------
+# -- 2-D convex hulls and closest points ---------------------------------------
 #
-# The hull of the handful of projected coefficients is computed exactly
-# (monotone chain) and the minimizer is found by direct enumeration of hull
-# edges; no iterative optimization, so the projection variational inequality
-# holds to tight tolerance.
+# The monotone chain below gives the hull of a handful of projected
+# coefficients for drawing and for half-plane descriptions; it does not
+# compute closest points.  Every closest-point query goes through
+# _closest_rows, which treats a polygon as the union of the segments between
+# all its vertex pairs (a hull edge is one of them) and decides "origin
+# inside" by the angular-gap criterion, vectorized over a block of rows.
 
 
 def _hull2d(pts):
@@ -296,58 +304,49 @@ def _hull2d(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _closest_on_segment(ax, ay, bx, by):
-    """Closest point to the origin on the segment [a, b], as an (x, y) pair."""
-    dx, dy = bx - ax, by - ay
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return ax, ay
-    t = -(ax * dx + ay * dy) / dd
-    if t <= 0.0:
-        return ax, ay
-    if t >= 1.0:
-        return bx, by
-    return ax + t * dx, ay + t * dy
+@lru_cache(maxsize=None)
+def _vertex_pairs(n: int):
+    """(i1, i2) = ``np.triu_indices(n)``: every pair i <= j, row by row.
+    Cached, so the arrays are read-only."""
+    pairs = np.triu_indices(n)
+    for v in pairs:
+        v.flags.writeable = False
+    return pairs
+
+
+def _closest_rows(C: np.ndarray):
+    """Closest point to the origin of the hull of each row of the (m, n)
+    complex block C, with the vertex pairs (i1[k], i2[k]) =
+    ``_vertex_pairs(n)``.
+
+    Returns (q, k, t): per row the closest point (0 when the origin is
+    inside, i.e. when the angles of the row's points leave no gap wider
+    than pi, with no slack), the index k of the first pair whose segment
+    holds the closest point, and the (m, n_pairs) nearest-point parameters t
+    on every segment.  Repeating a row's last vertex leaves q unchanged, so
+    polygons of different sizes share one block padded that way."""
+    i1, i2 = _vertex_pairs(C.shape[1])
+    A = C[:, i1]
+    D = C[:, i2] - A
+    dd = (D * np.conj(D)).real
+    num = -(np.conj(D) * A).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(dd > 0.0, np.clip(num / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0), 0.0)
+    Q = A + t * D
+    best = np.argmin(np.abs(Q), axis=1)
+    q = Q[np.arange(C.shape[0]), best]
+    ang = np.sort(np.angle(C), axis=1)
+    maxgap = 2.0 * np.pi - (ang[:, -1] - ang[:, 0])
+    if C.shape[1] > 1:
+        maxgap = np.maximum(np.diff(ang, axis=1).max(axis=1), maxgap)
+    return np.where(maxgap <= np.pi, 0.0 + 0.0j, q), best, t
 
 
 def closest_coeff(polygon: ProjectedPolygon) -> complex:
     """The unique coefficient c in the polygon (a convex region of R^2)
     minimizing |c|: 0 when the origin lies in the hull, otherwise the
     minimizer over hull edges and vertices."""
-    pts = [(c.real, c.imag) for c in polygon.vertices]
-    return complex(*_closest_to_origin(pts))
-
-
-def _closest_to_origin(pts):
-    """Core of :func:`closest_coeff` on raw (x, y) pairs."""
-    hull = _hull2d(pts)
-    if len(hull) == 1:
-        return hull[0]
-    if len(hull) == 2:
-        (ax, ay), (bx, by) = hull
-        return _closest_on_segment(ax, ay, bx, by)
-    # origin-inside test: CCW hull, origin weakly left of every edge
-    inside = True
-    n = len(hull)
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        if (bx - ax) * (-ay) - (by - ay) * (-ax) < 0.0:
-            inside = False
-            break
-    if inside:
-        return (0.0, 0.0)
-    best = None
-    best_d = None
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        qx, qy = _closest_on_segment(ax, ay, bx, by)
-        d = qx * qx + qy * qy
-        if best_d is None or d < best_d:
-            best_d = d
-            best = (qx, qy)
-    return best
+    return complex(_closest_rows(np.array([polygon.vertices]))[0][0])
 
 
 def hyperplane_from_sphere_point(x0: SpherePoint) -> ComplexHyperplane:

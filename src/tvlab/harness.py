@@ -35,6 +35,8 @@ from .geometry import (
     ComplexHyperplane,
     Family,
     Polytope,
+    _closest_rows,
+    _vertex_pairs,
     embed_family,
     hermitian_inner,
     hyperplane_from_sphere_point,
@@ -44,7 +46,6 @@ from .transversal import (
     NotFound,
     RealHyperplane,
     TransversalConfig,
-    _PolygonBatch,
     borsuk_map,
     complex_transversal_for_normal,
     find_borsuk_zero,
@@ -232,11 +233,13 @@ def instance_from_json(doc: dict) -> Instance:
 
 
 def write_instance(instance: Instance, path) -> None:
+    """Write the instance's canonical document to path."""
     with open(path, "w") as fh:
         fh.write(dumps_canonical(instance.to_json()))
 
 
 def read_instance(path) -> Instance:
+    """Load and validate the instance document at path."""
     with open(path) as fh:
         return instance_from_json(json.load(fh))
 
@@ -247,6 +250,10 @@ def read_instance(path) -> Instance:
 
 @dataclass(frozen=True)
 class GenSpec:
+    """A random instance: n_sets polytopes of vertices_per_set vertices each
+    in the unit box of the real or complex d-space, with one extra vertex per
+    set on a random hyperplane when planted."""
+
     d: int
     n_sets: int
     vertices_per_set: int = 4
@@ -357,12 +364,12 @@ def witness_from_transversal(
             # the transversal passes only within tol; project onto T the set
             # point whose coefficient is nearest b, on the vertex-pair
             # segment the closest-point kernel picks
-            batch = _PolygonBatch(family)
-            i1, i2 = batch.pairs[idx]
-            _, k, t = batch.closest(batch.coeffs(a[None, :])[idx] - b, i1, i2)
-            V, k = poly.vertices, int(k[0])
+            V = poly.vertices
+            _, k, t = _closest_rows(np.conj(a[None, :]) @ V.T - b)
+            k = int(k[0])
+            i, j = (int(v[k]) for v in _vertex_pairs(V.shape[0]))
             t = float(t[0, k])
-            q = (1.0 - t) * V[i1[k]] + t * V[i2[k]]
+            q = (1.0 - t) * V[i] + t * V[j]
             point = q - (hermitian_inner(q, a) - b) * a
         rows.append(np.conj(basis) @ (point - z0))
         assignment[label] = idx
@@ -375,6 +382,11 @@ def witness_from_transversal(
 
 @dataclass(frozen=True)
 class EquivConfig:
+    """The equivalence experiment: trials seeded families in C^d (planted
+    ones for d >= 2, segment families for d = 1), each run through the
+    consistency check with the sample budget and through the searches with
+    the given starts and iterations."""
+
     trials: int
     d: int = 2
     seed: int = 0
@@ -431,6 +443,7 @@ class ExperimentReport:
 
 
 def write_report(report: ExperimentReport, path) -> None:
+    """Write the report's canonical document to path."""
     with open(path, "w") as fh:
         fh.write(dumps_canonical(report.to_json()))
 
@@ -587,7 +600,7 @@ def _reverify_lift(doc: dict, family: Family, tol=Fraction(1, 10**9)) -> list:
     certificates, and both dependence equations.  A lift is a float solution
     of its cone LP, exact in none of these conditions, so each holds to
     ``tol``."""
-    problems = _ragged(doc, ("labels", "coeffs", "r", "points", "vertex_weights"))
+    problems = _malformed(doc, ("labels", "coeffs", "r", "points", "vertex_weights"), family)
     if problems:
         return problems
 
@@ -631,7 +644,7 @@ def _reverify_nolift(doc: dict, family: Family) -> list:
     combination of the generators (a_F v, a_F), v a vertex of F?  They are
     rebuilt as Gaussian rationals from the stored coefficients and the
     instance's vertices, and the cone LP must stay infeasible."""
-    problems = _ragged(doc, ("labels", "coeffs"))
+    problems = _malformed(doc, ("labels", "coeffs"), family)
     if problems:
         return problems
     coeffs = [_unpair(p) for p in doc["coeffs"]]
@@ -644,10 +657,15 @@ def _reverify_nolift(doc: dict, family: Family) -> list:
     return []
 
 
-def _ragged(doc: dict, keys) -> list:
-    """A problem when the per-label lists of a stored record differ in length."""
-    lengths = ", ".join(f"{key} ({len(doc[key])})" for key in keys)
-    return [f"stored {lengths} differ in length"] if len({len(doc[k]) for k in keys}) > 1 else []
+def _malformed(doc: dict, keys, family: Family) -> list:
+    """Problems with the shape of a stored record: per-label lists that
+    differ in length, and labels that name no member of the family."""
+    problems = [f"stored label {label!r} is not in the family"
+                for label in doc["labels"] if label not in family.labels]
+    if len({len(doc[k]) for k in keys}) > 1:
+        lengths = ", ".join(f"{key} ({len(doc[key])})" for key in keys)
+        problems.append(f"stored {lengths} differ in length")
+    return problems
 
 
 def reverify_report(doc: dict) -> list:

@@ -11,7 +11,7 @@ from .geometry import (
     ComplexHyperplane,
     Family,
     SpherePoint,
-    _closest_to_origin,
+    _closest_rows,
     _hull2d,
     embed_family,
 )
@@ -121,8 +121,7 @@ def _panel(canvas, coeffs, color, origin_shift, set_label):
     canvas.polygon(_poly_points(pts), color, fill=color)
     o = (origin_shift, 0.0)
     canvas.dot(o, "#000000", r=0.03)
-    q = _closest_to_origin([(z.real, z.imag) for z in coeffs])
-    p = complex(q[0], q[1])
+    p = complex(_closest_rows(np.array([coeffs]))[0][0])
     pq = (p.real + origin_shift, p.imag)
     canvas.arrow(o, pq, "#000000")
     canvas.label((origin_shift + 0.05, -0.12), set_label, color)

@@ -22,11 +22,9 @@ from .geometry import (
     ComplexHyperplane,
     Family,
     SpherePoint,
-    _closest_to_origin,
+    _closest_rows,
     _hull2d,
-    closest_coeff,
     complex_to_real,
-    project_polytope,
     real_to_complex,
 )
 from .consistency import AffineDependence
@@ -39,6 +37,11 @@ MARGIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransversalConfig:
+    """Budget of the searches: seeded multistart pattern search with starts
+    starts of at most iters steps each, from step size step_init shrunk by
+    step_decay; zero_tol is the accepted norm of a Borsuk zero, and
+    angle_resolution the grid of the exhaustive real d = 2 sweep."""
+
     starts: int = 32
     iters: int = 2000
     step_init: float = 0.5
@@ -67,8 +70,11 @@ class RealHyperplane:
             raise ValueError("normal must be a finite vector")
         if abs(float(np.linalg.norm(u)) - 1.0) > 1e-12:
             raise ValueError("real hyperplane normal must have unit norm")
+        t = float(self.offset)
+        if not np.isfinite(t):
+            raise ValueError(f"hyperplane offset must be finite, got {t!r}")
         object.__setattr__(self, "normal", u)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +120,11 @@ class VerificationReport:
 # shared batched evaluator
 #
 # Pattern search spends nearly all its time evaluating closest polygon
-# points for a batch of candidate directions; this is done with one complex
-# matrix product per family and vectorized segment projections, with the
-# origin-inside test done by the angular-gap criterion.
+# points for a batch of candidate directions.  Each set's coefficients come
+# from its own complex matrix product; the sets are padded to a common vertex
+# count by repeating their last vertex and stacked, so that one call of the
+# geometry kernel answers the whole batch.  Verification and single-point
+# evaluations of f are one-row batches.
 
 
 class _PolygonBatch:
@@ -124,59 +132,22 @@ class _PolygonBatch:
     directions, vectorized."""
 
     def __init__(self, family: Family):
-        self.labels = family.labels
         self.verts = [np.asarray(p.vertices, dtype=complex) for p in family.sets]
-        self.dim = family.dim
-        self.pairs = []
-        for V in self.verts:
-            n = V.shape[0]
-            idx = [(i, j) for i in range(n) for j in range(i, n)]
-            self.pairs.append((np.array([i for i, _ in idx]), np.array([j for _, j in idx])))
-
-    def coeffs(self, X: np.ndarray):
-        """Projection coefficients per set: list of (m, n_F) arrays for the
-        (m, dim) direction batch X."""
-        cX = np.conj(X)
-        return [cX @ V.T for V in self.verts]
-
-    @staticmethod
-    def closest(C: np.ndarray, i1, i2):
-        """Per row: the closest point of the hull of C[row] to the origin
-        (0 when the origin is inside), the index k of the vertex pair
-        (i1[k], i2[k]) whose segment holds the closest boundary point, and
-        the (row, pair) array of nearest-point parameters t on each segment."""
-        A = C[:, i1]
-        B = C[:, i2]
-        D = B - A
-        dd = (D * np.conj(D)).real
-        num = -(np.conj(D) * A).real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(dd > 0.0, np.clip(num / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0), 0.0)
-        Q = A + t * D
-        dist = np.abs(Q)
-        best = np.argmin(dist, axis=1)
-        rows = np.arange(C.shape[0])
-        q = Q[rows, best]
-        # origin inside the hull: angular gaps of the points all <= pi
-        ang = np.sort(np.angle(C), axis=1)
-        gaps = np.diff(ang, axis=1)
-        wrap = 2.0 * np.pi - (ang[:, -1] - ang[:, 0])
-        if gaps.shape[1]:
-            maxgap = np.maximum(gaps.max(axis=1), wrap)
-        else:
-            maxgap = np.full(C.shape[0], 2.0 * np.pi)
-        inside = maxgap <= np.pi + 1e-12
-        return np.where(inside, 0.0 + 0.0j, q), best, t
+        self.width = max(V.shape[0] for V in self.verts)
 
     def closest_all(self, X: np.ndarray, shift=None):
         """(m, n_sets) closest coefficients; shift translates each row's
         polygon by -shift[row] first (distance-to-point queries)."""
-        out = np.empty((X.shape[0], len(self.verts)), dtype=complex)
-        for s, (C, (i1, i2)) in enumerate(zip(self.coeffs(X), self.pairs)):
-            if shift is not None:
-                C = C - shift[:, None]
-            out[:, s] = self.closest(C, i1, i2)[0]
-        return out
+        cX = np.conj(X)
+        block = np.empty((len(self.verts), X.shape[0], self.width), dtype=complex)
+        for s, V in enumerate(self.verts):
+            n = V.shape[0]
+            block[s, :, :n] = cX @ V.T
+            block[s, :, n:] = block[s, :, n - 1 : n]
+        if shift is not None:
+            block -= shift[:, None]
+        q = _closest_rows(block.reshape(-1, self.width))[0]
+        return q.reshape(len(self.verts), X.shape[0]).T
 
 
 def _phi_targets(family: Family, phi) -> np.ndarray:
@@ -202,10 +173,11 @@ class _BorsukBatch:
         self.phi = _phi_targets(embedded, phi)  # (n_sets, d-1)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        P = self.poly.closest_all(X)  # (m, n_sets)
-        head = P.sum(axis=1)
-        tail = np.conj(P) @ self.phi  # (m, d-1)
-        return np.column_stack([head, tail])
+        return self.from_closest(self.poly.closest_all(X))
+
+    def from_closest(self, P: np.ndarray) -> np.ndarray:
+        """f from the (m, n_sets) closest coefficients: (m, d) values."""
+        return np.column_stack([P.sum(axis=1), np.conj(P) @ self.phi])
 
     def norms(self, X: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.values(X), axis=1)
@@ -488,15 +460,11 @@ def borsuk_map(x: SpherePoint, embedded: Family, phi) -> BorsukEvaluation:
     """f(x) = sum_F (p_{x,F}, conj(p_{x,F}) phi(F)) for a family embedded in
     the slice {z_{d+1} = 1}; phi maps family order to C^{d-1} rows (a raw
     array or a witness object)."""
-    phi = _phi_targets(embedded, phi)
+    ev = _BorsukBatch(embedded, phi)
     if embedded.dim != x.dim:
         raise ValueError("family must be embedded in the sphere's dimension")
-    ps = []
-    for _, poly in embedded:
-        ps.append(closest_coeff(project_polytope(x, poly)))
-    p = np.asarray(ps, dtype=complex)
-    value = np.concatenate([[p.sum()], np.conj(p) @ phi])
-    return BorsukEvaluation(x, value, tuple(zip(embedded.labels, ps)))
+    P = ev.poly.closest_all(x.coords[None, :])
+    return BorsukEvaluation(x, ev.from_closest(P)[0], tuple(zip(embedded.labels, P[0].tolist())))
 
 
 def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = None):
@@ -558,22 +526,25 @@ def borsuk_zero_dependence(x: SpherePoint, embedded: Family, phi,
 def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> VerificationReport:
     """Per-set distance from the hyperplane.
 
-    Complex T: the exact 2-D distance from the offset to each projected
+    Complex T: the 2-D distance from the offset to each projected
     coefficient polygon (projection along the normal is an isometry onto the
-    normal's complex line).  Real T: the distance from the offset to each
-    projection interval [min u.v, max u.v]."""
+    normal's complex line), by the closest-point kernel.  The distance is 0
+    when the offset is inside the polygon, i.e. when the polygon's vertices
+    seen from the offset leave no angular gap wider than pi; the test has
+    no slack, so a polygon a thin sliver away from the offset reports that
+    sliver however long its edges are.  Real T: the distance from the
+    offset to each projection interval [min u.v, max u.v]."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     ambient = "real" if isinstance(T, RealHyperplane) else "complex"
     if family.ambient != ambient or family.dim != T.normal.shape[0]:
         raise ValueError("family and hyperplane ambients and dimensions must agree")
-    dists = []
-    for label, poly in family:
-        if ambient == "real":
+    if ambient == "complex":
+        q = _PolygonBatch(family).closest_all(T.normal[None, :], shift=np.array([T.offset]))
+        dists = np.abs(q[0]).tolist()
+    else:
+        dists = []
+        for poly in family.sets:
             pr = poly.vertices @ T.normal
-            dist = max(pr.min() - T.offset, T.offset - pr.max(), 0.0)
-        else:
-            c = poly.vertices @ np.conj(T.normal) - T.offset
-            dist = np.hypot(*_closest_to_origin([(z.real, z.imag) for z in c.tolist()]))
-        dists.append((label, float(dist)))
-    return VerificationReport(tuple(dists), tol)
+            dists.append(float(max(pr.min() - T.offset, T.offset - pr.max(), 0.0)))
+    return VerificationReport(tuple(zip(family.labels, dists)), tol)

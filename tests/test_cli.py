@@ -128,6 +128,25 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
         assert main(["verify", str(planted), "--transversal", str(t), "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert "tol" in captured.err and "max distance" not in captured.out
+    # a hyperplane offset that is not finite is an input error, whether it
+    # comes as a transversal file or as an instance's planted field; json
+    # reads the NaN and Infinity literals, so the hyperplane must refuse them
+    svg = tmp_path / "out.svg"
+    for ambient, d, normal in (("complex", 2, [[1, 0], [0, 0]]), ("real", 1, [[1, 0]])):
+        inst = tmp_path / f"{ambient}.json"
+        gen = ["gen", "--ambient", ambient, "--d", str(d), "--sets", "3", "--planted"]
+        assert main(gen + ["-o", str(inst)]) == 0
+        doc = json.loads(inst.read_text())
+        for bad in (float("nan"), float("inf")):
+            t.write_text(json.dumps({"normal": normal, "offset": [bad, 0]}))
+            assert main(["verify", str(inst), "--transversal", str(t)]) == 2
+            assert main(["plot", str(inst), "--transversal", str(t), "-o", str(svg)]) == 2
+            bad_planted = tmp_path / "bad_planted.json"
+            bad_planted.write_text(json.dumps(dict(doc, planted=json.loads(t.read_text()))))
+            assert main(["check", str(bad_planted)]) == 2
+            assert main(["plot", str(bad_planted), "-o", str(svg)]) == 2
+            captured = capsys.readouterr()
+            assert "offset must be finite" in captured.err and "max distance" not in captured.out
 
 
 def test_real_hyperplane_codec_round_trip(tmp_path, capsys):

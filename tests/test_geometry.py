@@ -14,6 +14,7 @@ from tvlab.geometry import (
     Polytope,
     ProjectedPolygon,
     SpherePoint,
+    _closest_rows,
     closest_coeff,
     complex_to_real,
     embed_family,
@@ -222,12 +223,28 @@ def _origin_in_some_triangle(pts):
     return False
 
 
+# degenerate polygons: one vertex, all vertices equal, collinear vertices,
+# the origin on an edge (of a triangle, of a segment), the origin as a vertex
+DEGENERATE = (
+    [2 - 1j],
+    [2 - 1j] * 3,
+    [1 + 0j, 3 + 0j, 2 + 0j],
+    [-1 - 1j, 1 + 1j, 2 - 1j],
+    [-1 + 0j, 1 + 0j],
+    [0j, 1 + 1j, 1 - 1j],
+)
+
+
 def test_closest_matches_edge_oracle_random():
     rng = np.random.default_rng(6)
-    for _ in range(200):
-        pts = rng.standard_normal(5) + 2.0 + 1j * rng.standard_normal(5)
+    cases = [rng.standard_normal(5) + 2.0 + 1j * rng.standard_normal(5) for _ in range(200)]
+    for pts in cases + [np.array(c) for c in DEGENERATE]:
         poly = ProjectedPolygon(np.array([1], dtype=complex), tuple(pts.tolist()))
         got = closest_coeff(poly)
+        # repeating the last vertex, as a padded block row does, keeps the bits
+        padded = np.concatenate([pts, np.repeat(pts[-1:], 3)])
+        q = _closest_rows(pts[None, :])[0]
+        assert _closest_rows(padded[None, :])[0].tobytes() == q.tobytes()
         if _origin_in_some_triangle(pts):
             assert got == 0
             continue

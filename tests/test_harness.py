@@ -332,3 +332,13 @@ def test_reverify_reports_records_whose_lists_differ_in_length():
     ]
     with pytest.raises(ValueError, match="2 coefficients for 1 point arrays"):
         _exact_generators([1.0, 1j], [np.zeros((1, 1))])
+
+
+def test_reverify_reports_labels_outside_the_family():
+    # a stored label that names no member is a problem, not a KeyError
+    doc = _report_doc(EquivConfig(trials=50, d=1, seed=0), [0])
+    doc["records"][0]["consistency"]["violation"]["labels"][0] = "S9"
+    assert reverify_report(doc) == ["trial 0: stored label 'S9' is not in the family"]
+    doc = _report_doc(EquivConfig(trials=50, d=2, seed=0), [12])
+    doc["records"][0]["consistency"]["worst_lift"]["labels"][0] = "S9"
+    assert reverify_report(doc) == ["trial 12: stored label 'S9' is not in the family"]

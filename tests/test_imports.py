@@ -64,3 +64,13 @@ def test_tracer_patch_points_resolve():
     assert spans.PATCHES
     for module, attr, *_ in spans.PATCHES:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_public_names_have_their_own_docstrings():
+    # a dataclass without a docstring gets its generated signature instead
+    for name in tvlab.__all__:
+        obj = getattr(tvlab, name)
+        if name.startswith("__"):
+            continue  # module data such as __version__
+        doc = (obj.__doc__ or "").strip()
+        assert doc and not doc.startswith(f"{name}("), f"{name} has no docstring of its own"

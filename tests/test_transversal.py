@@ -350,15 +350,20 @@ def test_borsuk_map_acute_angle_inequality():
 
 def test_borsuk_map_batch_agreement():
     rng = np.random.default_rng(23)
-    fam = _family("complex", *[_random_complex(rng, (4, 3)) for _ in range(4)])
+    # sets of unequal size, so the batch pads them to one block
+    fam = _family("complex", *[_random_complex(rng, (n, 3)) for n in (4, 2, 5, 1)])
     phi = _random_complex(rng, (4, 1))
     batch = _BorsukBatch(fam, phi)
     X = _random_complex(rng, (16, 3))
     X /= np.linalg.norm(X, axis=1)[:, None]
     V = batch.values(X)
     for i in range(X.shape[0]):
+        # both share the closest-point kernel, so check both on the oracle
+        p = np.array([_closest_oracle(poly.vertices @ np.conj(X[i])) for poly in fam.sets])
+        f = np.concatenate([[p.sum()], np.conj(p) @ phi])
         ev = borsuk_map(SpherePoint(X[i]), fam, phi)
-        assert np.linalg.norm(V[i] - ev.value) < 1e-12
+        assert np.linalg.norm(ev.value - f) < 1e-12
+        assert np.linalg.norm(V[i] - f) < 1e-12
 
 
 def test_borsuk_map_rejects_mismatched_shapes():
@@ -507,6 +512,20 @@ def _in_some_triangle(c):
     return False
 
 
+def _closest_oracle(c):
+    """Brute force: 0 when the origin is in the hull of the coefficients c,
+    otherwise the nearest point over all vertex-pair segments."""
+    if _in_some_triangle(c):
+        return 0j
+
+    def nearest(a, b):
+        dd = abs(b - a) ** 2
+        t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(np.conj(b - a) * a).real / dd))
+        return a + t * (b - a)
+
+    return min((nearest(a, b) for a in c for b in c), key=abs)
+
+
 def test_verify_matches_dense_sampling_oracle():
     rng = np.random.default_rng(63)
     t = np.linspace(0.0, 1.0, 2001)
@@ -532,6 +551,16 @@ def test_verify_matches_dense_sampling_oracle():
             )
         got = rep.distances[0][1]
         assert abs(got - oracle) < 5e-3
+
+
+def test_verify_inside_test_has_no_slack():
+    # a segment 5e-5 beside the offset, spanning +-1e8 i: seen from the
+    # offset its vertices leave a gap only 1e-12 wider than pi, and the
+    # segment still misses the hyperplane by 5e-5
+    fam = _family("complex", [[5e-5 + 1e8j, 1j], [5e-5 - 1e8j, 2 + 0j]])
+    rep = verify_transversal(ComplexHyperplane(np.array([1 + 0j, 0j]), 0j), fam, tol=1e-6)
+    assert rep.max_distance == pytest.approx(5e-5, rel=1e-9)
+    assert not rep.passed
 
 
 def test_verify_rejects_mismatches():

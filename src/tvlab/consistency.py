@@ -14,9 +14,12 @@ Two checkers live here:
   share one layout and go through :func:`tvlab.lp.certify` as one batch,
   whose one escalation path decides alone and exactly every LP that its
   float block leaves uncertified, so every lift equals the one-dependence
-  answer.  A pass is therefore "pass at budget", while a fail carries an
-  exact Farkas certificate that the cone LP of a float-computed dependence
-  is infeasible.
+  answer.  A block's r, in-set points and residuals are computed as arrays,
+  and a :class:`Lift` object is built only where a verdict keeps one: the
+  worst lift of a pass, every lift under ``keep_lifts``, and the result of
+  :func:`lift_dependence`.  A pass is therefore "pass at budget", while a
+  fail carries an exact Farkas certificate that the cone LP of a
+  float-computed dependence is infeasible.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
   subfamily pairs of total size at most k+2.
@@ -354,25 +357,19 @@ def _exact_generators(coeffs, points):
     return [[x for _ in row for x in gmul(a, next(pairs))] + [*a, 1] for a, P in cols for row in P]
 
 
-def _vertex_spans(family: Family, labels):
-    """(label, start, stop) of each label's generators in _lift_generators."""
-    spans, stop = [], 0
-    for label in labels:
-        start, stop = stop, stop + len(family[label].vertices)
-        spans.append((label, start, stop))
-    return spans
-
-
-def _lift_block(family: Family, deps, config: ConsistencyConfig) -> list:
+def _lift_block(family: Family, deps, config: ConsistencyConfig):
     """Lift dependences that share their support labels and their zero
-    coefficients, in order, up to and including the first NoLift.
+    coefficients, in order, up to the first NoLift.
 
     Their cone LPs share one layout and go through :func:`tvlab.lp.certify`
     as one batch (exactly with ``config.exact``): one lock-step float
     tableau, a float witness kept only when it re-verifies, a NoLift
     certified from its own final basis, and any other LP decided exactly,
-    alone.  Each result equals that of :func:`lift_dependence` on the
-    dependence alone.
+    alone.  r, the in-set points and both residuals of the lifted
+    dependences are computed as arrays, in the bits of the one-dependence
+    formulas.  Returns (resid, lift, nolift): max(|sum r a|, ||sum r a p||)
+    of each lifted dependence, lift(i), which builds the Lift of the i-th,
+    and the NoLift that ends the block, or None.
     """
     labels = deps[0].labels
     # labels whose coefficient vanishes identically cannot affect the sums
@@ -384,28 +381,36 @@ def _lift_block(family: Family, deps, config: ConsistencyConfig) -> list:
     rows = np.concatenate([G.transpose(0, 2, 1), np.ones((B, 1, n))], axis=1)
     rhs = np.zeros((B, dim + 1))
     rhs[:, dim] = 1.0
-    spans = _vertex_spans(family, act_labels)
-    out = []
+    lams, nolift = [], None
     for dep, (lam, farkas) in zip(deps, certify(rows, rhs, exact=config.exact)):
         if farkas is not None:
-            out.append(NoLift(dep, _infeasible(farkas)))
-            return out
-        lam = np.asarray(lam, dtype=float)  # an exact witness holds Fractions
-        by_label = {label: lam[a:b] for label, a, b in spans}
-        rs = []
-        points = []
-        vweights = []
-        for label in dep.labels:
-            V = family[label].vertices
-            lam_f = by_label.get(label)
-            if lam_f is None:
-                lam_f = np.zeros(V.shape[0])
-            r = float(lam_f.sum())
-            rs.append(r)
-            points.append((lam_f @ V) / r if r > 0.0 else V[0])
-            vweights.append(lam_f / r if r > 0.0 else lam_f)
-        out.append(Lift(dep, tuple(rs), np.asarray(points), tuple(vweights)))
-    return out
+            nolift = NoLift(dep, _infeasible(farkas))
+            break
+        lams.append(np.asarray(lam, dtype=float))  # an exact witness holds Fractions
+    lam = np.array(lams).reshape(len(lams), n)
+    a = np.array([dep.coeffs for dep in deps[: len(lam)]]).reshape(len(lam), len(labels))
+    r = np.zeros(a.shape)
+    P = np.empty(a.shape + (family.dim,), dtype=complex)
+    W, start = [], 0  # lam holds the vertices of the active labels, in label order
+    for g, label in enumerate(labels):
+        V = family[label].vertices
+        P[:, g] = V[0]  # the point of a label with r_F = 0
+        if g in active:
+            lf, start = lam[:, start : start + len(V)], start + len(V)
+        else:
+            lf = np.zeros((len(lam), len(V)))
+        r[:, g] = lf.sum(axis=1)
+        pos = r[:, g, None] > 0.0
+        np.divide((lf[:, None, :] @ V)[:, 0], r[:, g, None], out=P[:, g], where=pos)
+        W.append(np.divide(lf, r[:, g, None], out=lf.copy(), where=pos))
+    prod = r * a
+    S = prod.sum(axis=1)
+    resid = np.maximum(np.hypot(S.real, S.imag), _row_norms((prod[:, None, :] @ P)[:, 0]))
+
+    def lift(i):  # copies, so that a kept Lift does not hold the block's arrays
+        return Lift(deps[i], tuple(r[i].tolist()), P[i].copy(), tuple(w[i].copy() for w in W))
+
+    return resid, lift, nolift
 
 
 def lift_dependence(
@@ -419,7 +424,8 @@ def lift_dependence(
     block of one for :func:`_lift_block`, so a NoLift always carries an exact
     Farkas certificate.
     """
-    return _lift_block(family, [dep], config or ConsistencyConfig())[0]
+    _, lift, nolift = _lift_block(family, [dep], config or ConsistencyConfig())
+    return lift(0) if nolift is None else nolift
 
 
 def _block_key(dep: AffineDependence):
@@ -443,23 +449,21 @@ def check_dependency_consistency(
     worst = None
     lifts = [] if config.keep_lifts else None
     for _, block in groupby(deps, key=_block_key):
-        for res in _lift_block(family, list(block), config):
-            if isinstance(res, NoLift):
-                return ConsistencyVerdict(
-                    "fail",
-                    samples_budget=config.samples,
-                    n_dependences=len(deps),
-                    n_circuits=n_circuits,
-                    n_sampled=len(deps) - n_circuits,
-                    violation=res,
-                )
-            r0, r1 = res.residuals()
-            resid = max(r0, r1)
-            if resid > max_resid:
-                max_resid = resid
-                worst = res
-            if lifts is not None:
-                lifts.append(res)
+        resid, lift, nolift = _lift_block(family, list(block), config)
+        if nolift is not None:
+            return ConsistencyVerdict(
+                "fail",
+                samples_budget=config.samples,
+                n_dependences=len(deps),
+                n_circuits=n_circuits,
+                n_sampled=len(deps) - n_circuits,
+                violation=nolift,
+            )
+        if lifts is not None:
+            lifts.extend(map(lift, range(len(resid))))
+        i = int(resid.argmax())  # the first of equal maxima, as in enumeration order
+        if resid[i] > max_resid:
+            max_resid, worst = float(resid[i]), lift(i)
     return ConsistencyVerdict(
         "pass",
         samples_budget=config.samples,

@@ -303,13 +303,12 @@ class FeasibilityCertificate:
         return self.status == "feasible"
 
 
-def _verify_feasible(rows, rhs, n_nonneg, witness) -> bool:
-    """Float re-substitution of a float witness."""
-    w = np.asarray(witness, dtype=float)
-    resid = rows @ w - rhs
-    return (
-        float(np.max(np.abs(resid), initial=0.0)) <= FEAS_TOL
-        and float(np.min(w[:n_nonneg], initial=0.0)) >= -FEAS_TOL
+def _verified(rows, rhs, n_nonneg, x) -> np.ndarray:
+    """Which float witnesses x (B, n) re-substitute into rows (B, m, n) and
+    rhs (B, m) to within FEAS_TOL, with the first n_nonneg entries >= -FEAS_TOL."""
+    resid = (rows @ x[:, :, None])[:, :, 0] - rhs
+    return (np.abs(resid).max(axis=1, initial=0.0) <= FEAS_TOL) & (
+        x[:, :n_nonneg].min(axis=1, initial=0.0) >= -FEAS_TOL
     )
 
 
@@ -319,7 +318,9 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
     ``n_free`` variables free and the others >= 0, minimizing
     objective[e] @ x when ``objective`` (B, n) is given.
 
-    Unless ``exact``, the batch is solved in one lock-step float tableau.
+    Unless ``exact``, the batch is solved in one lock-step float tableau,
+    and all its float witnesses are re-substituted at once, in one batched
+    product rows @ x and one nonnegativity test (:func:`_verified`).
     Yields per program, in order, (x, None) with a witness x or (None, y)
     with an exact Farkas functional y (Fractions): the float witness when
     it re-substitutes to within FEAS_TOL, else the functional of the
@@ -341,9 +342,10 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
     if not exact:
         status, x, _, basis = _solve_standard(A, rhs, c, _FLOAT)
         x = merged(x)
+        kept = _verified(rows, rhs, k, x)
     for e in range(B):
         status_e = None if exact else status[e]
-        if status_e == "feasible" and _verify_feasible(rows[e], rhs[e], k, x[e]):
+        if status_e == "feasible" and kept[e]:
             yield x[e], None
             continue
         y = _basis_farkas(A[e], rhs[e], basis[e]) if status_e == "infeasible" else None

@@ -5,6 +5,7 @@ the exact support reducer."""
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from tvlab.consistency import (
     NoLift,
     _canonical_blocks,
     _complex_nullspace,
+    _lift_block,
     _lift_generators,
     check_dependency_consistency,
     enumerate_dependences,
@@ -239,6 +241,28 @@ def test_lift_drops_zero_coefficients():
     assert isinstance(res, Lift)
     assert res.r[2] == 0.0
     assert max(res.residuals()) < 1e-12
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_lift_block_labels_of_zero_weight_keep_their_first_vertex(exact):
+    # S2 lies at Im z >= 1 while S0 and S1 are real segments, so every lift
+    # of (a, -a, a, 0) has r = 0 on S2; S3 has a zero coefficient
+    fam = _family(
+        "complex", [[-1 + 0j], [1 + 0j]], [[-1 + 0j], [2 + 0j]], [[1j], [2 + 1j]], [[5 + 5j]]
+    )
+    labels = fam.labels
+    deps = [AffineDependence(labels, (a, -a, a, 0.0)) for a in (1.0, 2j, -0.5 + 1j)]
+    cfg = ConsistencyConfig(exact=exact)
+    resid, lift, nolift = _lift_block(fam, deps, cfg)
+    assert nolift is None and len(resid) == len(deps)
+    for i, dep in enumerate(deps):
+        for res in (lift(i), lift_dependence(fam, dep, cfg)):
+            assert res.r[0] > 0.0 and res.r[2] == res.r[3] == 0.0
+            for g in (2, 3):
+                assert res.points[g].tobytes() == fam.sets[g].vertices[0].tobytes()
+                assert not np.asarray(res.vertex_weights[g]).any()
+            # the block's array residual is the one-lift formula, to the bit
+            assert max(res.residuals()) == resid[i]
 
 
 # -- check_dependency_consistency --------------------------------------------------
@@ -466,6 +490,24 @@ def test_block_lifts_keep_recorded_verdicts(case):
         assert lift.points.tobytes() == alone.points.tobytes()
 
 
+@pytest.mark.parametrize("case", [c for c, g in GOLDEN.items() if g[0] == "pass"], ids=str)
+def test_worst_lift_is_the_first_largest_kept_lift(case):
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=32, seed=case[1])
+    v = check_dependency_consistency(fam, w, cfg)
+    kept = check_dependency_consistency(fam, w, replace(cfg, keep_lifts=True)).lifts
+    resid = [max(lift.residuals()) for lift in kept]
+    want = kept[resid.index(max(resid))]
+    got = v.worst_lift
+    assert v.lifts is None and got is not None
+    assert got.dependence.coeffs == want.dependence.coeffs
+    assert np.asarray(got.r).tobytes() == np.asarray(want.r).tobytes()
+    assert got.points.tobytes() == want.points.tobytes()
+    for a, b in zip(got.vertex_weights, want.vertex_weights, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert max(got.residuals()).hex() == v.max_lift_residual.hex() == GOLDEN[case][-1]
+
+
 def _enumeration_digest(deps):
     h = hashlib.sha256()
     for dep in deps:
@@ -515,12 +557,12 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
     cols = _cone_generators(fam, target)
     target_rows = np.vstack([cols.T, np.ones(len(cols))])
 
-    verify = lp._verify_feasible
+    verified = lp._verified
 
-    def reject_target(rows, rhs, n_nonneg, witness):
-        if np.array_equal(rows, target_rows):
-            return False
-        return verify(rows, rhs, n_nonneg, witness)
+    def reject_target(rows, rhs, n_nonneg, x):
+        # the batched re-substitution of a block keeps every witness but the target's
+        target = np.array([np.array_equal(A, target_rows) for A in rows])
+        return verified(rows, rhs, n_nonneg, x) & ~target
 
     exact_solves = []
     solve = lp._solve_standard
@@ -531,7 +573,7 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
             exact_solves.append((A, result[0]))
         return result
 
-    monkeypatch.setattr(lp, "_verify_feasible", reject_target)
+    monkeypatch.setattr(lp, "_verified", reject_target)
     monkeypatch.setattr(lp, "_solve_standard", spy)
     v = check_dependency_consistency(fam, w, cfg)
     assert v.passed and v.n_dependences == len(deps) == 36

@@ -169,6 +169,32 @@ def test_witness_rejects_missing_transversal():
         witness_from_transversal(inst, far)
 
 
+def test_witness_of_planted_transversal_is_verified_once(monkeypatch):
+    import tvlab.harness as harness
+
+    calls = []
+    verify = harness.verify_transversal
+
+    def counting(T, family, tol):
+        calls.append(tol)
+        return verify(T, family, tol=tol)
+
+    monkeypatch.setattr(harness, "verify_transversal", counting)
+    inst = gen_instance(GenSpec(d=2, n_sets=4, planted=True, seed=3))
+    witness_from_transversal(inst, inst.planted)
+    # the instance checked its planted transversal; the witness trusts that check
+    assert calls == [1e-9]
+    # a tighter tol, an equal hyperplane that is another object, and a
+    # shifted one are each verified again
+    witness_from_transversal(inst, inst.planted, tol=1e-12)
+    same = ComplexHyperplane(inst.planted.normal, inst.planted.offset)
+    witness_from_transversal(inst, same)
+    far = ComplexHyperplane(inst.planted.normal, inst.planted.offset + 1e-3)
+    with pytest.raises(ValueError, match="misses a set"):
+        witness_from_transversal(inst, far)
+    assert calls == [1e-9, 1e-12, 1e-6, 1e-6]
+
+
 def test_witness_fallback_projects_nearest_set_point():
     # a segment whose coefficient segment passes 1e-7 beside the offset:
     # verification passes at 1e-6 while the flat-meets-polytope LP is

@@ -6,11 +6,13 @@ Two checkers live here:
 * ``check_dependency_consistency`` (complex ambient): every complex affine
   dependence among the witness images must lift to a nonnegatively weighted
   dependence on points chosen inside the sets.  Dependences are enumerated
-  subfamily by subfamily up to support size 2k+3; one-dimensional null
-  spaces contribute their unique circuit, higher-dimensional ones are
-  sampled at a seeded budget.  Each subfamily's candidates are canonicalised
-  (unit norm, support, real-positive pivot) as one array block and
-  deduplicated in candidate order.  The cone LPs of a subfamily's dependences
+  over subfamilies up to support size 2k+3, one size at a time as arrays:
+  one-dimensional null spaces contribute their unique circuit,
+  higher-dimensional ones are sampled at a seeded budget.  The null spaces
+  of all subfamilies of a size come from one stacked elimination, and all
+  their candidates are canonicalised (unit norm, support, real-positive
+  pivot) as one array block and deduplicated in candidate order on integer
+  keys of their coefficients.  The cone LPs of a subfamily's dependences
   share one layout and go through :func:`tvlab.lp.certify` as one batch,
   whose one escalation path decides alone and exactly every LP that its
   float block leaves uncertified, so every lift equals the one-dependence
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -102,10 +105,10 @@ class AffineDependence:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        coeffs = tuple(complex(c) for c in self.coeffs)
+        coeffs = tuple(map(complex, self.coeffs))
         if len(labels) != len(coeffs) or not labels:
             raise ValueError("labels and coefficients must align and be nonempty")
-        if all(abs(c) == 0.0 for c in coeffs):
+        if not any(coeffs):
             raise ValueError("dependence coefficients must not all vanish")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coeffs", coeffs)
@@ -207,36 +210,47 @@ class ConsistencyConfig:
 # complex null spaces (column-pivoted elimination)
 
 
-def _complex_nullspace(M: np.ndarray, tol: float = NULLSPACE_TOL) -> np.ndarray:
-    """Null-space basis of a complex matrix by elimination with full column
-    pivoting; rank decided by the threshold ``tol``.  Returns (n, nullity)."""
+def _complex_nullspace(M: np.ndarray, tol: float = NULLSPACE_TOL):
+    """Null-space bases by elimination with full column pivoting, rank decided
+    by the threshold ``tol``: of one complex matrix (m, n), its basis (n,
+    nullity); of a stack (R, m, n), eliminated at once with each matrix's own
+    pivots, row swaps and masked updates (the bits of that matrix alone), the
+    bases zero-padded to (R, n, n) and the nullities (R,)."""
     M = np.array(M, dtype=complex)
-    m, n = M.shape
-    pivot_cols = []
-    row = 0
-    for _ in range(min(m, n)):
-        sub = np.abs(M[row:, :])
-        if pivot_cols:
-            sub[:, pivot_cols] = 0.0
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i, j] <= tol:
+    if M.ndim == 2:
+        basis, nullity = _complex_nullspace(M[None], tol)
+        return basis[0, :, : nullity[0]]
+    R, m, n = M.shape
+    pivoted = np.zeros((R, n), dtype=bool)
+    pivot_cols = np.zeros((R, min(m, n)), dtype=int)  # of each pivot row
+    for row in range(min(m, n)):
+        sub = np.abs(M[:, row:, :])
+        sub[np.broadcast_to(pivoted[:, None, :], sub.shape)] = 0.0
+        sub = sub.reshape(R, -1)
+        ij = sub.argmax(axis=1)
+        # a stopped matrix is left as it is and its block only shrinks: it stays stopped
+        a = np.flatnonzero(sub[np.arange(R), ij] > tol)
+        if not a.size:
             break
-        i += row
-        if i != row:
-            M[[row, i]] = M[[i, row]]
-        M[row] = M[row] / M[row, j]
-        for r in range(m):
-            if r != row and M[r, j] != 0:
-                M[r] = M[r] - M[r, j] * M[row]
-        pivot_cols.append(j)
-        row += 1
-    free_cols = [j for j in range(n) if j not in pivot_cols]
-    basis = np.zeros((n, len(free_cols)), dtype=complex)
-    for idx, f in enumerate(free_cols):
-        basis[f, idx] = 1.0
-        for r, p in enumerate(pivot_cols):
-            basis[p, idx] = -M[r, f]
-    return basis
+        i, j = np.divmod(ij[a] + row * n, n)  # M's row and column
+        M[a, row], M[a, i] = M[a, i], M[a, row]
+        M[a, row] = M[a, row] / M[a, row, j, None]
+        f = M[a, :, j]  # a copy
+        f[:, row] = 0.0  # the pivot row is not updated
+        u, r = np.nonzero(f)
+        M[a[u], r] = M[a[u], r] - f[u, r, None] * M[a[u], row]
+        pivoted[a, j] = True
+        pivot_cols[a, row] = j
+    rank = pivoted.sum(axis=1)
+    nullity = n - rank
+    free = np.argsort(pivoted, axis=1, kind="stable")  # free columns first, ascending
+    basis = np.zeros((R, n, n), dtype=complex)
+    a, c = np.nonzero(np.arange(n) < nullity[:, None])
+    basis[a, free[a, c], c] = 1.0
+    pivot_rows = np.arange(min(m, n))[:, None] < rank[:, None, None]
+    a, r, c = np.nonzero(pivot_rows & (np.arange(n) < nullity[:, None, None]))
+    basis[a, pivot_cols[a, r], c] = -M[a, r, free[a, c]]
+    return basis, nullity
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -269,6 +283,18 @@ def _canonical_blocks(A: np.ndarray, support_tol: float = SUPPORT_TOL):
         yield keep[rows], support, sub / _row_norms(sub)[:, None]
 
 
+def _decimal_keys(x: np.ndarray) -> np.ndarray:
+    """Integer keys of the parts x of unit coefficient rows, equal exactly where
+    their ``"%.9f"`` strings are: 2 rint(x 1e9), plus one for "-0.000000000".
+    Where x 1e9 lies within 1e-6 of a half-integer, so that the product's
+    rounding could decide, rint(x 1e9) is read from the string instead."""
+    y = x * 1e9
+    n = np.rint(y)
+    near = np.flatnonzero(np.abs(y - np.floor(y) - 0.5) < 1e-6)
+    n.flat[near] = [int(("%.9f" % v).replace(".", "")) for v in x.flat[near].tolist()]
+    return n.astype(np.int64) * 2 + ((n == 0) & np.signbit(x))
+
+
 def enumerate_dependences(
     family: Family, witness: ConsistencyWitness, config: ConsistencyConfig | None = None
 ):
@@ -276,49 +302,68 @@ def enumerate_dependences(
     subfamilies of size at most 2k+3, in increasing-size lexicographic order,
     deduplicated up to global complex scaling.
 
-    A subfamily's candidates (its circuit or its samples) are canonicalised
-    as one block by :func:`_canonical_blocks` and deduplicated by support
-    labels and coefficients to nine decimals, keeping the first in order."""
+    All subfamilies of one size go together: one stacked elimination, one
+    QR and one draw ``(R, 2, nullity, samples)`` per run of R consecutive
+    subfamilies sharing a nullity above one (the per-subfamily stream of
+    real, then imaginary parts), and one :func:`_canonical_blocks` call.
+    Candidates are deduplicated by support labels and coefficients to nine
+    decimals (:func:`_decimal_keys`), keeping the first in order: by np.unique
+    within a subfamily, and through a set only where the support is smaller
+    than the subfamily, as only then can another subfamily share the key."""
     config = config or ConsistencyConfig()
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
-    k = witness.k
     labels = family.labels
-    bound = 2 * k + 3
+    pts = witness.points[[witness.assignment[l] for l in labels]]
     rng = np.random.default_rng(config.seed)
-    out = []
-    seen = set()
-    for size in range(2, min(len(labels), bound) + 1):
-        for combo in combinations(range(len(labels)), size):
-            sub = [labels[i] for i in combo]
-            pts = np.asarray([witness.point_of(l) for l in sub])  # (size, k)
-            M = np.vstack([np.ones((1, size), dtype=complex), pts.T.astype(complex)])
-            basis = _complex_nullspace(M, config.nullspace_tol)
-            nullity = basis.shape[1]
-            if nullity == 0:
+    out, seen = [], set()
+    full = {}  # size -> its subfamilies' full-support keys, put in seen at its first lookup
+    for size in range(2, min(len(labels), 2 * witness.k + 3) + 1):
+        combos = list(combinations(range(len(labels)), size))
+        M = np.ones((len(combos), witness.k + 1, size), dtype=complex)
+        M[:, 1:] = pts[np.array(combos)].transpose(0, 2, 1)
+        basis, nullity = _complex_nullspace(M, config.nullspace_tol)
+        starts = np.flatnonzero(np.diff(nullity, prepend=-1)).tolist() + [len(combos)]
+        blocks = []
+        for i, j in zip(starts, starts[1:]):
+            nu = int(nullity[i])
+            if nu == 1:
+                blocks.append(basis[i:j, :, 0])
+            elif nu > 1:
+                q = np.linalg.qr(basis[i:j, :, :nu]).Q
+                g = rng.standard_normal((j - i, 2, nu, config.samples))
+                blocks.append((q @ (g[:, 0] + 1j * g[:, 1])).transpose(0, 2, 1).reshape(-1, size))
+        if not blocks:
+            continue
+        sid = np.repeat(np.arange(len(combos)), np.where(nullity > 1, config.samples, nullity))
+        names = [tuple(labels[i] for i in c) for c in combos]
+        origins = ["circuit" if nu == 1 else "sampled" for nu in nullity.tolist()]
+        found = []  # (row, labels, coeffs, origin, key where another subfamily may share it)
+        for rows, support, coeffs in _canonical_blocks(np.concatenate(blocks)):
+            s = sid[rows]
+            keys = np.column_stack([s, _decimal_keys(coeffs.view(float))])
+            if support.size < size:  # labels that another subfamily or size may share
+                members = zip(rows.tolist(), s.tolist(), coeffs.tolist(), keys.tolist())
+                for r, t, c, (_, *key) in members:
+                    sup = tuple(labels[combos[t][i]] for i in support)
+                    found.append((r, sup, c, origins[t], tuple(key)))
                 continue
-            if nullity == 1:
-                candidates = basis.T
-                origin = "circuit"
-            else:
-                q, _ = np.linalg.qr(basis)
-                g = rng.standard_normal((nullity, config.samples)) + 1j * rng.standard_normal(
-                    (nullity, config.samples)
-                )
-                candidates = (q @ g).T
-                origin = "sampled"
-            found = [None] * len(candidates)
-            for rows, support, coeffs in _canonical_blocks(candidates):
-                sup_labels = tuple(sub[i] for i in support)
-                fmt = "|".join(["%.9f,%.9f"] * len(support))
-                parts = coeffs.view(float).tolist()
-                for r, c, p in zip(rows.tolist(), coeffs.tolist(), parts):
-                    found[r] = ((sup_labels, fmt % tuple(p)), c)
-            for key, c in filter(None, found):
-                if key in seen:
+            # the subfamily's own labels: its keys can repeat only among its rows
+            rows_as_one = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+            first = np.sort(np.unique(rows_as_one, return_index=True)[1])
+            full[size] = (names, keys[first])
+            s = s[first].tolist()
+            found += zip(rows[first].tolist(), map(names.__getitem__, s), coeffs[first].tolist(),
+                         map(origins.__getitem__, s), [None] * len(s))
+        for r, sup, c, origin, key in sorted(found):  # rows are distinct
+            if key is not None:
+                if len(sup) in full:
+                    names_t, keys_t = full.pop(len(sup))
+                    seen.update((names_t[t], tuple(k)) for t, *k in keys_t.tolist())
+                if (sup, key) in seen:
                     continue
-                seen.add(key)
-                out.append(AffineDependence(key[0], tuple(c), origin))
+                seen.add((sup, key))
+            out.append(AffineDependence(sup, c, origin))
     return out
 
 
@@ -428,18 +473,14 @@ def lift_dependence(
     return lift(0) if nolift is None else nolift
 
 
-def _block_key(dep: AffineDependence):
-    """Consecutive dependences with equal keys (support labels and zero
-    coefficients) are lifted as one block: their cone LPs share one layout."""
-    return dep.labels, tuple(abs(a) > 0.0 for a in dep.coeffs)
-
-
 def check_dependency_consistency(
     family: Family, witness: ConsistencyWitness, config: ConsistencyConfig | None = None
 ) -> ConsistencyVerdict:
     """Pass iff every enumerated dependence lifts; the first failure (in
-    enumeration order) is returned with its certificate.  Each subfamily's
-    dependences are lifted as one block (see :func:`_lift_block`)."""
+    enumeration order) is returned with its certificate.  Consecutive
+    dependences with equal support labels are lifted as one block (see
+    :func:`_lift_block`): enumerated coefficients never vanish on their
+    support, so the labels alone fix the block's layout."""
     config = config or ConsistencyConfig()
     if family.ambient != "complex":
         raise ValueError("dependency consistency is a complex-ambient check")
@@ -448,7 +489,7 @@ def check_dependency_consistency(
     max_resid = 0.0
     worst = None
     lifts = [] if config.keep_lifts else None
-    for _, block in groupby(deps, key=_block_key):
+    for _, block in groupby(deps, key=attrgetter("labels")):
         resid, lift, nolift = _lift_block(family, list(block), config)
         if nolift is not None:
             return ConsistencyVerdict(

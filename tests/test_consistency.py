@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tvlab.consistency import (
+    NULLSPACE_TOL,
     SUPPORT_TOL,
     AffineDependence,
     ConsistencyConfig,
@@ -20,6 +21,7 @@ from tvlab.consistency import (
     NoLift,
     _canonical_blocks,
     _complex_nullspace,
+    _decimal_keys,
     _lift_block,
     _lift_generators,
     check_dependency_consistency,
@@ -67,6 +69,76 @@ def test_nullspace_threshold_collapses_tiny_rows():
     M = np.array([[1e-12, 1e-12]], dtype=complex)
     B = _complex_nullspace(M, tol=1e-10)
     assert B.shape[1] == 2  # the row is below threshold: treated as zero
+
+
+def _complex_nullspace_reference(M, tol=NULLSPACE_TOL):
+    """Elimination of one matrix alone, as enumerate_dependences ran it
+    subfamily by subfamily before the stacked elimination: the reference for
+    the bits of every basis of a stack."""
+    M = np.array(M, dtype=complex)
+    m, n = M.shape
+    pivot_cols = []
+    row = 0
+    for _ in range(min(m, n)):
+        sub = np.abs(M[row:, :])
+        if pivot_cols:
+            sub[:, pivot_cols] = 0.0
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        if sub[i, j] <= tol:
+            break
+        i += row
+        if i != row:
+            M[[row, i]] = M[[i, row]]
+        M[row] = M[row] / M[row, j]
+        for r in range(m):
+            if r != row and M[r, j] != 0:
+                M[r] = M[r] - M[r, j] * M[row]
+        pivot_cols.append(j)
+        row += 1
+    free_cols = [j for j in range(n) if j not in pivot_cols]
+    basis = np.zeros((n, len(free_cols)), dtype=complex)
+    for idx, f in enumerate(free_cols):
+        basis[f, idx] = 1.0
+        for r, p in enumerate(pivot_cols):
+            basis[p, idx] = -M[r, f]
+    return basis
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stacked_nullspace_matches_matrices_alone(m):
+    rng = np.random.default_rng([m, 8])
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for n in range(1, 8):
+        stack = [gauss(m, n) for _ in range(8)]  # full rank
+        for M in stack[:4]:
+            M[0] = 1.0  # the affine row of a subfamily's matrix
+        dup = gauss(4, m, n)
+        dup[:, :, n - 1] = dup[:, :, 0]  # coincident points
+        dup[2:, :, n // 2] = dup[2:, :, 0]
+        stack += list(dup)
+        if m > 1:
+            line = gauss(2, m, n)
+            line[:, -1] = 2 * line[:, 0] - 0.5j  # collinear points
+            stack += list(line)
+        tiny = gauss(3, m, n)
+        tiny[:, -1] *= 1e-12  # a row below tol
+        tiny[2] *= 1e-11  # every row below tol
+        stack += [*tiny, np.zeros((m, n), dtype=complex)]
+        # small integers: exact zeros in the pivot column, whose rows are
+        # left as they are (subtracting 0 times the pivot row flips signed zeros)
+        stack += list(rng.integers(-1, 3, (40, m, n)) + 0j)
+        stack = np.array([stack[i] for i in rng.permutation(len(stack))])
+        basis, nullity = _complex_nullspace(stack)
+        assert basis.shape == (len(stack), n, n)
+        assert nullity.max() == n and len(set(nullity.tolist())) >= 2
+        for M, B, nu in zip(stack, basis, nullity):
+            want = _complex_nullspace_reference(M)
+            assert B[:, :nu].shape == want.shape and B[:, :nu].tobytes() == want.tobytes()
+            assert not B[:, nu:].any()
+            assert _complex_nullspace(M).tobytes() == want.tobytes()
 
 
 # -- enumerate_dependences -------------------------------------------------------
@@ -170,6 +242,30 @@ def test_block_canonicalisation_matches_rows_alone(s):
     # both sides of the threshold occur, and the zero rows are skipped
     sizes = {len(sup) for sup, _ in got.values()}
     assert sizes == {s - 1, s} and 7 not in got and 8 not in got
+
+
+def test_decimal_keys_are_equal_where_key_strings_are():
+    rng = np.random.default_rng(10)
+    rows = rng.standard_normal((25_000, 2)) + 1j * rng.standard_normal((25_000, 2))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    # floats nearest to the rounding boundaries (m + 1/2) 1e-9, and the dyadic
+    # boundary 2**-10 = 976562.5e-9 itself, with their neighbours
+    ties = np.array([(m + 0.5) * 1e-9 for m in (0, 1, 2, 7, 976_561, 123_456_789, 999_999_999)])
+    ties = np.concatenate([ties, [2.0**-10]])
+    down, up = [ties], [ties]
+    for _ in range(40):
+        down.append(np.nextafter(down[-1], -np.inf))
+        up.append(np.nextafter(up[-1], np.inf))
+    near = np.concatenate(down + up)
+    special = [0.0, 1e-12, 4.9999e-10, 5e-10, 1.0, 0.5, 1e-9]
+    x = np.concatenate([rows.view(float).ravel(), near, -near, special, np.negative(special)])
+    strings = ["%.9f" % v for v in x.tolist()]
+    keys = _decimal_keys(x).tolist()
+    assert len(set(strings)) == len(set(keys)) == len(set(zip(strings, keys)))
+    # the boundaries are hit from both sides, and the sign of a zero is kept
+    assert {"0.000000000", "-0.000000000", "0.000000001", "-0.000000001"} <= set(strings)
+    assert {"0.000976562", "0.000976563"} <= set(strings)
+    assert _decimal_keys(rows.view(float)).shape == (25_000, 4)
 
 
 def test_zero_coefficient_circuit_is_a_duplicate():
@@ -544,6 +640,37 @@ def test_enumeration_keeps_recorded_bits(case):
     fam, w = _gen_case(*case)
     deps = enumerate_dependences(fam, w, ConsistencyConfig(samples=32, seed=case[1]))
     assert _enumeration_digest(deps) == ENUMERATION_DIGESTS[case]
+
+
+def _degenerate_case(name):
+    """Witnesses the generic GOLDEN families miss: coincident points in C^1,
+    coincident and collinear points in C^2 (the nullity changes within one
+    subfamily size, and some circuits have zero coefficients), and C^0."""
+    fam = _family("complex", *[[[complex(i)]] for i in range(6)])
+    every = {f"S{i}": i for i in range(6)}
+    if name == "k1-coincident":
+        return fam, _witness(1, [[0j], [0j], [0j], [1], [2 + 1j], [0.5j]], every), 5
+    if name == "k2-collinear":
+        line = [[0j, 0j], [1, 1j], [2, 2j], [0j, 0j], [1j, 2], [3, -1 + 1j]]
+        return fam, _witness(2, line, every), 6
+    fam = fam.subfamily(("S0", "S1", "S2", "S3"))
+    return fam, trivial_witness(fam), 7
+
+
+# sha256 of the enumeration of each degenerate witness at samples=8, recorded
+# when each subfamily was still eliminated on its own
+DEGENERATE_DIGESTS = {
+    "k1-coincident": "1ea29292e28deab15bb702d958c8ca6643ba88761816fe3064b0724a6b10a0f7",
+    "k2-collinear": "58e66ffe61fbb0eace0ae4a34a5e9418a4ceca27f512f81387b3921d19e1918d",
+    "k0": "da693060b0f8f54013dea57d0f0ebc6930d580abe3a31eb825196b36432a73bb",
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE_DIGESTS))
+def test_degenerate_enumeration_keeps_recorded_bits(name):
+    fam, w, seed = _degenerate_case(name)
+    deps = enumerate_dependences(fam, w, ConsistencyConfig(samples=8, seed=seed))
+    assert _enumeration_digest(deps) == DEGENERATE_DIGESTS[name]
 
 
 def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):

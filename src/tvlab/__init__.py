@@ -29,11 +29,9 @@ from .geometry import (
     PoleError,
     Polytope,
     SpherePoint,
-    closest_coeff,
     embed_family,
     hermitian_inner,
     hyperplane_from_sphere_point,
-    project_polytope,
 )
 from .harness import (
     EquivConfig,
@@ -50,7 +48,6 @@ from .harness import (
 )
 from .lp import (
     LinearProgram,
-    flat_meets_polytope,
     hulls_intersect,
     kirchberger_separated,
     lp_feasible,
@@ -91,11 +88,9 @@ __all__ = [
     "borsuk_map",
     "borsuk_zero_dependence",
     "check_dependency_consistency",
-    "closest_coeff",
     "embed_family",
     "find_borsuk_zero",
     "find_complex_transversal",
-    "flat_meets_polytope",
     "gen_instance",
     "hermitian_inner",
     "hulls_intersect",
@@ -106,7 +101,6 @@ __all__ = [
     "nontrivial_zero_in_cone",
     "plot_instance",
     "polygon_intersection_margin",
-    "project_polytope",
     "read_instance",
     "real_hyperplane_transversal",
     "reduce_dependence_support",

@@ -38,10 +38,15 @@ from .transversal import (
 )
 
 
+# What reading a malformed or unreadable input can raise; each is a usage
+# error (exit 2).  OverflowError: a number beyond float range.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
+
+
 def _load_instance(path: str) -> Instance:
     try:
         return read_instance(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except _READ_ERRORS as exc:
         raise SystemExit(f"error: cannot read instance {path}: {exc}")
 
 
@@ -159,7 +164,7 @@ def _cmd_verify(args) -> int:
         with open(args.transversal) as fh:
             doc = json.load(fh)
         T = _hyperplane_from_json(doc, instance.ambient)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except _READ_ERRORS as exc:
         print(f"error: cannot read transversal {args.transversal}: {exc}", file=sys.stderr)
         return 2
     rep = verify_transversal(T, instance.family, tol=args.tol)
@@ -191,7 +196,7 @@ def _cmd_plot(args) -> int:
         try:
             with open(args.transversal) as fh:
                 T = _hyperplane_from_json(json.load(fh), instance.ambient)
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except _READ_ERRORS as exc:
             print(f"error: cannot read transversal: {exc}", file=sys.stderr)
             return 2
     try:

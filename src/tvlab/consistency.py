@@ -189,21 +189,18 @@ class SeparationViolation:
 class ConsistencyConfig:
     """Budget and arithmetic of a consistency check: samples random
     dependences per subfamily whose null space has dimension above one,
-    drawn from the seeded generator; nullspace_tol decides null-space rank;
-    exact decides every lift in rational arithmetic; keep_lifts keeps each
-    lift in the verdict."""
+    drawn from the seeded generator; exact decides every lift in rational
+    arithmetic; keep_lifts keeps each lift in the verdict.  Null-space rank
+    is decided by the module constant NULLSPACE_TOL."""
 
     samples: int = 64
     seed: int = 0
-    nullspace_tol: float = NULLSPACE_TOL
     exact: bool = False  # rational arithmetic for every lift decision
     keep_lifts: bool = False
 
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
-        if not (np.isfinite(self.nullspace_tol) and self.nullspace_tol >= 0):
-            raise ValueError(f"nullspace_tol must be finite and >= 0, got {self.nullspace_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def enumerate_dependences(
         combos = list(combinations(range(len(labels)), size))
         M = np.ones((len(combos), witness.k + 1, size), dtype=complex)
         M[:, 1:] = pts[np.array(combos)].transpose(0, 2, 1)
-        basis, nullity = _complex_nullspace(M, config.nullspace_tol)
+        basis, nullity = _complex_nullspace(M)
         starts = np.flatnonzero(np.diff(nullity, prepend=-1)).tolist() + [len(combos)]
         blocks = []
         for i, j in zip(starts, starts[1:]):

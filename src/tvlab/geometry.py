@@ -1,7 +1,9 @@
-"""Complex/real vector geometry: embeddings, projections onto complex lines,
-the one closest-point kernel for projected polygons (a vectorized block of
-rows; the monotone-chain hull here only draws and describes polygons), and
-recovery of a complex hyperplane from a unit sphere point.
+"""Complex/real vector geometry: points, polytopes and families, their
+embedding into the affine slice {z_{d+1} = 1}, the one closest-point kernel
+for polygons of projection coefficients (a vectorized block of rows; the
+projection itself is a matrix product done by its callers, and the
+monotone-chain hull here only draws and describes polygons), and recovery of
+a complex hyperplane from a unit sphere point.
 
 Conventions
 -----------
@@ -28,16 +30,6 @@ POLE_GUARD = 1e-9
 class PoleError(ValueError):
     """Raised when a sphere point is too close to the excluded last axis to
     recover a hyperplane from it."""
-
-
-def as_real_point(coords) -> np.ndarray:
-    """Validate and return a point of R^d as a float array."""
-    p = np.asarray(coords, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("a point must be a nonempty 1-D coordinate vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
-    return p
 
 
 def as_complex_point(coords) -> np.ndarray:
@@ -220,33 +212,9 @@ class ComplexHyperplane:
         return abs(hermitian_inner(as_complex_point(z), self.normal) - self.offset)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectedPolygon:
-    """Projection of a polytope onto the complex line spanned by a unit vector.
-
-    vertices are the complex coefficients c_v = <v, x>; the projected set is
-    the convex hull of {c_v * x}, i.e. of the coefficients as points of R^2.
-    """
-
-    direction: np.ndarray
-    vertices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", as_complex_point(self.direction))
-        object.__setattr__(self, "vertices", tuple(complex(c) for c in self.vertices))
-        if not self.vertices:
-            raise ValueError("projected polygon needs at least one vertex")
-
-
-def embed_h(z) -> np.ndarray:
-    """Append a final coordinate 1, mapping C^d into the affine slice
-    {z in C^{d+1} : z_{d+1} = 1}."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z, [1.0 + 0.0j]])
-
-
 def embed_polytope(poly: Polytope) -> Polytope:
-    """Embed every vertex of a complex polytope via :func:`embed_h`."""
+    """Append a final coordinate 1 to every vertex of a complex polytope,
+    mapping C^d into the affine slice {z in C^{d+1} : z_{d+1} = 1}."""
     if poly.ambient != "complex":
         raise ValueError("only complex polytopes embed into the affine slice")
     v = poly.vertices
@@ -257,16 +225,6 @@ def embed_polytope(poly: Polytope) -> Polytope:
 def embed_family(family: Family) -> Family:
     """Embed every member of a complex family via :func:`embed_polytope`."""
     return Family(family.labels, tuple(embed_polytope(p) for p in family.sets))
-
-
-def project_polytope(x: SpherePoint, poly: Polytope) -> ProjectedPolygon:
-    """Orthogonal projection of a polytope onto the complex line spanned by x,
-    reported as the coefficient polygon."""
-    v = np.asarray(poly.vertices, dtype=complex)
-    if v.shape[1] != x.dim:
-        raise ValueError(f"dimension mismatch: vertices in C^{v.shape[1]}, x in C^{x.dim}")
-    coeffs = v @ np.conj(x.coords)
-    return ProjectedPolygon(x.coords, tuple(coeffs.tolist()))
 
 
 # -- 2-D convex hulls and closest points ---------------------------------------
@@ -340,13 +298,6 @@ def _closest_rows(C: np.ndarray):
     if C.shape[1] > 1:
         maxgap = np.maximum(np.diff(ang, axis=1).max(axis=1), maxgap)
     return np.where(maxgap <= np.pi, 0.0 + 0.0j, q), best, t
-
-
-def closest_coeff(polygon: ProjectedPolygon) -> complex:
-    """The unique coefficient c in the polygon (a convex region of R^2)
-    minimizing |c|: 0 when the origin lies in the hull, otherwise the
-    minimizer over hull edges and vertices."""
-    return complex(_closest_rows(np.array([polygon.vertices]))[0][0])
 
 
 def hyperplane_from_sphere_point(x0: SpherePoint) -> ComplexHyperplane:

@@ -519,8 +519,7 @@ def _run_trial(config: EquivConfig, trial: int) -> dict:
             drep = verify_transversal(direction, family, tol=1e-6)
             record["direction"] = {
                 "found": True,
-                "normal": [_pair(z) for z in direction.normal.tolist()],
-                "offset": _pair(direction.offset),
+                **_hyperplane_json(direction),
                 "verify_max": float(drep.max_distance),
             }
             if not drep.passed:

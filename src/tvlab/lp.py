@@ -455,7 +455,7 @@ class KirchbergerVerdict:
     common_point: np.ndarray | None = None
 
 
-def kirchberger_separated(U, V, k: int, exact: bool = False) -> KirchbergerVerdict:
+def kirchberger_separated(U, V, k: int) -> KirchbergerVerdict:
     """Check hull disjointness on every (k+2)-point subset split of U u V.
 
     Subsets are enumerated lexicographically over the concatenated index
@@ -473,16 +473,23 @@ def kirchberger_separated(U, V, k: int, exact: bool = False) -> KirchbergerVerdi
         vi = tuple(i - nu for i in subset if i >= nu)
         if not ui or not vi:
             continue  # an empty side has empty hull
-        res = hulls_intersect(Ur[list(ui)], Vr[list(vi)], exact=exact)
+        res = hulls_intersect(Ur[list(ui)], Vr[list(vi)])
         if res.feasible:
             return KirchbergerVerdict(False, ui, vi, res.point)
     return KirchbergerVerdict(True)
 
 
 def _flat_program(equalities, poly: Polytope):
-    """(rows, rhs) of the convex-weight program of flat_meets_polytope."""
+    """(rows, rhs) of the convex-weight program for the intersection of a
+    complex affine flat with a complex polytope.
+
+    equalities: iterable of (a, rhs) with a in C^d and rhs complex, each
+    encoding <z, a> = rhs under the Hermitian convention (conjugate-linear in
+    a).  The program is feasible iff some convex combination of the
+    polytope's vertices satisfies every equality; its witness is those
+    weights."""
     if poly.ambient != "complex":
-        raise ValueError("flat_meets_polytope expects a complex polytope")
+        raise ValueError("the flat program expects a complex polytope")
     V = poly.vertices
     rows = []
     rhs = []
@@ -497,23 +504,6 @@ def _flat_program(equalities, poly: Polytope):
     rows.append(np.ones(V.shape[0]))
     rhs.append(1.0)
     return np.vstack(rows), np.array(rhs)
-
-
-def flat_meets_polytope(equalities, poly: Polytope, exact: bool = False):
-    """Intersection of a complex affine flat with a complex polytope.
-
-    equalities: iterable of (a, rhs) with a in C^d and rhs complex, each
-    encoding <z, a> = rhs under the Hermitian convention (conjugate-linear in
-    a).  Feasible iff some convex combination of the polytope's vertices
-    satisfies every equality; returns (certificate, point or None).
-    """
-    rows, rhs = _flat_program(equalities, poly)
-    cert = lp_feasible(LinearProgram(rows.shape[1], 0, rows, rhs), exact=exact)
-    point = None
-    if cert.feasible:
-        lam = np.asarray(cert.witness)
-        point = lam @ poly.vertices
-    return cert, point
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,17 +108,12 @@ class _Canvas:
         return "\n".join([header] + self.shapes + ["</svg>"])
 
 
-def _poly_points(vertices_2d) -> list:
-    hull = _hull2d([tuple(p) for p in vertices_2d])
-    return list(hull)
-
-
 def _panel(canvas, coeffs, color, origin_shift, set_label):
     """One projection panel at the given horizontal shift: the coefficient
     polygon, the origin, the closest point, and the separating half-plane
     boundary {Re(conj(p) z) = |p|^2}."""
     pts = [(z.real + origin_shift, z.imag) for z in coeffs]
-    canvas.polygon(_poly_points(pts), color, fill=color)
+    canvas.polygon(_hull2d(pts), color, fill=color)
     o = (origin_shift, 0.0)
     canvas.dot(o, "#000000", r=0.03)
     p = complex(_closest_rows(np.array([coeffs]))[0][0])
@@ -159,7 +154,7 @@ def _plot_d1(family: Family, transversal) -> str:
         if len(pts) == 1:
             canvas.dot(pts[0], color)
         else:
-            canvas.polygon(_poly_points(pts), color, fill=color)
+            canvas.polygon(_hull2d(pts), color, fill=color)
         anchor = max(pts)
         canvas.label((anchor[0] + 0.05, anchor[1] + 0.05), label, color)
     if transversal is not None:

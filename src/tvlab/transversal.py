@@ -31,24 +31,23 @@ from .consistency import AffineDependence
 from .lp import LinearProgram, SolverError, lp_feasible
 
 ZERO_TOL = 1e-6
-VERIFY_TOL = 1e-4
 MARGIN_TOL = 1e-9
+STEP_INIT = 0.5  # pattern-search step size, shrunk by STEP_DECAY on no progress
+STEP_DECAY = 0.7
+ANGLE_RESOLUTION = 10000  # exhaustive grid for the real d=2 sweep
 
 
 @dataclass(frozen=True)
 class TransversalConfig:
     """Budget of the searches: seeded multistart pattern search with starts
-    starts of at most iters steps each, from step size step_init shrunk by
-    step_decay; zero_tol is the accepted norm of a Borsuk zero, and
-    angle_resolution the grid of the exhaustive real d = 2 sweep."""
+    starts of at most iters steps each (from step size STEP_INIT shrunk by
+    STEP_DECAY); zero_tol is the accepted norm of a Borsuk zero.  The
+    exhaustive real d = 2 sweep uses the fixed grid ANGLE_RESOLUTION."""
 
     starts: int = 32
     iters: int = 2000
-    step_init: float = 0.5
-    step_decay: float = 0.7
     zero_tol: float = ZERO_TOL
     seed: int = 0
-    angle_resolution: int = 10000  # exhaustive grid for the real d=2 sweep
 
     def __post_init__(self):
         if self.starts < 1:
@@ -165,22 +164,10 @@ def _phi_targets(family: Family, phi) -> np.ndarray:
     return out
 
 
-class _BorsukBatch:
-    """Batched evaluation of f over the unit sphere of C^{d+1}."""
-
-    def __init__(self, embedded: Family, phi):
-        self.poly = _PolygonBatch(embedded)
-        self.phi = _phi_targets(embedded, phi)  # (n_sets, d-1)
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return self.from_closest(self.poly.closest_all(X))
-
-    def from_closest(self, P: np.ndarray) -> np.ndarray:
-        """f from the (m, n_sets) closest coefficients: (m, d) values."""
-        return np.column_stack([P.sum(axis=1), np.conj(P) @ self.phi])
-
-    def norms(self, X: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.values(X), axis=1)
+def _borsuk_values(P: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """f from the (m, n_sets) closest coefficients P and the (n_sets, d-1)
+    targets phi of :func:`_phi_targets`: (m, d) values."""
+    return np.column_stack([P.sum(axis=1), np.conj(P) @ phi])
 
 
 def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: float,
@@ -194,7 +181,7 @@ def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: f
     u = np.array(u0, dtype=float)
     u[unit] /= np.linalg.norm(u0[unit])
     val = float(objective(u[None, :])[0])
-    step = config.step_init
+    step = STEP_INIT
     eye = np.eye(u.shape[0])
     for _ in range(config.iters):
         if val <= target or step < 1e-13:
@@ -207,7 +194,7 @@ def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: f
             u = cands[j]
             val = float(vals[j])
         else:
-            step *= config.step_decay
+            step *= STEP_DECAY
     return u, val
 
 
@@ -254,7 +241,7 @@ def real_hyperplane_transversal(family: Family, config: TransversalConfig | None
         return NotFound("projection intervals disjoint", best=g, exhaustive=True,
                         note="d=1 direction set is exhaustive")
     if d == 2:
-        m = config.angle_resolution
+        m = ANGLE_RESOLUTION
         theta = np.linspace(0.0, np.pi, m, endpoint=False)
         g = _interval_margin(family, np.column_stack([np.cos(theta), np.sin(theta)]))
         j = int(np.argmax(g))
@@ -460,11 +447,13 @@ def borsuk_map(x: SpherePoint, embedded: Family, phi) -> BorsukEvaluation:
     """f(x) = sum_F (p_{x,F}, conj(p_{x,F}) phi(F)) for a family embedded in
     the slice {z_{d+1} = 1}; phi maps family order to C^{d-1} rows (a raw
     array or a witness object)."""
-    ev = _BorsukBatch(embedded, phi)
+    poly = _PolygonBatch(embedded)
+    targets = _phi_targets(embedded, phi)
     if embedded.dim != x.dim:
         raise ValueError("family must be embedded in the sphere's dimension")
-    P = ev.poly.closest_all(x.coords[None, :])
-    return BorsukEvaluation(x, ev.from_closest(P)[0], tuple(zip(embedded.labels, P[0].tolist())))
+    P = poly.closest_all(x.coords[None, :])
+    return BorsukEvaluation(x, _borsuk_values(P, targets)[0],
+                            tuple(zip(embedded.labels, P[0].tolist())))
 
 
 def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = None):
@@ -472,14 +461,16 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
     C^{d+1}; success at ||f|| <= config.zero_tol with the pole guard
     enforced (pole-adjacent minima are rejected and the next start runs)."""
     config = config or TransversalConfig()
-    ev = _BorsukBatch(embedded, phi)
+    poly = _PolygonBatch(embedded)
+    targets = _phi_targets(embedded, phi)
     n = 2 * embedded.dim
     rng = np.random.default_rng(config.seed)
     best_val = np.inf
     best_u = None
 
     def norms(U: np.ndarray) -> np.ndarray:
-        return ev.norms(real_to_complex(U))
+        P = poly.closest_all(real_to_complex(U))
+        return np.linalg.norm(_borsuk_values(P, targets), axis=1)
 
     for _ in range(config.starts):
         u0 = rng.standard_normal(n)

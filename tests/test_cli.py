@@ -147,6 +147,23 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
             assert main(["plot", str(bad_planted), "-o", str(svg)]) == 2
             captured = capsys.readouterr()
             assert "offset must be finite" in captured.err and "max distance" not in captured.out
+    # a number beyond float range is an input error as well: a 401-digit
+    # integer overflows float(), and json reads 1e400 as inf, which
+    # overflows int()
+    huge = 10 ** 400
+    t.write_text(json.dumps({"normal": [[1, 0]], "offset": [huge, 0]}))
+    assert main(["verify", str(planted), "--transversal", str(t)]) == 2
+    assert main(["plot", str(planted), "--transversal", str(t), "-o", str(svg)]) == 2
+    doc = json.loads(planted.read_text())
+    doc["sets"][0]["vertices"][0] = [[huge, 0]]
+    big_vertex = tmp_path / "big_vertex.json"
+    big_vertex.write_text(json.dumps(doc))
+    assert main(["check", str(big_vertex)]) == 2
+    big_seed = tmp_path / "big_seed.json"
+    big_seed.write_text(json.dumps(dict(json.loads(planted.read_text()), seed=0))
+                        .replace('"seed": 0', '"seed": 1e400'))
+    assert main(["check", str(big_seed)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_real_hyperplane_codec_round_trip(tmp_path, capsys):

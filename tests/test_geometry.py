@@ -12,19 +12,16 @@ from tvlab.geometry import (
     Family,
     PoleError,
     Polytope,
-    ProjectedPolygon,
     SpherePoint,
     _closest_rows,
-    closest_coeff,
     complex_to_real,
     embed_family,
-    embed_h,
     embed_polytope,
     hermitian_inner,
     hyperplane_from_sphere_point,
-    project_polytope,
     real_to_complex,
 )
+from tvlab.transversal import _PolygonBatch
 
 
 def _inner_oracle(u, v):
@@ -86,15 +83,17 @@ def test_inner_dimension_mismatch():
 
 
 def test_embed_h_examples():
-    assert np.array_equal(embed_h([0]), np.array([0, 1], dtype=complex))
-    assert np.array_equal(embed_h([1 + 1j, 2]), np.array([1 + 1j, 2, 1], dtype=complex))
+    e = embed_polytope(Polytope("complex", [[0]])).vertices
+    assert np.array_equal(e[0], np.array([0, 1], dtype=complex))
+    e = embed_polytope(Polytope("complex", [[1 + 1j, 2]])).vertices
+    assert np.array_equal(e[0], np.array([1 + 1j, 2, 1], dtype=complex))
 
 
 def test_embed_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.array_equal(embed_h(z)[:-1], z)
+        assert np.array_equal(embed_polytope(Polytope("complex", [z])).vertices[0, :-1], z)
 
 
 def test_real_complex_views_invert():
@@ -142,14 +141,24 @@ def test_sphere_point_norm_enforced():
     assert np.allclose((-x).coords, -x.coords)
 
 
-# -- project_polytope --------------------------------------------------------
+# -- projection onto a complex line -------------------------------------------
+#
+# A set with one vertex v projects to the single coefficient <v, x>, which is
+# then its own closest coefficient, so a family of one-vertex sets reads the
+# projection off _PolygonBatch.closest_all.
+
+
+def _vertex_sets(v) -> Family:
+    """One single-vertex set per row of v."""
+    return Family(tuple(f"v{i}" for i in range(len(v))),
+                  tuple(Polytope("complex", row[None, :]) for row in v))
 
 
 def test_project_axis_direction():
     x = SpherePoint(np.array([1, 0, 0], dtype=complex))
-    f = Polytope("complex", np.array([[3, 0, 1], [5, 0, 1]], dtype=complex))
-    poly = project_polytope(x, f)
-    assert sorted(poly.vertices, key=lambda c: c.real) == [3, 5]
+    f = np.array([[3, 0, 1], [5, 0, 1]], dtype=complex)
+    coeffs = _PolygonBatch(_vertex_sets(f)).closest_all(x.coords[None, :])[0]
+    assert sorted(coeffs, key=lambda c: c.real) == [3, 5]
 
 
 def test_project_last_axis_gives_ones():
@@ -157,8 +166,8 @@ def test_project_last_axis_gives_ones():
     rng = np.random.default_rng(4)
     v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     f = embed_polytope(Polytope("complex", v))
-    poly = project_polytope(x, f)
-    assert all(c == pytest.approx(1.0) for c in poly.vertices)
+    coeffs = _PolygonBatch(_vertex_sets(f.vertices)).closest_all(x.coords[None, :])[0]
+    assert all(c == pytest.approx(1.0) for c in coeffs)
 
 
 def test_project_matches_inner_product_oracle():
@@ -166,46 +175,40 @@ def test_project_matches_inner_product_oracle():
     for _ in range(25):
         x = _random_sphere_point(rng, 3)
         v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        poly = project_polytope(x, Polytope("complex", v))
-        for row, c in zip(v, poly.vertices):
+        coeffs = _PolygonBatch(_vertex_sets(v)).closest_all(x.coords[None, :])[0]
+        for row, c in zip(v, coeffs):
             assert c == pytest.approx(_inner_oracle(row, x.coords), abs=1e-12)
 
 
 def test_project_dimension_mismatch():
     x = SpherePoint(np.array([1, 0], dtype=complex))
-    f = Polytope("complex", np.array([[1, 2, 3]], dtype=complex))
+    f = Family(("F",), (Polytope("complex", np.array([[1, 2, 3]], dtype=complex)),))
     with pytest.raises(ValueError):
-        project_polytope(x, f)
+        _PolygonBatch(f).closest_all(x.coords[None, :])
 
 
-# -- closest_coeff -----------------------------------------------------------
+# -- closest coefficients ------------------------------------------------------
 
 
 def test_closest_real_segment():
-    poly = ProjectedPolygon(np.array([1, 0], dtype=complex), (3 + 0j, 5 + 0j))
-    assert closest_coeff(poly) == 3
+    assert _closest_rows(np.array([[3 + 0j, 5 + 0j]]))[0][0] == 3
 
 
 def test_closest_origin_inside():
     square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
-    poly = ProjectedPolygon(np.array([1], dtype=complex), square)
-    assert closest_coeff(poly) == 0
+    assert _closest_rows(np.array([square]))[0][0] == 0
 
 
 def test_closest_vertical_segment():
-    poly = ProjectedPolygon(np.array([1], dtype=complex), (1 + 1j, 1 - 1j))
-    got = closest_coeff(poly)
+    got = _closest_rows(np.array([[1 + 1j, 1 - 1j]]))[0][0]
     assert got == pytest.approx(1.0)
     assert got == pytest.approx(_segment_closest_oracle((1, 1), (1, -1)))
 
 
 def test_closest_singleton_and_degenerate():
-    one = ProjectedPolygon(np.array([1], dtype=complex), (2 - 1j,))
-    assert closest_coeff(one) == 2 - 1j
-    dup = ProjectedPolygon(np.array([1], dtype=complex), (2 - 1j, 2 - 1j, 2 - 1j))
-    assert closest_coeff(dup) == 2 - 1j
-    collinear = ProjectedPolygon(np.array([1], dtype=complex), (1 + 0j, 3 + 0j, 2 + 0j))
-    assert closest_coeff(collinear) == 1
+    assert _closest_rows(np.array([[2 - 1j]]))[0][0] == 2 - 1j
+    assert _closest_rows(np.array([[2 - 1j, 2 - 1j, 2 - 1j]]))[0][0] == 2 - 1j
+    assert _closest_rows(np.array([[1 + 0j, 3 + 0j, 2 + 0j]]))[0][0] == 1
 
 
 def _origin_in_some_triangle(pts):
@@ -239,11 +242,10 @@ def test_closest_matches_edge_oracle_random():
     rng = np.random.default_rng(6)
     cases = [rng.standard_normal(5) + 2.0 + 1j * rng.standard_normal(5) for _ in range(200)]
     for pts in cases + [np.array(c) for c in DEGENERATE]:
-        poly = ProjectedPolygon(np.array([1], dtype=complex), tuple(pts.tolist()))
-        got = closest_coeff(poly)
         # repeating the last vertex, as a padded block row does, keeps the bits
         padded = np.concatenate([pts, np.repeat(pts[-1:], 3)])
         q = _closest_rows(pts[None, :])[0]
+        got = q[0]
         assert _closest_rows(padded[None, :])[0].tobytes() == q.tobytes()
         if _origin_in_some_triangle(pts):
             assert got == 0
@@ -265,8 +267,7 @@ def test_projection_variational_inequality():
     for _ in range(300):
         n = rng.integers(1, 7)
         pts = rng.standard_normal(n) * 2 + 1j * rng.standard_normal(n) * 2
-        poly = ProjectedPolygon(np.array([1], dtype=complex), tuple(pts.tolist()))
-        q = closest_coeff(poly)
+        q = _closest_rows(pts[None, :])[0][0]
         for c in pts:
             assert (np.conj(q) * c).real >= abs(q) ** 2 - 1e-9
 
@@ -276,9 +277,8 @@ def test_antipodal_flip():
     for _ in range(100):
         x = _random_sphere_point(rng, 3)
         v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        f = Polytope("complex", v)
-        p_pos = closest_coeff(project_polytope(x, f))
-        p_neg = closest_coeff(project_polytope(-x, f))
+        f = Family(("F",), (Polytope("complex", v),))
+        p_pos, p_neg = _PolygonBatch(f).closest_all(np.array([x.coords, (-x).coords]))[:, 0]
         assert p_neg == pytest.approx(-p_pos, abs=1e-10)
 
 
@@ -287,14 +287,13 @@ def test_projection_continuity_probe():
     for _ in range(100):
         x = _random_sphere_point(rng, 3)
         v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        f = Polytope("complex", v)
+        f = Family(("F",), (Polytope("complex", v),))
         bound = 10.0 * float(np.max(np.linalg.norm(v, axis=1)))
         delta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         delta *= 1e-6 / np.linalg.norm(delta)
         y = SpherePoint.normalized(x.coords + delta)
         step = float(np.linalg.norm(y.coords - x.coords))
-        p_x = closest_coeff(project_polytope(x, f))
-        p_y = closest_coeff(project_polytope(y, f))
+        p_x, p_y = _PolygonBatch(f).closest_all(np.array([x.coords, y.coords]))[:, 0]
         assert abs(p_y - p_x) <= bound * step + 1e-12
 
 
@@ -333,7 +332,8 @@ def test_recovered_hyperplane_substitutes_back():
             w = w - hermitian_inner(w, h.normal) * h.normal
             z = z0 + w
             assert h.residual(z) < 1e-10
-            assert abs(hermitian_inner(embed_h(z), x.coords)) < 1e-10
+            z_h = embed_polytope(Polytope("complex", [z])).vertices[0]
+            assert abs(hermitian_inner(z_h, x.coords)) < 1e-10
 
 
 def test_hyperplane_membership_iff_embedded_orthogonal():
@@ -342,8 +342,9 @@ def test_hyperplane_membership_iff_embedded_orthogonal():
     h = hyperplane_from_sphere_point(x)
     z_on = h.offset * h.normal
     z_off = z_on + h.normal  # move along the normal leaves the plane
-    assert abs(hermitian_inner(embed_h(z_on), x.coords)) < 1e-10
-    assert abs(hermitian_inner(embed_h(z_off), x.coords)) > 1e-3
+    on_h, off_h = embed_polytope(Polytope("complex", [z_on, z_off])).vertices
+    assert abs(hermitian_inner(on_h, x.coords)) < 1e-10
+    assert abs(hermitian_inner(off_h, x.coords)) > 1e-3
     assert h.residual(z_off) > 1e-3
 
 

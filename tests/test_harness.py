@@ -26,7 +26,7 @@ from tvlab.harness import (
     write_instance,
     write_report,
 )
-from tvlab.lp import flat_meets_polytope
+from tvlab.lp import _flat_program, certify
 from tvlab.transversal import RealHyperplane, verify_transversal
 
 
@@ -208,7 +208,8 @@ def test_witness_fallback_projects_nearest_set_point():
     seg = np.array([(b + miss - 0.3j) * a + 0.2 * e, (b + miss + 0.3j) * a - 0.4 * e])
     family = Family(inst.family.labels + ("X",), inst.family.sets + (Polytope("complex", seg),))
     assert verify_transversal(T, family, tol=1e-6).passed
-    assert not flat_meets_polytope([(a, b)], family["X"])[0].feasible
+    rows, rhs = _flat_program([(a, b)], family["X"])
+    assert next(certify(rows[None], rhs[None]))[0] is None
     w = witness_from_transversal(Instance(family), T, tol=1e-6)
     point = b * a + basis.T @ w.point_of("X")
     assert abs(hermitian_inner(point, a) - b) < 1e-12  # on T

@@ -15,7 +15,8 @@ from tvlab.geometry import Polytope
 from tvlab.lp import (
     LinearProgram,
     UnboundedError,
-    flat_meets_polytope,
+    _flat_program,
+    certify,
     hulls_intersect,
     kirchberger_separated,
     lp_feasible,
@@ -259,27 +260,32 @@ def test_kirchberger_reads_complex_points_in_r2m():
         kirchberger_separated(np.array([[1j]]), np.array([[-1j]]), 1)
 
 
-# -- flat_meets_polytope -------------------------------------------------------
+# -- flat programs -------------------------------------------------------------
 
 
 def test_flat_meets_segment():
     seg = Polytope("complex", np.array([[1 + 0j, 0j], [-1 + 0j, 0j]]))
-    cert, point = flat_meets_polytope([(np.array([1, 0], dtype=complex), 0.0)], seg)
-    assert cert.feasible
+    rows, rhs = _flat_program([(np.array([1, 0], dtype=complex), 0.0)], seg)
+    lam, farkas = next(certify(rows[None], rhs[None]))
+    assert lam is not None
+    point = np.asarray(lam, dtype=float) @ seg.vertices
     assert abs(point[0]) < 1e-9
 
 
 def test_flat_misses_singleton():
     pt = Polytope("complex", np.array([[1 + 0j, 0j]]))
-    cert, point = flat_meets_polytope([(np.array([1, 0], dtype=complex), 0.0)], pt)
-    assert not cert.feasible and point is None
+    rows, rhs = _flat_program([(np.array([1, 0], dtype=complex), 0.0)], pt)
+    lam, farkas = next(certify(rows[None], rhs[None]))
+    assert lam is None and farkas is not None
 
 
 def test_flat_conjugation_convention():
     # <z, a> = z * conj(a); a = i and rhs = i force -i*z = i, i.e. z = -1
     seg = Polytope("complex", np.array([[-2 + 0j], [2 + 0j]]))
-    cert, point = flat_meets_polytope([(np.array([1j]), 1j)], seg)
-    assert cert.feasible
+    rows, rhs = _flat_program([(np.array([1j]), 1j)], seg)
+    lam, farkas = next(certify(rows[None], rhs[None]))
+    assert lam is not None
+    point = np.asarray(lam, dtype=float) @ seg.vertices
     assert point[0] == pytest.approx(-1.0)
 
 

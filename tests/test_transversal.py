@@ -20,7 +20,8 @@ from tvlab.transversal import (
     NotFound,
     RealHyperplane,
     TransversalConfig,
-    _BorsukBatch,
+    _borsuk_values,
+    _PolygonBatch,
     borsuk_map,
     borsuk_zero_dependence,
     complex_transversal_for_normal,
@@ -353,10 +354,9 @@ def test_borsuk_map_batch_agreement():
     # sets of unequal size, so the batch pads them to one block
     fam = _family("complex", *[_random_complex(rng, (n, 3)) for n in (4, 2, 5, 1)])
     phi = _random_complex(rng, (4, 1))
-    batch = _BorsukBatch(fam, phi)
     X = _random_complex(rng, (16, 3))
     X /= np.linalg.norm(X, axis=1)[:, None]
-    V = batch.values(X)
+    V = _borsuk_values(_PolygonBatch(fam).closest_all(X), phi)
     for i in range(X.shape[0]):
         # both share the closest-point kernel, so check both on the oracle
         p = np.array([_closest_oracle(poly.vertices @ np.conj(X[i])) for poly in fam.sets])

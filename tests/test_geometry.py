@@ -4,6 +4,8 @@ oracles and the variational/antipodal/continuity properties."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,80 @@ def test_projection_continuity_probe():
         step = float(np.linalg.norm(y.coords - x.coords))
         p_x, p_y = _PolygonBatch(f).closest_all(np.array([x.coords, y.coords]))[:, 0]
         assert abs(p_y - p_x) <= bound * step + 1e-12
+
+
+def _mixed_family() -> Family:
+    """Sets of 1 to 7 vertices in C^3 (one set with a duplicated vertex),
+    at magnitudes from 1e-3 to 1e3."""
+    rng = np.random.default_rng(41)
+    sets = []
+    for i, n in enumerate((3, 1, 7, 4, 2, 6, 5, 1, 4)):
+        v = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))) * 10.0 ** (i % 7 - 3)
+        if n == 4 and i == 3:
+            v[2] = v[0]
+        sets.append(Polytope("complex", v))
+    return Family(tuple(f"S{i}" for i in range(len(sets))), tuple(sets))
+
+
+# sha256 of closest_all on the mixed family (without and with a shift per
+# row), recorded when each set was still projected in its own product
+CLOSEST_ALL_DIGESTS = {
+    False: "2a18f22c1f6fec3201a3089b3e1619260610d4d5b60a3f2e9591a48d588e9635",
+    True: "6c7a1ccae8616095a994f3b1844c5f7a5368869bcaa3ecb39f570ee80cafc0e6",
+}
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_closest_all_keeps_recorded_bits(shifted):
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((13, 3)) + 1j * rng.standard_normal((13, 3))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    shift = rng.standard_normal(13) + 1j * rng.standard_normal(13) if shifted else None
+    P = _PolygonBatch(_mixed_family()).closest_all(X, shift=shift)
+    assert P.shape == (13, 9)
+    assert hashlib.sha256(P.tobytes()).hexdigest() == CLOSEST_ALL_DIGESTS[shifted]
+
+
+def _kernel_block():
+    """Rows of four coefficients: coincident vertices (zero-length pairs),
+    the origin inside, on an edge and as a vertex, single vertices repeated
+    as padding, and random rows at magnitudes from 1e-3 to 1e3."""
+    rng = np.random.default_rng(47)
+    rows = [
+        [1 + 1j, 1 + 1j, 2 - 1j, 2 - 1j],
+        [3 + 0j, 3 + 0j, 3 + 0j, 5 + 0j],
+        [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j],
+        [-1 - 1j, 1 + 1j, 2 - 1j, 2 - 1j],
+        [0j, 1 + 1j, 1 - 1j, 1 - 1j],
+        [2 - 1j] * 4,
+        [0j] * 4,
+        [-0.5 + 2j] * 4,
+    ]
+    for k in range(-3, 4):
+        rows.append((rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 10.0**k)
+        rows.append((rng.standard_normal(4) + 1j * rng.standard_normal(4) + 3) * 10.0**k)
+    return np.array(rows, dtype=complex)
+
+
+def _kernel_digest(C):
+    h = hashlib.sha256()
+    for out in _closest_rows(C):
+        h.update(repr(out.shape).encode())
+        h.update(np.ascontiguousarray(out).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (q, best, t) of _closest_rows on the block above and on its
+# first column alone, recorded with the kernel's nested np.where form
+KERNEL_DIGESTS = {
+    4: "dd3b0d017bd578103729ca180386d18a063082f3d40a9f20676fd28448854bc9",
+    1: "3b0f65a4374f9f19afbbcad802ef0c45bedd49bf4fee4fa8e961ee0ab2d31d0f",
+}
+
+
+@pytest.mark.parametrize("width", list(KERNEL_DIGESTS))
+def test_closest_rows_keeps_recorded_bits(width):
+    assert _kernel_digest(_kernel_block()[:, :width]) == KERNEL_DIGESTS[width]
 
 
 # -- hyperplane recovery -----------------------------------------------------

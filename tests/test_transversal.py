@@ -3,6 +3,8 @@ LP offset recovery, the odd sphere map, its zero finder, and verification."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tvlab.geometry import (
     hermitian_inner,
     hyperplane_from_sphere_point,
 )
+from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
 from tvlab.transversal import (
     NotFound,
     RealHyperplane,
@@ -568,3 +571,62 @@ def test_verify_rejects_mismatches():
     T = ComplexHyperplane(np.array([1.0 + 0j, 0j]), 0j)
     with pytest.raises(ValueError):
         verify_transversal(T, fam)
+
+
+# -- recorded bits of the searches ----------------------------------------------
+
+
+def _search_case(d, n_sets, planted, seed):
+    """A generated family with a witness: the planted transversal's frame
+    for planted families, seeded Gaussian targets in C^{d-1} otherwise.
+    n_sets = 0 joins sets of 2 and 5 vertices (a planted one of 4 plus its
+    on-hyperplane vertex), so the searches see mixed vertex counts."""
+    if n_sets == 0:
+        small = gen_instance(GenSpec(d=d, n_sets=3, vertices_per_set=2, seed=seed))
+        big = gen_instance(GenSpec(d=d, n_sets=3, planted=True, seed=seed + 1))
+        sets = small.family.sets + big.family.sets
+        fam = Family(tuple(f"S{i}" for i in range(len(sets))), sets)
+    else:
+        inst = gen_instance(GenSpec(d=d, n_sets=n_sets, planted=planted, seed=seed))
+        fam = inst.family
+        if planted:
+            return fam, witness_from_transversal(inst, inst.planted)
+    rng = np.random.default_rng([seed, 1])
+    return fam, _random_complex(rng, (len(fam.sets), d - 1))
+
+
+def _search_digest(results):
+    h = hashlib.sha256()
+    for res in results:
+        h.update(type(res).__name__.encode())
+        if isinstance(res, NotFound):
+            h.update(f"{res.best.hex()};".encode())
+            h.update(b"-" if res.x is None else np.asarray(res.x).tobytes())
+        elif isinstance(res, ComplexHyperplane):
+            h.update(res.normal.tobytes())
+            h.update(f"{res.offset.real.hex()},{res.offset.imag.hex()};".encode())
+        else:
+            h.update(res.coords.tobytes())
+    return h.hexdigest()
+
+
+# sha256 over the hyperplane, sphere-point or NotFound (best, x) bits of the
+# direction search and the zero finder on seeded families at a small budget,
+# recorded when closest_all still projected each set in its own product
+SEARCH_DIGESTS = {
+    (2, 4, True, 3): "97602e3e2233dce7de0ff0f94581fb03a3b4b5d074db1ea826eb6178429fb1d3",
+    (2, 9, False, 31): "7c1f15b199a818641eb6fa534c7e26e7ae983794d39eff25faba3650ebfa5b16",
+    (2, 10, False, 7): "481864aedaf43a57a44474416da00b3f26d886044e90f037e846a403258226a8",
+    (2, 0, False, 12): "3cf61ddbfe8f0639be7e30146b0c47a15a849c37f5f5f86535f600ac3f07ebaf",
+    (3, 5, True, 5): "5080a2d6f3db52098614d8afe1d1b1b1dd869c8a906b1eefaa264e76a16f71de",
+    (3, 6, False, 8): "54101016811b7791776754bbda4d2337f3679ad8d775457c46da3724289b42d0",
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCH_DIGESTS), ids=str)
+def test_searches_keep_recorded_bits(case):
+    fam, phi = _search_case(*case)
+    cfg = TransversalConfig(starts=2, iters=100, seed=case[-1])
+    direction = find_complex_transversal(fam, cfg)
+    zero = find_borsuk_zero(embed_family(fam), phi, cfg)
+    assert _search_digest([direction, zero]) == SEARCH_DIGESTS[case]

@@ -281,23 +281,30 @@ def _closest_rows(C: np.ndarray):
     inside, i.e. when the angles of the row's points leave no gap wider
     than pi, with no slack), the index k of the first pair whose segment
     holds the closest point, and the (m, n_pairs) nearest-point parameters t
-    on every segment.  Repeating a row's last vertex leaves q unchanged, so
-    polygons of different sizes share one block padded that way."""
+    on every segment (0 on a zero-length segment, without a division by
+    zero).  Repeating a row's last point leaves q unchanged, so polygons of
+    different vertex counts share one block padded that way in coefficient
+    space."""
     i1, i2 = _vertex_pairs(C.shape[1])
     A = C[:, i1]
     D = C[:, i2] - A
     dd = (D * np.conj(D)).real
-    num = -(np.conj(D) * A).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dd > 0.0, np.clip(num / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0), 0.0)
+    seg = dd > 0.0  # zero-length pairs divide by 1 and then get t = 0
+    t = -(np.conj(D) * A).real / np.where(seg, dd, 1.0)
+    t.clip(0.0, 1.0, out=t)
+    t[~seg] = 0.0
     Q = A + t * D
-    best = np.argmin(np.abs(Q), axis=1)
+    best = np.abs(Q).argmin(axis=1)
     q = Q[np.arange(C.shape[0]), best]
-    ang = np.sort(np.angle(C), axis=1)
-    maxgap = 2.0 * np.pi - (ang[:, -1] - ang[:, 0])
+    # sorted angles, one column per row, so the gaps reduce across rows
+    ang = np.arctan2(C.imag, C.real)
+    ang.sort(axis=1)
+    ang = ang.T.copy()
+    maxgap = 2.0 * np.pi - (ang[-1] - ang[0])
     if C.shape[1] > 1:
-        maxgap = np.maximum(np.diff(ang, axis=1).max(axis=1), maxgap)
-    return np.where(maxgap <= np.pi, 0.0 + 0.0j, q), best, t
+        np.maximum((ang[1:] - ang[:-1]).max(axis=0), maxgap, out=maxgap)
+    q[maxgap <= np.pi] = 0.0
+    return q, best, t
 
 
 def hyperplane_from_sphere_point(x0: SpherePoint) -> ComplexHyperplane:

@@ -119,11 +119,17 @@ class VerificationReport:
 # shared batched evaluator
 #
 # Pattern search spends nearly all its time evaluating closest polygon
-# points for a batch of candidate directions.  Each set's coefficients come
-# from its own complex matrix product; the sets are padded to a common vertex
-# count by repeating their last vertex and stacked, so that one call of the
-# geometry kernel answers the whole batch.  Verification and single-point
-# evaluations of f are one-row batches.
+# points for a batch of candidate directions.  The sets are grouped by vertex
+# count, and each group's vertex columns are stacked once, so that the
+# coefficients of a whole group come from one stacked complex matrix product
+# (one product in all for the generated families, whose sets share a vertex
+# count).  The groups are written into one block padded in coefficient space
+# to the largest vertex count by repeating each set's last coefficient, and
+# one call of the geometry kernel answers the whole batch.  Each slice of the
+# stacked product is the product a set would get on its own: padding the
+# vertices instead, or one product over all sets' vertices concatenated,
+# changes the shape BLAS sees and with it the low bits of the coefficients.
+# Verification and single-point evaluations of f are one-row batches.
 
 
 class _PolygonBatch:
@@ -131,22 +137,32 @@ class _PolygonBatch:
     directions, vectorized."""
 
     def __init__(self, family: Family):
-        self.verts = [np.asarray(p.vertices, dtype=complex) for p in family.sets]
-        self.width = max(V.shape[0] for V in self.verts)
+        by_count = {}
+        for s, p in enumerate(family.sets):
+            by_count.setdefault(p.n_vertices, []).append(s)
+        self.n_sets = len(family.sets)
+        self.width = max(by_count)
+        # (set indices, (k, dim, n) transposed view of the stacked vertices)
+        self.groups = [
+            (np.array(idx), np.array([family.sets[s].vertices for s in idx]).transpose(0, 2, 1))
+            for idx in by_count.values()
+        ]
 
     def closest_all(self, X: np.ndarray, shift=None):
         """(m, n_sets) closest coefficients; shift translates each row's
         polygon by -shift[row] first (distance-to-point queries)."""
         cX = np.conj(X)
-        block = np.empty((len(self.verts), X.shape[0], self.width), dtype=complex)
-        for s, V in enumerate(self.verts):
-            n = V.shape[0]
-            block[s, :, :n] = cX @ V.T
-            block[s, :, n:] = block[s, :, n - 1 : n]
+        block = np.empty((self.n_sets, X.shape[0], self.width), dtype=complex)
+        for idx, cols in self.groups:
+            n = cols.shape[2]
+            coeffs = cX @ cols
+            block[idx, :, :n] = coeffs
+            if n < self.width:
+                block[idx, :, n:] = coeffs[:, :, n - 1 : n]
         if shift is not None:
             block -= shift[:, None]
         q = _closest_rows(block.reshape(-1, self.width))[0]
-        return q.reshape(len(self.verts), X.shape[0]).T
+        return q.reshape(self.n_sets, X.shape[0]).T
 
 
 def _phi_targets(family: Family, phi) -> np.ndarray:
@@ -183,13 +199,15 @@ def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: f
     val = float(objective(u[None, :])[0])
     step = STEP_INIT
     eye = np.eye(u.shape[0])
+    stencil = np.vstack([eye, -eye])  # the +-step moves along each axis
     for _ in range(config.iters):
         if val <= target or step < 1e-13:
             break
-        cands = np.vstack([u + step * eye, u - step * eye])
-        cands[:, unit] /= np.linalg.norm(cands[:, unit], axis=1)[:, None]
+        cands = u + step * stencil
+        part = cands[:, unit]  # a view: normalised in place, as np.linalg.norm sums
+        part /= np.sqrt((part * part).sum(axis=1))[:, None]
         vals = objective(cands)
-        j = int(np.argmin(vals))
+        j = int(vals.argmin())
         if vals[j] < val - 1e-16:
             u = cands[j]
             val = float(vals[j])

@@ -5,6 +5,7 @@ oracles and the variational/antipodal/continuity properties."""
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tvlab.geometry import (
     Polytope,
     SpherePoint,
     _closest_rows,
+    _vertex_pairs,
     complex_to_real,
     embed_family,
     embed_polytope,
@@ -297,6 +299,27 @@ def test_projection_continuity_probe():
         step = float(np.linalg.norm(y.coords - x.coords))
         p_x, p_y = _PolygonBatch(f).closest_all(np.array([x.coords, y.coords]))[:, 0]
         assert abs(p_y - p_x) <= bound * step + 1e-12
+
+
+def test_closest_rows_coincident_vertices_warn_nothing():
+    # zero-length segments get t = 0 without a 0/0 or x/0 division
+    C = np.array(
+        [
+            [1 + 1j, 1 + 1j, 2 - 1j],
+            [2 - 1j] * 3,
+            [0j] * 3,
+            [0j, 0j, 1 + 0j],
+            [1e-300 + 0j, 1e-300 + 0j, -1e-300j],
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, _, t = _closest_rows(C)
+    i1, i2 = _vertex_pairs(C.shape[1])
+    coincident = C[:, i1] == C[:, i2]
+    assert coincident.sum() > C.shape[0] * C.shape[1]
+    assert np.all(t[coincident] == 0.0)
+    assert q[1] == 2 - 1j and q[2] == 0 and q[3] == 0
 
 
 def _mixed_family() -> Family:

@@ -39,8 +39,9 @@ from .transversal import (
 
 
 # What reading a malformed or unreadable input can raise; each is a usage
-# error (exit 2).  OverflowError: a number beyond float range.
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
+# error (exit 2).  OverflowError: a number beyond float range; RecursionError:
+# JSON nested deeper than the decoder's recursion limit.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 def _load_instance(path: str) -> Instance:

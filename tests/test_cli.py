@@ -196,6 +196,25 @@ def test_equiv_writes_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_input_is_usage_error(tmp_path, capsys):
+    # nested past the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--d", "2", "--sets", "2", "--planted", "-o", str(inst)]) == 0
+    svg = tmp_path / "out.svg"
+    for args in (
+        ["check", str(deep)],
+        ["verify", str(deep), "--transversal", str(inst)],
+        ["verify", str(inst), "--transversal", str(deep)],
+        ["plot", str(deep), "-o", str(svg)],
+        ["plot", str(inst), "--transversal", str(deep), "-o", str(svg)],
+    ):
+        assert main(args) == 2, args
+        assert "error" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_plot_d1_and_panels(tmp_path):
     inst1 = tmp_path / "d1.json"
     svg1 = tmp_path / "d1.svg"

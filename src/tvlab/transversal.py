@@ -144,7 +144,8 @@ class _PolygonBatch:
         self.width = max(by_count)
         # (set indices, (k, dim, n) transposed view of the stacked vertices)
         self.groups = [
-            (np.array(idx), np.array([family.sets[s].vertices for s in idx]).transpose(0, 2, 1))
+            (np.array(idx),
+             np.array([family.sets[s].vertices for s in idx], dtype=complex).transpose(0, 2, 1))
             for idx in by_count.values()
         ]
 
@@ -204,7 +205,7 @@ def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: f
         if val <= target or step < 1e-13:
             break
         cands = u + step * stencil
-        part = cands[:, unit]  # a view: normalised in place, as np.linalg.norm sums
+        part = cands[:, unit]  # a view; the sum of squares np.linalg.norm takes
         part /= np.sqrt((part * part).sum(axis=1))[:, None]
         vals = objective(cands)
         j = int(vals.argmin())

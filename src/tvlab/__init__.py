@@ -51,7 +51,6 @@ from .lp import (
     hulls_intersect,
     kirchberger_separated,
     lp_feasible,
-    nontrivial_zero_in_cone,
 )
 from .plotting import plot_instance
 from .transversal import (
@@ -62,7 +61,6 @@ from .transversal import (
     borsuk_zero_dependence,
     find_borsuk_zero,
     find_complex_transversal,
-    polygon_intersection_margin,
     real_hyperplane_transversal,
     verify_transversal,
 )
@@ -98,9 +96,7 @@ __all__ = [
     "kirchberger_separated",
     "lift_dependence",
     "lp_feasible",
-    "nontrivial_zero_in_cone",
     "plot_instance",
-    "polygon_intersection_margin",
     "read_instance",
     "real_hyperplane_transversal",
     "reduce_dependence_support",

@@ -51,6 +51,14 @@ def _load_instance(path: str) -> Instance:
         raise SystemExit(f"error: cannot read instance {path}: {exc}")
 
 
+def _load_transversal(path: str, ambient: str):
+    try:
+        with open(path) as fh:
+            return _hyperplane_from_json(json.load(fh), ambient)
+    except _READ_ERRORS as exc:
+        raise SystemExit(f"error: cannot read transversal {path}: {exc}")
+
+
 def _cmd_gen(args) -> int:
     spec = GenSpec(
         d=args.d,
@@ -108,7 +116,10 @@ def _cmd_find(args) -> int:
     instance = _load_instance(args.instance)
     family = instance.family
     config = TransversalConfig(starts=args.starts, zero_tol=args.zero_tol, seed=args.seed)
-    if family.ambient == "real" or args.method == "direction":
+    if family.ambient == "real" and args.method == "borsuk":
+        print("error: the borsuk method needs a complex instance", file=sys.stderr)
+        return 2
+    if args.method == "direction":
         if family.ambient == "real":
             result = real_hyperplane_transversal(family, config)
         else:
@@ -161,13 +172,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
-    try:
-        with open(args.transversal) as fh:
-            doc = json.load(fh)
-        T = _hyperplane_from_json(doc, instance.ambient)
-    except _READ_ERRORS as exc:
-        print(f"error: cannot read transversal {args.transversal}: {exc}", file=sys.stderr)
-        return 2
+    T = _load_transversal(args.transversal, instance.ambient)
     rep = verify_transversal(T, instance.family, tol=args.tol)
     for label, dist in rep.distances:
         print(f"{label}: {dist:.3e}")
@@ -194,12 +199,7 @@ def _cmd_plot(args) -> int:
     instance = _load_instance(args.instance)
     T = instance.planted
     if args.transversal:
-        try:
-            with open(args.transversal) as fh:
-                T = _hyperplane_from_json(json.load(fh), instance.ambient)
-        except _READ_ERRORS as exc:
-            print(f"error: cannot read transversal: {exc}", file=sys.stderr)
-            return 2
+        T = _load_transversal(args.transversal, instance.ambient)
     try:
         svg = plot_instance(instance, T)
     except ValueError as exc:

@@ -17,14 +17,14 @@ Two checkers live here:
   whose one escalation path decides alone and exactly every LP that its
   float block leaves uncertified, so every lift equals the one-dependence
   answer.  A block's r, in-set points and residuals are computed as arrays,
-  and a :class:`Lift` object is built only where a verdict keeps one: the
-  worst lift of a pass, every lift under ``keep_lifts``, and the result of
-  :func:`lift_dependence`.  A pass is therefore "pass at budget", while a
-  fail carries an exact Farkas certificate that the cone LP of a
-  float-computed dependence is infeasible.
+  and a :class:`Lift` object is built only for the worst lift of a pass and
+  for the result of :func:`lift_dependence`.  A pass is therefore "pass at
+  budget", while a fail carries an exact Farkas certificate that the cone LP
+  of a float-computed dependence is infeasible.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
-  subfamily pairs of total size at most k+2.
+  subfamily pairs of total size at most k+2, with k the witness's target
+  dimension.
 
 The Caratheodory-style support reducer for oversized dependences is also
 here; it runs in exact integer arithmetic (:mod:`tvlab._exact`).
@@ -168,7 +168,6 @@ class ConsistencyVerdict:
     violation: object = None  # NoLift (complex path) or SeparationViolation
     max_lift_residual: float = 0.0
     worst_lift: Lift | None = None
-    lifts: tuple | None = None  # retained only when requested
 
     @property
     def passed(self) -> bool:
@@ -190,13 +189,12 @@ class ConsistencyConfig:
     """Budget and arithmetic of a consistency check: samples random
     dependences per subfamily whose null space has dimension above one,
     drawn from the seeded generator; exact decides every lift in rational
-    arithmetic; keep_lifts keeps each lift in the verdict.  Null-space rank
-    is decided by the module constant NULLSPACE_TOL."""
+    arithmetic.  Null-space rank is decided by the module constant
+    NULLSPACE_TOL, and a verdict keeps only its worst lift."""
 
     samples: int = 64
     seed: int = 0
     exact: bool = False  # rational arithmetic for every lift decision
-    keep_lifts: bool = False
 
     def __post_init__(self):
         if self.samples < 0:
@@ -207,15 +205,15 @@ class ConsistencyConfig:
 # complex null spaces (column-pivoted elimination)
 
 
-def _complex_nullspace(M: np.ndarray, tol: float = NULLSPACE_TOL):
+def _complex_nullspace(M: np.ndarray):
     """Null-space bases by elimination with full column pivoting, rank decided
-    by the threshold ``tol``: of one complex matrix (m, n), its basis (n,
+    by the threshold NULLSPACE_TOL: of one complex matrix (m, n), its basis (n,
     nullity); of a stack (R, m, n), eliminated at once with each matrix's own
     pivots, row swaps and masked updates (the bits of that matrix alone), the
     bases zero-padded to (R, n, n) and the nullities (R,)."""
     M = np.array(M, dtype=complex)
     if M.ndim == 2:
-        basis, nullity = _complex_nullspace(M[None], tol)
+        basis, nullity = _complex_nullspace(M[None])
         return basis[0, :, : nullity[0]]
     R, m, n = M.shape
     pivoted = np.zeros((R, n), dtype=bool)
@@ -226,7 +224,7 @@ def _complex_nullspace(M: np.ndarray, tol: float = NULLSPACE_TOL):
         sub = sub.reshape(R, -1)
         ij = sub.argmax(axis=1)
         # a stopped matrix is left as it is and its block only shrinks: it stays stopped
-        a = np.flatnonzero(sub[np.arange(R), ij] > tol)
+        a = np.flatnonzero(sub[np.arange(R), ij] > NULLSPACE_TOL)
         if not a.size:
             break
         i, j = np.divmod(ij[a] + row * n, n)  # M's row and column
@@ -258,18 +256,18 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def _canonical_blocks(A: np.ndarray, support_tol: float = SUPPORT_TOL):
+def _canonical_blocks(A: np.ndarray):
     """Canonicalise the candidate rows of a complex block A (N, s) together:
-    unit norm, support |a| > support_tol, then the largest-modulus supported
+    unit norm, support |a| > SUPPORT_TOL, then the largest-modulus supported
     entry rotated real-positive and the row renormalised.  Yields (rows,
     support, coeffs) for each support pattern, in order of first occurrence;
-    rows of norm at most support_tol, or with empty support, are left out.
+    rows of norm at most SUPPORT_TOL, or with empty support, are left out.
     Every row gets the bits of the same steps run on that row alone."""
     nrm = _row_norms(A)
-    keep = np.flatnonzero(nrm > support_tol)
+    keep = np.flatnonzero(nrm > SUPPORT_TOL)
     A = A[keep] / nrm[keep, None]
     groups = {}
-    for r, pattern in enumerate(map(tuple, (np.abs(A) > support_tol).tolist())):
+    for r, pattern in enumerate(map(tuple, (np.abs(A) > SUPPORT_TOL).tolist())):
         groups.setdefault(pattern, []).append(r)
     for pattern, rows in groups.items():
         support = np.flatnonzero(pattern)
@@ -455,6 +453,14 @@ def _lift_block(family: Family, deps, config: ConsistencyConfig):
     return resid, lift, nolift
 
 
+def _require_finite(dep: AffineDependence) -> None:
+    """Raise ValueError unless every coefficient of dep is finite.  Enumerated
+    dependences are finite by construction, so only the public entry points
+    that take a caller's dependence check it."""
+    if not np.isfinite(dep.coeffs).all():
+        raise ValueError("dependence coefficients must be finite")
+
+
 def lift_dependence(
     family: Family, dep: AffineDependence, config: ConsistencyConfig | None = None
 ):
@@ -464,8 +470,9 @@ def lift_dependence(
     definition's lift and convex-cone membership of the origin among the
     per-vertex generators.  Returns a Lift or a NoLift: the dependence is a
     block of one for :func:`_lift_block`, so a NoLift always carries an exact
-    Farkas certificate.
+    Farkas certificate.  Raises ValueError on a non-finite coefficient.
     """
+    _require_finite(dep)
     _, lift, nolift = _lift_block(family, [dep], config or ConsistencyConfig())
     return lift(0) if nolift is None else nolift
 
@@ -485,7 +492,6 @@ def check_dependency_consistency(
     n_circuits = sum(1 for dep in deps if dep.origin == "circuit")
     max_resid = 0.0
     worst = None
-    lifts = [] if config.keep_lifts else None
     for _, block in groupby(deps, key=attrgetter("labels")):
         resid, lift, nolift = _lift_block(family, list(block), config)
         if nolift is not None:
@@ -497,8 +503,6 @@ def check_dependency_consistency(
                 n_sampled=len(deps) - n_circuits,
                 violation=nolift,
             )
-        if lifts is not None:
-            lifts.extend(map(lift, range(len(resid))))
         i = int(resid.argmax())  # the first of equal maxima, as in enumeration order
         if resid[i] > max_resid:
             max_resid, worst = float(resid[i]), lift(i)
@@ -510,7 +514,6 @@ def check_dependency_consistency(
         n_sampled=len(deps) - n_circuits,
         max_lift_residual=max_resid,
         worst_lift=worst,
-        lifts=tuple(lifts) if lifts is not None else None,
     )
 
 
@@ -522,19 +525,17 @@ def _union_vertices(family: Family, labels):
     return np.vstack([family[l].vertices for l in labels])
 
 
-def separates_consistently(
-    family: Family, witness: ConsistencyWitness, k: int | None = None
-) -> ConsistencyVerdict:
+def separates_consistently(family: Family, witness: ConsistencyWitness) -> ConsistencyVerdict:
     """Contrapositive check over all disjoint subfamily pairs of total size
-    at most k+2: intersecting witness images force intersecting hulls."""
+    at most k+2, k the witness's target dimension: intersecting witness
+    images force intersecting hulls."""
     if family.ambient != "real":
         raise ValueError("separates_consistently is a real-ambient check")
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
-    k = witness.k if k is None else k
     labels = family.labels
     n_checked = 0
-    for total in range(2, min(len(labels), k + 2) + 1):
+    for total in range(2, min(len(labels), witness.k + 2) + 1):
         for combo in combinations(range(len(labels)), total):
             # splits with the first member pinned to part one avoid mirror pairs
             rest = combo[1:]
@@ -572,24 +573,24 @@ def separates_consistently(
 
 
 def reduce_dependence_support(
-    dep: AffineDependence, witness: ConsistencyWitness, max_support: int | None = None
+    dep: AffineDependence, witness: ConsistencyWitness
 ) -> AffineDependence:
     """Shrink a dependence to support at most 2k+3 by positive rescalings.
 
     Runs in exact arithmetic on the paired real coordinates of the points
     (a_F phi(F), a_F), in integers (:func:`_exact_generators`); the output
     coefficients are s_F * a_F with s_F > 0 and satisfy both dependence
-    equations to rounding error only.
+    equations to rounding error only.  Raises ValueError on a non-finite
+    coefficient.
     """
+    _require_finite(dep)
     k = witness.k
-    if max_support is None:
-        max_support = 2 * k + 3
     labels = list(dep.labels)
     coeffs = [complex(c) for c in dep.coeffs]
     # column F: s^2 a_F phi(F), s a_F and 1 (the affine row over the q points)
     cols = _exact_generators(coeffs, [witness.point_of(l).reshape(1, k) for l in labels])
     weights = [Fraction(1)] * len(labels)
-    while len(labels) > max_support:
+    while len(labels) > 2 * k + 3:
         z = null_vector(list(zip(*cols)))
         if z is None:
             break  # affinely independent; cannot shrink further

@@ -54,6 +54,8 @@ from .transversal import (
 )
 
 PLANTED_TOL = 1e-9
+WITNESS_TOL = 1e-6  # how far a transversal may miss a set and still give a witness
+LIFT_TOL = Fraction(1, 10**9)  # to which a stored float lift is re-checked in rationals
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +325,23 @@ def _orthonormal_complement(a: np.ndarray) -> np.ndarray:
     return np.conj(Vh[1:])
 
 
-def witness_from_transversal(
-    instance: Instance, T: ComplexHyperplane, tol: float = 1e-6
-) -> ConsistencyWitness:
+def witness_from_transversal(instance: Instance, T: ComplexHyperplane) -> ConsistencyWitness:
     """Frame coordinates on T of one chosen intersection point per set.
 
     The frame origin is the T-point closest to 0 and the basis is a
     Hermitian-orthonormal complement of the normal, so targets live in
     C^{d-1}.  d=1 collapses to the unique witness into C^0.  Raises
-    ValueError when T misses a set by more than tol; the instance's own
-    planted transversal was checked at PLANTED_TOL when it was built, so
-    it is checked again only at a tighter tol."""
+    ValueError when T misses a set by more than WITNESS_TOL; the instance's
+    own planted transversal was checked at the tighter PLANTED_TOL when it
+    was built, so it is not checked again."""
     family = instance.family
     if family.ambient != "complex":
         raise ValueError("witness construction expects a complex family")
-    if T is not instance.planted or tol < PLANTED_TOL:
-        rep = verify_transversal(T, family, tol=tol)
+    if T is not instance.planted:
+        rep = verify_transversal(T, family, tol=WITNESS_TOL)
         if not rep.passed:
             raise ValueError(
-                f"transversal misses a set by {rep.max_distance:.3e} (tol {tol:g})"
+                f"transversal misses a set by {rep.max_distance:.3e} (tol {WITNESS_TOL:g})"
             )
     d = family.dim
     if d == 1:
@@ -365,7 +365,7 @@ def witness_from_transversal(
     for idx, (label, poly) in enumerate(family):
         point = points[idx]
         if point is None:
-            # the transversal passes only within tol; project onto T the set
+            # the transversal passes only within WITNESS_TOL; project onto T the set
             # point whose coefficient is nearest b, on the vertex-pair
             # segment the closest-point kernel picks
             V = poly.vertices
@@ -389,38 +389,37 @@ class EquivConfig:
     """The equivalence experiment: trials seeded families in C^d (planted
     ones for d >= 2, segment families for d = 1), each run through the
     consistency check with the sample budget and through the searches with
-    the given starts and iterations."""
+    the default budget of :class:`TransversalConfig` (32 starts of 2000
+    iterations), which every report records."""
 
     trials: int
     d: int = 2
     seed: int = 0
     samples: int = 64
-    starts: int = 32
-    iters: int = 2000
 
     def __post_init__(self):
         if self.trials < 0 or self.d < 1:
             raise ValueError("trials must be >= 0 and d >= 1")
 
     def to_json(self) -> dict:
+        search = TransversalConfig()  # the budget of every trial's searches
         return {
             "trials": self.trials,
             "d": self.d,
             "seed": self.seed,
             "samples": self.samples,
-            "starts": self.starts,
-            "iters": self.iters,
+            "starts": search.starts,
+            "iters": search.iters,
         }
 
 
 def equiv_config_from_json(doc: dict) -> EquivConfig:
+    """The config of a stored report; its search budget is the default."""
     return EquivConfig(
         trials=int(doc["trials"]),
         d=int(doc["d"]),
         seed=int(doc["seed"]),
         samples=int(doc["samples"]),
-        starts=int(doc["starts"]),
-        iters=int(doc["iters"]),
     )
 
 
@@ -500,7 +499,7 @@ def _run_trial(config: EquivConfig, trial: int) -> dict:
     instance = _trial_instance(config, trial)
     family = instance.family
     ccfg = ConsistencyConfig(samples=config.samples, seed=trial)
-    tcfg = TransversalConfig(starts=config.starts, iters=config.iters, seed=trial)
+    tcfg = TransversalConfig(seed=trial)
     failures = []
     record = {"trial": trial, "n_sets": len(family.labels)}
 
@@ -598,24 +597,24 @@ def run_equivalence(config: EquivConfig) -> ExperimentReport:
 # rational re-verification of stored certificates
 
 
-def _reverify_lift(doc: dict, family: Family, tol=Fraction(1, 10**9)) -> list:
+def _reverify_lift(doc: dict, family: Family) -> list:
     """Rational re-check of a stored lift: nonnegative weights, convex vertex
     certificates, and both dependence equations.  A lift is a float solution
     of its cone LP, exact in none of these conditions, so each holds to
-    ``tol``."""
+    LIFT_TOL."""
     problems = _malformed(doc, ("labels", "coeffs", "r", "points", "vertex_weights"), family)
     if problems:
         return problems
 
-    def off(terms):  # a sum of Gaussian rationals that is not 0 to tol
-        return any(abs(sum(t[i] for t in terms)) > tol for i in (0, 1))
+    def off(terms):  # a sum of Gaussian rationals that is not 0 to LIFT_TOL
+        return any(abs(sum(t[i] for t in terms)) > LIFT_TOL for i in (0, 1))
 
     labels = doc["labels"]
     coeffs = [tuple(map(Fraction, p)) for p in doc["coeffs"]]
     r = [Fraction(v) for v in doc["r"]]
-    if any(v < -tol for v in r):
+    if any(v < -LIFT_TOL for v in r):
         problems.append("negative lift weight")
-    if all(abs(v) <= tol for v in r):
+    if all(abs(v) <= LIFT_TOL for v in r):
         problems.append("all lift weights vanish")
     poly_of = dict(zip(family.labels, family.sets))
     points = [[tuple(map(Fraction, p)) for p in row] for row in doc["points"]]
@@ -624,9 +623,9 @@ def _reverify_lift(doc: dict, family: Family, tol=Fraction(1, 10**9)) -> list:
             continue
         V = poly_of[label].vertices.tolist()
         fw = [Fraction(w) for w in ws]
-        if any(w < -tol for w in fw):
+        if any(w < -LIFT_TOL for w in fw):
             problems.append(f"negative vertex weight for {label}")
-        if abs(sum(fw) - 1) > tol:
+        if abs(sum(fw) - 1) > LIFT_TOL:
             problems.append(f"vertex weights of {label} do not sum to one")
         for col in range(family.dim):
             combo = [(w * Fraction(v[col].real), w * Fraction(v[col].imag)) for v, w in zip(V, fw)]

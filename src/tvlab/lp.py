@@ -455,17 +455,20 @@ class KirchbergerVerdict:
     common_point: np.ndarray | None = None
 
 
-def kirchberger_separated(U, V, k: int) -> KirchbergerVerdict:
-    """Check hull disjointness on every (k+2)-point subset split of U u V.
+def kirchberger_separated(U, V) -> KirchbergerVerdict:
+    """Check hull disjointness on every (k+2)-point subset split of U u V,
+    k the points' real dimension.
 
     Subsets are enumerated lexicographically over the concatenated index
     range (U first), so the reported violating subset is deterministic.
-    Complex points of C^m are read in R^{2m}, so they need k = 2m.
+    Complex points of C^m are read in R^{2m}, so for them k = 2m.  Raises
+    ValueError when U and V differ in dimension.
     """
     Ur = _vertex_rows(U)
     Vr = _vertex_rows(V)
-    if Ur.shape[1] != k or Vr.shape[1] != k:
-        raise ValueError(f"points must lie in R^{k}")
+    k = Ur.shape[1]
+    if Vr.shape[1] != k:
+        raise ValueError(f"U lies in R^{k} but V in R^{Vr.shape[1]}")
     nu, nv = Ur.shape[0], Vr.shape[0]
     size = min(k + 2, nu + nv)
     for subset in combinations(range(nu + nv), size):

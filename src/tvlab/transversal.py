@@ -506,22 +506,21 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
     return NotFound("no zero of f at budget", best=float(best_val), x=x_best)
 
 
-def borsuk_zero_dependence(x: SpherePoint, embedded: Family, phi,
-                           tol: float = ZERO_TOL) -> AffineDependence | None:
+def borsuk_zero_dependence(x: SpherePoint, embedded: Family, phi) -> AffineDependence | None:
     """Affine dependence carried by a near-zero of f: over the subfamily
-    with |p_{x,F}| > tol, coefficients a_F = conj(p_{x,F}) satisfy
+    with |p_{x,F}| > ZERO_TOL, coefficients a_F = conj(p_{x,F}) satisfy
     sum a_F = 0 and sum a_F phi(F) = 0 up to ||f(x)|| plus the dropped
     small coefficients.
 
     This is the soundness certificate: if the recovered hyperplane misses
     some set, this dependence has no nonnegative lift, so re-checking it
     convicts the witness of inconsistency.  Returns None when every
-    coefficient is below tol (the hyperplane then meets every set)."""
+    coefficient is at most ZERO_TOL (the hyperplane then meets every set)."""
     ev = borsuk_map(x, embedded, phi)
     labels = []
     coeffs = []
     for label, p in ev.coefficients:
-        if abs(p) > tol:
+        if abs(p) > ZERO_TOL:
             labels.append(label)
             coeffs.append(complex(np.conj(p)))
     if not labels:

@@ -172,7 +172,7 @@ def test_criterion_5_kirchberger_suite():
         nv = int(rng.integers(1, 11 - nu))
         U = rng.standard_normal((nu, k))
         V = rng.standard_normal((nv, k))
-        verdict = kirchberger_separated(U, V, k)
+        verdict = kirchberger_separated(U, V)
         full = hulls_intersect(U, V)
         agree += verdict.separated == (not full.feasible)
     print(

@@ -67,6 +67,20 @@ def test_find_borsuk_rejects_unverified_zero(tmp_path, capsys):
         assert code == 1
 
 
+def test_find_borsuk_on_real_instance_is_usage_error(tmp_path, capsys):
+    # the Borsuk map is complex-only: a real instance must not fall back to
+    # the direction sweep and exit 0
+    inst = tmp_path / "real.json"
+    t = tmp_path / "t.json"
+    args = ["gen", "--ambient", "real", "--planted", "--d", "2", "--sets", "3", "--seed", "3"]
+    assert main(args + ["-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["find", str(inst), "--method", "borsuk", "-o", str(t)]) == 2
+    captured = capsys.readouterr()
+    assert "borsuk" in captured.err and "complex" in captured.err
+    assert not captured.out and not t.exists()
+
+
 def test_check_exit_one_on_fail(tmp_path):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--d", "1", "--sets", "3", "--verts", "2", "--seed", "4", "-o", str(inst)]) == 0

@@ -184,15 +184,16 @@ def test_witness_of_planted_transversal_is_verified_once(monkeypatch):
     witness_from_transversal(inst, inst.planted)
     # the instance checked its planted transversal; the witness trusts that check
     assert calls == [1e-9]
-    # a tighter tol, an equal hyperplane that is another object, and a
-    # shifted one are each verified again
-    witness_from_transversal(inst, inst.planted, tol=1e-12)
+    witness_from_transversal(inst, inst.planted)
+    assert calls == [1e-9]
+    # an equal hyperplane that is another object, and a shifted one, are
+    # each verified at the witness tolerance
     same = ComplexHyperplane(inst.planted.normal, inst.planted.offset)
     witness_from_transversal(inst, same)
     far = ComplexHyperplane(inst.planted.normal, inst.planted.offset + 1e-3)
     with pytest.raises(ValueError, match="misses a set"):
         witness_from_transversal(inst, far)
-    assert calls == [1e-9, 1e-12, 1e-6, 1e-6]
+    assert calls == [1e-9, 1e-6, 1e-6]
 
 
 def test_witness_fallback_projects_nearest_set_point():
@@ -210,7 +211,7 @@ def test_witness_fallback_projects_nearest_set_point():
     assert verify_transversal(T, family, tol=1e-6).passed
     rows, rhs = _flat_program([(a, b)], family["X"])
     assert next(certify(rows[None], rhs[None]))[0] is None
-    w = witness_from_transversal(Instance(family), T, tol=1e-6)
+    w = witness_from_transversal(Instance(family), T)
     point = b * a + basis.T @ w.point_of("X")
     assert abs(hermitian_inner(point, a) - b) < 1e-12  # on T
     # nearest set point: the segment's midpoint, whose coefficient is b + miss

@@ -8,10 +8,12 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import tvlab
+from tvlab import consistency, harness
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "tvlab"}
 SOURCES = sorted(Path(tvlab.__file__).parent.glob("*.py"))
@@ -132,21 +134,59 @@ def test_public_surface_is_pinned():
         "find_complex_transversal", "gen_instance", "hermitian_inner",
         "hulls_intersect", "hyperplane_from_sphere_point",
         "kirchberger_separated", "lift_dependence", "lp_feasible",
-        "nontrivial_zero_in_cone", "plot_instance",
-        "polygon_intersection_margin", "read_instance",
-        "real_hyperplane_transversal", "reduce_dependence_support",
-        "reverify_report", "run_equivalence", "separates_consistently",
-        "trivial_witness", "verify_transversal", "witness_from_transversal",
-        "write_instance", "write_report",
+        "plot_instance", "read_instance", "real_hyperplane_transversal",
+        "reduce_dependence_support", "reverify_report", "run_equivalence",
+        "separates_consistently", "trivial_witness", "verify_transversal",
+        "witness_from_transversal", "write_instance", "write_report",
     ]
+    assert len(tvlab.__all__) == 42
     fields = {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
         for cls in (tvlab.ConsistencyConfig, tvlab.TransversalConfig, tvlab.EquivConfig,
                     tvlab.GenSpec)
     }
     assert fields == {
-        "ConsistencyConfig": ["samples", "seed", "exact", "keep_lifts"],
+        "ConsistencyConfig": ["samples", "seed", "exact"],
         "TransversalConfig": ["starts", "iters", "zero_tol", "seed"],
-        "EquivConfig": ["trials", "d", "seed", "samples", "starts", "iters"],
+        "EquivConfig": ["trials", "d", "seed", "samples"],
         "GenSpec": ["d", "n_sets", "vertices_per_set", "planted", "seed", "ambient"],
+    }
+    # the parameters of every public function, and of the private ones whose
+    # tolerance is a module constant
+    functions = [getattr(tvlab, name) for name in tvlab.__all__]
+    functions += [consistency._complex_nullspace, consistency._canonical_blocks,
+                  harness._reverify_lift]
+    params = {
+        f.__name__: " ".join(inspect.signature(f).parameters)
+        for f in functions if inspect.isfunction(f)
+    }
+    assert params == {
+        "borsuk_map": "x embedded phi",
+        "borsuk_zero_dependence": "x embedded phi",
+        "check_dependency_consistency": "family witness config",
+        "embed_family": "family",
+        "find_borsuk_zero": "embedded phi config",
+        "find_complex_transversal": "family config",
+        "gen_instance": "spec",
+        "hermitian_inner": "u v",
+        "hulls_intersect": "U V exact",
+        "hyperplane_from_sphere_point": "x0",
+        "kirchberger_separated": "U V",
+        "lift_dependence": "family dep config",
+        "lp_feasible": "lp exact",
+        "plot_instance": "instance transversal",
+        "read_instance": "path",
+        "real_hyperplane_transversal": "family config",
+        "reduce_dependence_support": "dep witness",
+        "reverify_report": "doc",
+        "run_equivalence": "config",
+        "separates_consistently": "family witness",
+        "trivial_witness": "family",
+        "verify_transversal": "T family tol",
+        "witness_from_transversal": "instance T",
+        "write_instance": "instance path",
+        "write_report": "report path",
+        "_complex_nullspace": "M",
+        "_canonical_blocks": "A",
+        "_reverify_lift": "doc family",
     }

@@ -226,12 +226,12 @@ def test_hulls_dimension_mismatch():
 
 
 def test_kirchberger_singletons():
-    v = kirchberger_separated(np.array([[0.0]]), np.array([[1.0]]), 1)
+    v = kirchberger_separated(np.array([[0.0]]), np.array([[1.0]]))
     assert v.separated
 
 
 def test_kirchberger_straddle():
-    v = kirchberger_separated(np.array([[0.0], [2.0]]), np.array([[1.0]]), 1)
+    v = kirchberger_separated(np.array([[0.0], [2.0]]), np.array([[1.0]]))
     assert not v.separated
     assert v.violating_u == (0, 1) and v.violating_v == (0,)
     assert v.common_point[0] == pytest.approx(1.0)
@@ -246,18 +246,19 @@ def test_kirchberger_equals_full_hull_verdict():
         nv = int(rng.integers(1, 11 - nu))
         U = np.round(rng.standard_normal((nu, k)), 2)
         V = np.round(rng.standard_normal((nv, k)), 2)
-        assert kirchberger_separated(U, V, k).separated == (
+        assert kirchberger_separated(U, V).separated == (
             not hulls_intersect(U, V).feasible
         )
 
 
 def test_kirchberger_reads_complex_points_in_r2m():
     # i and -i share their real part but are distinct points of C^1 = R^2
-    assert kirchberger_separated(np.array([[1j]]), np.array([[-1j]]), 2).separated
-    v = kirchberger_separated(np.array([[1j], [-1j]]), np.array([[0j]]), 2)
+    assert kirchberger_separated(np.array([[1j]]), np.array([[-1j]])).separated
+    v = kirchberger_separated(np.array([[1j], [-1j]]), np.array([[0j]]))
     assert not v.separated and np.allclose(v.common_point, [0.0, 0.0])
+    # points of C^1 and of R^1 lie in R^2 and R^1: no common dimension
     with pytest.raises(ValueError):
-        kirchberger_separated(np.array([[1j]]), np.array([[-1j]]), 1)
+        kirchberger_separated(np.array([[1j]]), np.array([[-1.0]]))
 
 
 # -- flat programs -------------------------------------------------------------

@@ -12,15 +12,18 @@ Two checkers live here:
   of all subfamilies of a size come from one stacked elimination, and all
   their candidates are canonicalised (unit norm, support, real-positive
   pivot) as one array block and deduplicated in candidate order on integer
-  keys of their coefficients.  The cone LPs of a subfamily's dependences
-  share one layout and go through :func:`tvlab.lp.certify` as one batch,
-  whose one escalation path decides alone and exactly every LP that its
-  float block leaves uncertified, so every lift equals the one-dependence
-  answer.  A block's r, in-set points and residuals are computed as arrays,
-  and a :class:`Lift` object is built only for the worst lift of a pass and
-  for the result of :func:`lift_dependence`.  A pass is therefore "pass at
-  budget", while a fail carries an exact Farkas certificate that the cone LP
-  of a float-computed dependence is infeasible.
+  keys of their coefficients.  The dependences of one subfamily form a
+  block, whose cone LPs share one layout; the blocks of one support size
+  whose LPs share a shape go through :func:`tvlab.lp.certify` together, in
+  lock-step batches of whole blocks within a fixed budget of tableau cells,
+  and their results are read in enumeration order up to the first NoLift.
+  Its one escalation path decides alone and exactly, and only when reached,
+  every LP that the float batch leaves uncertified, so every lift equals
+  the one-dependence answer.  A block's r, in-set points and residuals are
+  computed as arrays, and a :class:`Lift` object is built only for the worst
+  lift of a pass and for the result of :func:`lift_dependence`.  A pass is
+  therefore "pass at budget", while a fail carries an exact Farkas
+  certificate that the cone LP of a float-computed dependence is infeasible.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
   subfamily pairs of total size at most k+2, with k the witness's target
@@ -266,13 +269,15 @@ def _canonical_blocks(A: np.ndarray):
     nrm = _row_norms(A)
     keep = np.flatnonzero(nrm > SUPPORT_TOL)
     A = A[keep] / nrm[keep, None]
-    groups = {}
-    for r, pattern in enumerate(map(tuple, (np.abs(A) > SUPPORT_TOL).tolist())):
-        groups.setdefault(pattern, []).append(r)
-    for pattern, rows in groups.items():
-        support = np.flatnonzero(pattern)
+    patterns = np.abs(A) > SUPPORT_TOL
+    packed = np.packbits(patterns, axis=1)  # each row's pattern as one key
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    for g in np.argsort(first):  # the patterns in order of first occurrence
+        support = np.flatnonzero(patterns[first[g]])
         if not support.size:
             continue
+        rows = np.flatnonzero(group == g)
         sub = A[np.ix_(rows, support)]
         sub = sub / sub[np.arange(len(rows)), np.argmax(np.abs(sub), axis=1), None]
         yield keep[rows], support, sub / _row_norms(sub)[:, None]
@@ -397,36 +402,56 @@ def _exact_generators(coeffs, points):
     return [[x for _ in row for x in gmul(a, next(pairs))] + [*a, 1] for a, P in cols for row in P]
 
 
-def _lift_block(family: Family, deps, config: ConsistencyConfig):
-    """Lift dependences that share their support labels and their zero
-    coefficients, in order, up to the first NoLift.
+def _active(dep: AffineDependence) -> list:
+    """Indices of dep's labels with a nonzero coefficient: a label whose
+    coefficient vanishes cannot affect the sums, and has no cone LP columns."""
+    return [i for i, a in enumerate(dep.coeffs) if abs(a) > 0.0]
 
-    Their cone LPs share one layout and go through :func:`tvlab.lp.certify`
-    as one batch (exactly with ``config.exact``): one lock-step float
-    tableau, a float witness kept only when it re-verifies, a NoLift
-    certified from its own final basis, and any other LP decided exactly,
-    alone.  r, the in-set points and both residuals of the lifted
-    dependences are computed as arrays, in the bits of the one-dependence
-    formulas.  Returns (resid, lift, nolift): max(|sum r a|, ||sum r a p||)
-    of each lifted dependence, lift(i), which builds the Lift of the i-th,
-    and the NoLift that ends the block, or None.
+
+def _cone_rows(family: Family, deps) -> np.ndarray:
+    """Rows (B, 2d+3, n) of the cone LPs of dependences that share their
+    support labels and their zero coefficients: the generators of
+    :func:`_lift_generators` over the n vertices of the active labels, in
+    label order, as columns, over a row of ones.  The LP asks for convex
+    weights of the columns that sum them to (0, 1)."""
+    labels = deps[0].labels
+    active = _active(deps[0])
+    coeffs = np.array([[dep.coeffs[i] for i in active] for dep in deps])
+    G = _lift_generators(family, [labels[i] for i in active], coeffs)  # (B, n, 2d+2)
+    return np.concatenate([G.transpose(0, 2, 1), np.ones((len(G), 1, G.shape[1]))], axis=1)
+
+
+def _certify_cones(rows: np.ndarray, config: ConsistencyConfig):
+    """:func:`tvlab.lp.certify` on a batch of cone LP rows (exactly with
+    ``config.exact``): one lock-step float tableau, a float witness kept only
+    when it re-verifies, a NoLift certified from its own final basis, and any
+    other LP decided exactly, alone, when the consumer reaches it."""
+    rhs = np.zeros(rows.shape[:2])
+    rhs[:, -1] = 1.0
+    return certify(rows, rhs, exact=config.exact)
+
+
+def _finish_block(family: Family, deps, results):
+    """Lift dependences that share their support labels and their zero
+    coefficients, in order, up to the first NoLift, from the next results of
+    their cone LPs in the iterator ``results`` (of :func:`_certify_cones`,
+    which may hold other blocks' LPs before and after them).
+
+    r, the in-set points and both residuals of the lifted dependences are
+    computed as arrays, in the bits of the one-dependence formulas.  Returns
+    (resid, lift, nolift): max(|sum r a|, ||sum r a p||) of each lifted
+    dependence, lift(i), which builds the Lift of the i-th, and the NoLift
+    that ends the block, or None.
     """
     labels = deps[0].labels
-    # labels whose coefficient vanishes identically cannot affect the sums
-    active = [i for i, a in enumerate(deps[0].coeffs) if abs(a) > 0.0]
-    act_labels = [labels[i] for i in active]
-    coeffs = np.array([[dep.coeffs[i] for i in active] for dep in deps])
-    G = _lift_generators(family, act_labels, coeffs)  # (B, n, dim)
-    B, n, dim = G.shape
-    rows = np.concatenate([G.transpose(0, 2, 1), np.ones((B, 1, n))], axis=1)
-    rhs = np.zeros((B, dim + 1))
-    rhs[:, dim] = 1.0
+    active = _active(deps[0])
     lams, nolift = [], None
-    for dep, (lam, farkas) in zip(deps, certify(rows, rhs, exact=config.exact)):
+    for dep, (lam, farkas) in zip(deps, results):  # deps first: no result is taken past the block
         if farkas is not None:
             nolift = NoLift(dep, _infeasible(farkas))
             break
         lams.append(np.asarray(lam, dtype=float))  # an exact witness holds Fractions
+    n = sum(len(family[labels[g]].vertices) for g in active)
     lam = np.array(lams).reshape(len(lams), n)
     a = np.array([dep.coeffs for dep in deps[: len(lam)]]).reshape(len(lam), len(labels))
     r = np.zeros(a.shape)
@@ -451,6 +476,58 @@ def _lift_block(family: Family, deps, config: ConsistencyConfig):
         return Lift(deps[i], tuple(r[i].tolist()), P[i].copy(), tuple(w[i].copy() for w in W))
 
     return resid, lift, nolift
+
+
+def _lift_block(family: Family, deps, config: ConsistencyConfig):
+    """Lift dependences that share their support labels and their zero
+    coefficients, in order, up to the first NoLift, as one batch of their
+    own: :func:`_cone_rows`, :func:`_certify_cones` and
+    :func:`_finish_block`, whose (resid, lift, nolift) it returns."""
+    return _finish_block(family, deps, _certify_cones(_cone_rows(family, deps), config))
+
+
+# A lock-step batch holds whole blocks of cone LPs of one shape (2d+3, n),
+# up to this many tableau cells, (2d+4)(n+2d+4) per LP; a block above it is
+# a batch alone.  2^16 float64 cells are 512 KiB, and a pivoting batch keeps
+# about three arrays of up to that size alive: its rows, its tableau and one
+# pivot's update.  At d=2 that is four sampled blocks of 64 LPs on 4 sets of
+# 5 vertices (n=20), and the traced peak of a 6-set check is 2.0 MB, against
+# 1.4 MB with one batch per block and 3.7 MB at twice the budget, which saves
+# little more of the per-iteration numpy overhead that batching amortises.
+_BATCH_CELLS = 2**16
+
+
+def _batched_lifts(family: Family, deps, config: ConsistencyConfig):
+    """(resid, lift, nolift) of :func:`_finish_block` for each block of deps,
+    in order: each maximal run of consecutive dependences with equal support
+    labels.  The blocks of each run of equal support size are packed, in
+    order, into batches of one cone LP shape within _BATCH_CELLS, and each
+    batch goes through :func:`_certify_cones` as one, when its first block is
+    reached.  Enumerated coefficients never vanish on their support, so the
+    labels alone fix a block's layout."""
+    m = 2 * family.dim + 3
+    blocks = [list(block) for _, block in groupby(deps, key=attrgetter("labels"))]
+    for _, run in groupby(blocks, key=lambda block: len(block[0].labels)):
+        run = list(run)
+        batches, owner, filling = [], [], {}  # filling: n -> (open batch, its cells)
+        for block in run:
+            n = sum(len(family[block[0].labels[g]].vertices) for g in _active(block[0]))
+            cells = len(block) * (m + 1) * (n + m + 1)
+            b, used = filling.get(n, (None, 0))
+            if b is None or used + cells > _BATCH_CELLS:
+                b, used = len(batches), 0
+                batches.append([])
+            batches[b].append(block)
+            filling[n] = (b, used + cells)
+            owner.append(b)
+        results = {}
+        for block, b in zip(run, owner):
+            if b not in results:
+                rows = np.concatenate([_cone_rows(family, x) for x in batches[b]])
+                results[b] = _certify_cones(rows, config)
+            yield _finish_block(family, block, results[b])
+            if block is batches[b][-1]:
+                del results[b]  # frees the batch's arrays
 
 
 def _require_finite(dep: AffineDependence) -> None:
@@ -482,9 +559,12 @@ def check_dependency_consistency(
 ) -> ConsistencyVerdict:
     """Pass iff every enumerated dependence lifts; the first failure (in
     enumeration order) is returned with its certificate.  Consecutive
-    dependences with equal support labels are lifted as one block (see
-    :func:`_lift_block`): enumerated coefficients never vanish on their
-    support, so the labels alone fix the block's layout."""
+    dependences with equal support labels form a block, and the blocks of
+    one support size that share a cone LP shape are certified as one bounded
+    lock-step batch (:func:`_batched_lifts`), whose results are read in
+    enumeration order: a NoLift stops the check before any exact work on the
+    LPs after it, and every verdict, lift and certificate is the one that
+    the dependence's block alone would give."""
     config = config or ConsistencyConfig()
     if family.ambient != "complex":
         raise ValueError("dependency consistency is a complex-ambient check")
@@ -492,8 +572,7 @@ def check_dependency_consistency(
     n_circuits = sum(1 for dep in deps if dep.origin == "circuit")
     max_resid = 0.0
     worst = None
-    for _, block in groupby(deps, key=attrgetter("labels")):
-        resid, lift, nolift = _lift_block(family, list(block), config)
+    for resid, lift, nolift in _batched_lifts(family, deps, config):
         if nolift is not None:
             return ConsistencyVerdict(
                 "fail",
@@ -528,12 +607,19 @@ def _union_vertices(family: Family, labels):
 def separates_consistently(family: Family, witness: ConsistencyWitness) -> ConsistencyVerdict:
     """Contrapositive check over all disjoint subfamily pairs of total size
     at most k+2, k the witness's target dimension: intersecting witness
-    images force intersecting hulls."""
+    images force intersecting hulls.  Raises ValueError when an image of a
+    family label has a nonzero imaginary part (a complex array whose
+    imaginary parts are all zero is read as real)."""
     if family.ambient != "real":
         raise ValueError("separates_consistently is a real-ambient check")
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
     labels = family.labels
+    images = np.asarray([witness.point_of(l) for l in labels])
+    if np.iscomplexobj(images):
+        if images.imag.any():
+            raise ValueError("witness images of a real-ambient check must be real")
+        images = images.real
     n_checked = 0
     for total in range(2, min(len(labels), witness.k + 2) + 1):
         for combo in combinations(range(len(labels)), total):
@@ -546,11 +632,9 @@ def separates_consistently(family: Family, witness: ConsistencyWitness) -> Consi
                     continue
                 f1 = tuple(labels[i] for i in one)
                 f2 = tuple(labels[i] for i in two)
-                img1 = np.asarray([witness.point_of(l) for l in f1], dtype=float)
-                img2 = np.asarray([witness.point_of(l) for l in f2], dtype=float)
                 n_checked += 1
-                images = hulls_intersect(img1, img2)
-                if not images.feasible:
+                meet = hulls_intersect(images[one], images[two])
+                if not meet.feasible:
                     continue
                 hulls = hulls_intersect(
                     _union_vertices(family, f1), _union_vertices(family, f2)
@@ -561,9 +645,7 @@ def separates_consistently(family: Family, witness: ConsistencyWitness) -> Consi
                     "fail",
                     samples_budget=0,
                     n_dependences=n_checked,
-                    violation=SeparationViolation(
-                        f1, f2, images.point, hulls.certificate
-                    ),
+                    violation=SeparationViolation(f1, f2, meet.point, hulls.certificate),
                 )
     return ConsistencyVerdict("pass", samples_budget=0, n_dependences=n_checked)
 

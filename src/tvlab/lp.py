@@ -93,14 +93,38 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
     columns < ncols, pivoting all of them in lock-step.  Each element keeps
     its own entering column, ratio test and tie break, and leaves the loop
     when it is optimal or unbounded.  Returns a boolean array marking the
-    unbounded elements."""
+    unbounded elements.
+
+    The elements still pivoting are kept at the front of T and basis, and
+    the loop works on views of that front: an element that leaves swaps
+    places with a later one that stays, and the swaps are undone in reverse
+    on the way out, so no tableau is gathered."""
     unbounded = np.zeros(len(T), dtype=bool)
-    act = np.flatnonzero(live)
-    if not len(act) or not ncols:
+    if not live.any() or not ncols:
         return unbounded
-    # the elements still pivoting, gathered (or T itself when all are live)
-    W, Wb = (T, basis) if len(act) == len(T) else (T[act], basis[act])
-    k = np.arange(len(act))
+    at = np.arange(len(T))  # the element at each position
+    swaps = []
+
+    def front(stay, *extra):
+        """Move the positions marked in stay ahead of the others, in T,
+        basis, at and the extra per-position arrays; returns their count."""
+        s = int(np.count_nonzero(stay))
+        dst = np.flatnonzero(~stay[:s])
+        if len(dst):
+            src = s + np.flatnonzero(stay[s:])
+            for v in (T, basis, at) + extra:
+                v[dst], v[src] = v[src], v[dst]
+            swaps.append((dst, src))
+        return s
+
+    def restore():
+        for dst, src in reversed(swaps):
+            for v in (T, basis):
+                v[dst], v[src] = v[src], v[dst]
+
+    s = front(live)
+    W, Wb = T[:s], basis[:s]
+    k = np.arange(s)
     for it in range(max_iter):
         r = W[:, -1, :ncols]
         if it < ar.bland_after:
@@ -114,14 +138,13 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
         ok = col[:, :-1] > ar.pivot_tol
         stay = go & ok.any(axis=1)
         if not stay.all():
-            leave = ~stay
-            unbounded[act[go & leave]] = True
-            if W is not T:
-                T[act[leave]], basis[act[leave]] = W[leave], Wb[leave]
-            if not stay.any():
+            unbounded[at[:s][go & ~stay]] = True
+            s = front(stay, j, col, ok)
+            if not s:
+                restore()
                 return unbounded
-            act, W, Wb, j, col, ok = (v[stay] for v in (act, W, Wb, j, col, ok))
-            k = np.arange(len(act))
+            W, Wb, j, col, ok = W[:s], Wb[:s], j[:s], col[:s], ok[:s]
+            k = k[:s]
         ratios = np.full(ok.shape, np.inf, dtype=T.dtype)
         np.divide(W[:, :-1, -1], col[:, :-1], out=ratios, where=ok)
         best = ratios.min(axis=1, keepdims=True)
@@ -152,7 +175,7 @@ def _solve_standard(A, b, c, ar: _Arithmetic):
     dtype = np.result_type(A, b, float)
     sgn = np.where(b < 0, -1, 1).astype(dtype)
     T = np.zeros((B, m + 1, n + m + 1), dtype=dtype)
-    T[:, :m, :n] = A * sgn[:, :, None]
+    np.multiply(A, sgn[:, :, None], out=T[:, :m, :n])
     T[:, :m, n : n + m] = np.eye(m)
     T[:, :m, -1] = b * sgn
     T[:, m, n : n + m] = 1.0
@@ -331,9 +354,10 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
     """
     B, m, n = rows.shape
     k = n - n_free
-    # free variables split into x+ - x-, and merged back
-    A = np.concatenate([rows, -rows[:, :, k:]], axis=2)
-    c = None if objective is None else np.concatenate([objective, -objective[:, k:]], axis=1)
+    A, c = rows, objective
+    if n_free:  # free variables split into x+ - x-, and merged back
+        A = np.concatenate([rows, -rows[:, :, k:]], axis=2)
+        c = None if objective is None else np.concatenate([objective, -objective[:, k:]], axis=1)
 
     def merged(x):
         x[..., k:n] -= x[..., n:]

@@ -5,6 +5,7 @@ the exact support reducer."""
 from __future__ import annotations
 
 import hashlib
+import warnings
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -22,6 +23,7 @@ from tvlab.consistency import (
     NoLift,
     _canonical_blocks,
     _complex_nullspace,
+    _cone_rows,
     _decimal_keys,
     _lift_block,
     _lift_generators,
@@ -472,6 +474,22 @@ def test_separation_vertical_segments_stabbed_by_axis():
     assert w.k == 1 and separates_consistently(fam, w).passed
 
 
+def test_separation_rejects_images_with_imaginary_parts():
+    # [0, 1] and [3, 4] are disjoint, and 0.5 + 1j and 0.5 - 1j are distinct
+    # points of C^1: read as floats they would coincide and convict the pair
+    fam = _family("real", [[0.0], [1.0]], [[3.0], [4.0]])
+    w = _witness(1, [[0.5 + 1j], [0.5 - 1j]], {"S0": 0, "S1": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real"):
+            separates_consistently(fam, w)
+        # a complex array with zero imaginary parts is read as real
+        same = _witness(1, [[0.5 + 0j], [0.5 + 0j]], {"S0": 0, "S1": 1})
+        assert separates_consistently(fam, same).status == "fail"
+        apart = _witness(1, [[0.5 + 0j], [3.5 + 0j]], {"S0": 0, "S1": 1})
+        assert separates_consistently(fam, apart).passed
+
+
 def test_separation_rejects_complex_family():
     fam = _family("complex", [[0j]])
     with pytest.raises(ValueError):
@@ -734,33 +752,148 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
     assert np.asarray(lift.r).tobytes() == np.asarray(exact.r).tobytes()
 
 
+def _spy(monkeypatch, calls, module, name, tag=None):
+    """Record a call of module.name in calls, as tag(*args) or its name."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(tag(*args) if tag else name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize("case", [c for c, g in GOLDEN.items() if g[0] == "fail"], ids=str)
 def test_block_certifies_its_nolift_from_its_own_basis(case, monkeypatch):
-    # one float tableau per lifted block and no float re-solve of the NoLift:
-    # its Farkas functional comes from its block's final basis, and is read
-    # off once, also in the blocks that hold three no-lifts
+    # one float tableau per lifted batch, which holds several blocks, and no
+    # float re-solve of the NoLift: its Farkas functional comes from its
+    # batch's final basis, and is read off once, also in the batches that
+    # hold three no-lifts
     import tvlab.consistency as consistency
     import tvlab.lp as lp
 
     fam, w = _gen_case(*case)
     calls = []
-
-    def spy(module, name, tag=None):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(tag(*args) if tag else name)
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    spy(consistency, "_lift_block")
-    spy(lp, "_basis_farkas")
-    spy(lp, "_solve_standard", lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
+    _spy(monkeypatch, calls, consistency, "certify")
+    _spy(monkeypatch, calls, consistency, "_finish_block")
+    _spy(monkeypatch, calls, lp, "_basis_farkas")
+    _spy(monkeypatch, calls, lp, "_solve_standard",
+         lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
     v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=32, seed=case[1]))
     assert v.status == "fail" and v.violation.exact
-    assert calls.count("float") == calls.count("_lift_block") > 0
+    assert calls.count("float") == calls.count("certify") > 0
+    assert calls.count("certify") <= calls.count("_finish_block")
     assert calls.count("_basis_farkas") == 1
+
+
+def test_nolift_in_a_later_block_of_a_batch_is_the_first_and_ends_the_work(monkeypatch):
+    # the ten circuits of (5, 12) share one batch, and the first NoLift is a
+    # later one of them; with every float witness rejected, each dependence
+    # before it is decided exactly, alone, and nothing runs after its
+    # certificate
+    import tvlab.consistency as consistency
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(5, 12, False)
+    cfg = ConsistencyConfig(samples=32, seed=12)
+    deps = enumerate_dependences(fam, w, cfg)
+    first = next(i for i, d in enumerate(deps) if isinstance(lift_dependence(fam, d, cfg), NoLift))
+    circuits = [d for d in deps if len(d.labels) == 3]
+    assert len(circuits) == 10 and 0 < first < len(circuits)
+    assert all(d.origin == "circuit" for d in circuits)
+
+    calls, batches = [], []
+    monkeypatch.setattr(lp, "_verified", lambda rows, rhs, n_nonneg, x: np.zeros(len(rows), bool))
+    _spy(monkeypatch, batches, consistency, "certify", lambda rows, rhs: len(rows))
+    _spy(monkeypatch, calls, lp, "_basis_farkas")
+    _spy(monkeypatch, calls, lp, "_solve_standard",
+         lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
+    v = check_dependency_consistency(fam, w, cfg)
+    assert v.status == "fail" and v.violation.exact
+    dep = v.violation.dependence
+    assert (dep.labels, dep.coeffs) == (deps[first].labels, deps[first].coeffs)
+    assert batches == [len(circuits)]
+    assert calls == ["float"] + ["exact"] * first + ["_basis_farkas"]
+
+
+@pytest.mark.parametrize("budget", ["module", "one-block"])
+def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeypatch):
+    # the 480 sampled LPs of support size 4 hold more cells than the budget,
+    # so they go in several batches, each within it; at a budget below one
+    # block, each block is a batch alone.  Either way each block's residuals
+    # are those of the lifts of its own batch, to the bit
+    import tvlab.consistency as consistency
+
+    fam, w = _gen_case(6, 4, True)
+    cfg = ConsistencyConfig(samples=32, seed=4)
+    lifted = [max(lift.residuals()) for lift in _block_lifts(fam, w, cfg)]
+    if budget == "one-block":
+        monkeypatch.setattr(consistency, "_BATCH_CELLS", 1)
+    limit = consistency._BATCH_CELLS
+
+    def cells(rows):
+        B, m, n = rows.shape
+        return B * (m + 1) * (n + m + 1)
+
+    batches, resid = [], []
+    certify, finish = consistency.certify, consistency._finish_block
+
+    def certify_spy(rows, rhs, **kwargs):
+        batches.append(rows.shape)
+        return certify(rows, rhs, **kwargs)
+
+    def finish_spy(family, deps, results):
+        out = finish(family, deps, results)
+        resid.append(out[0])
+        return out
+
+    monkeypatch.setattr(consistency, "certify", certify_spy)
+    monkeypatch.setattr(consistency, "_finish_block", finish_spy)
+    v = check_dependency_consistency(fam, w, cfg)
+    assert v.passed and v.n_dependences == 692
+    deps = enumerate_dependences(fam, w, cfg)
+    blocks = [list(b) for _, b in groupby(deps, attrgetter("labels"))]
+    size4 = [d for d in deps if len(d.labels) == 4]
+    assert cells(_cone_rows(fam, size4)) > consistency._BATCH_CELLS
+    if budget == "module":
+        assert all(cells(np.empty(shape)) <= limit for shape in batches)
+        assert len(blocks) > len(batches) > 3  # sizes 3, 4 and 5, size 4 split
+    else:
+        assert [shape[0] for shape in batches] == list(map(len, blocks))
+    assert np.concatenate(resid).tobytes() == np.array(lifted).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 11], ids=["fail", "pass"])
+def test_mixed_vertex_counts_give_the_blockwise_verdict(seed, monkeypatch):
+    # sets of 2 to 5 vertices give the blocks of one support size several
+    # cone LP shapes, so their batches interleave in enumeration order; the
+    # verdict, its NoLift and the largest residual are those of one batch
+    # per block
+    import tvlab.consistency as consistency
+
+    inst = gen_instance(GenSpec(d=2, n_sets=6, planted=True, seed=seed))
+    w = witness_from_transversal(inst, inst.planted)
+    keep = [5, 3, 4, 2, 5, 3]  # each set keeps its planted vertex, the last
+    sets = tuple(Polytope("complex", P.vertices[-k:]) for P, k in zip(inst.family.sets, keep))
+    fam = Family(inst.family.labels, sets)
+    cfg = ConsistencyConfig(samples=16, seed=seed)
+    want, worst = None, 0.0
+    for _, block in groupby(enumerate_dependences(fam, w, cfg), attrgetter("labels")):
+        resid, _, nolift = _lift_block(fam, list(block), cfg)
+        if nolift is not None:
+            want = nolift
+            break
+        worst = max(worst, *resid.tolist())
+    shapes = []
+    _spy(monkeypatch, shapes, consistency, "certify", lambda rows, rhs: rows.shape)
+    v = check_dependency_consistency(fam, w, cfg)
+    assert len(set(shapes)) > 1 and len({m for _, m, _ in shapes}) == 1
+    if want is None:
+        assert v.passed and v.max_lift_residual.hex() == worst.hex()
+    else:
+        got = v.violation
+        assert v.status == "fail" and got.dependence.coeffs == want.dependence.coeffs
+        assert got.certificate.farkas_exact == want.certificate.farkas_exact
 
 
 @pytest.mark.parametrize("seed", [31, 1111, 1337])

@@ -109,8 +109,8 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
         """Move the positions marked in stay ahead of the others, in T,
         basis, at and the extra per-position arrays; returns their count."""
         s = int(np.count_nonzero(stay))
-        dst = np.flatnonzero(~stay[:s])
-        if len(dst):
+        if 0 < s < len(stay):
+            dst = np.flatnonzero(~stay[:s])
             src = s + np.flatnonzero(stay[s:])
             for v in (T, basis, at) + extra:
                 v[dst], v[src] = v[src], v[dst]

@@ -13,9 +13,9 @@ Two checkers live here:
   their candidates are canonicalised (unit norm, support, real-positive
   pivot) as one array block and deduplicated in candidate order on integer
   keys of their coefficients.  The dependences of one subfamily form a
-  block, whose cone LPs share one layout; the blocks of one support size
-  whose LPs share a shape go through :func:`tvlab.lp.certify` together, in
-  lock-step batches of whole blocks within a fixed budget of tableau cells,
+  block, whose cone LPs share one layout; consecutive blocks whose LPs
+  share a shape go through :func:`tvlab.lp.certify` together, in lock-step
+  batches of whole blocks within a fixed budget of tableau cells,
   and their results are read in enumeration order up to the first NoLift.
   Its one escalation path decides alone and exactly, and only when reached,
   every LP that the float batch leaves uncertified, so every lift equals
@@ -500,34 +500,26 @@ _BATCH_CELLS = 2**16
 def _batched_lifts(family: Family, deps, config: ConsistencyConfig):
     """(resid, lift, nolift) of :func:`_finish_block` for each block of deps,
     in order: each maximal run of consecutive dependences with equal support
-    labels.  The blocks of each run of equal support size are packed, in
-    order, into batches of one cone LP shape within _BATCH_CELLS, and each
-    batch goes through :func:`_certify_cones` as one, when its first block is
-    reached.  Enumerated coefficients never vanish on their support, so the
-    labels alone fix a block's layout."""
+    labels.  Consecutive blocks whose cone LPs share a shape are packed, in
+    order, into batches within _BATCH_CELLS, and each batch goes through
+    :func:`_certify_cones` as one, when its first block is reached.
+    Enumerated coefficients never vanish on their support, so the labels
+    alone fix a block's layout."""
     m = 2 * family.dim + 3
-    blocks = [list(block) for _, block in groupby(deps, key=attrgetter("labels"))]
-    for _, run in groupby(blocks, key=lambda block: len(block[0].labels)):
-        run = list(run)
-        batches, owner, filling = [], [], {}  # filling: n -> (open batch, its cells)
-        for block in run:
-            n = sum(len(family[block[0].labels[g]].vertices) for g in _active(block[0]))
-            cells = len(block) * (m + 1) * (n + m + 1)
-            b, used = filling.get(n, (None, 0))
-            if b is None or used + cells > _BATCH_CELLS:
-                b, used = len(batches), 0
-                batches.append([])
-            batches[b].append(block)
-            filling[n] = (b, used + cells)
-            owner.append(b)
-        results = {}
-        for block, b in zip(run, owner):
-            if b not in results:
-                rows = np.concatenate([_cone_rows(family, x) for x in batches[b]])
-                results[b] = _certify_cones(rows, config)
-            yield _finish_block(family, block, results[b])
-            if block is batches[b][-1]:
-                del results[b]  # frees the batch's arrays
+    batches, last, used = [], None, 0
+    for _, block in groupby(deps, key=attrgetter("labels")):
+        block = list(block)
+        n = sum(len(family[block[0].labels[g]].vertices) for g in _active(block[0]))
+        cells = len(block) * (m + 1) * (n + m + 1)
+        if n != last or used + cells > _BATCH_CELLS:
+            batches.append([])
+            last, used = n, 0
+        batches[-1].append(block)
+        used += cells
+    for batch in batches:
+        results = _certify_cones(np.concatenate([_cone_rows(family, b) for b in batch]), config)
+        for block in batch:
+            yield _finish_block(family, block, results)
 
 
 def _require_finite(dep: AffineDependence) -> None:
@@ -559,9 +551,9 @@ def check_dependency_consistency(
 ) -> ConsistencyVerdict:
     """Pass iff every enumerated dependence lifts; the first failure (in
     enumeration order) is returned with its certificate.  Consecutive
-    dependences with equal support labels form a block, and the blocks of
-    one support size that share a cone LP shape are certified as one bounded
-    lock-step batch (:func:`_batched_lifts`), whose results are read in
+    dependences with equal support labels form a block, and consecutive
+    blocks that share a cone LP shape are certified as one bounded lock-step
+    batch (:func:`_batched_lifts`), whose results are read in
     enumeration order: a NoLift stops the check before any exact work on the
     LPs after it, and every verdict, lift and certificate is the one that
     the dependence's block alone would give."""

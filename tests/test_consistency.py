@@ -862,9 +862,8 @@ def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeyp
 @pytest.mark.parametrize("seed", [1, 11], ids=["fail", "pass"])
 def test_mixed_vertex_counts_give_the_blockwise_verdict(seed, monkeypatch):
     # sets of 2 to 5 vertices give the blocks of one support size several
-    # cone LP shapes, so their batches interleave in enumeration order; the
-    # verdict, its NoLift and the largest residual are those of one batch
-    # per block
+    # cone LP shapes, so a batch ends where the shape changes; the verdict,
+    # its NoLift and the largest residual are those of one batch per block
     import tvlab.consistency as consistency
 
     inst = gen_instance(GenSpec(d=2, n_sets=6, planted=True, seed=seed))

@@ -421,21 +421,11 @@ def _cone_rows(family: Family, deps) -> np.ndarray:
     return np.concatenate([G.transpose(0, 2, 1), np.ones((len(G), 1, G.shape[1]))], axis=1)
 
 
-def _certify_cones(rows: np.ndarray, config: ConsistencyConfig):
-    """:func:`tvlab.lp.certify` on a batch of cone LP rows (exactly with
-    ``config.exact``): one lock-step float tableau, a float witness kept only
-    when it re-verifies, a NoLift certified from its own final basis, and any
-    other LP decided exactly, alone, when the consumer reaches it."""
-    rhs = np.zeros(rows.shape[:2])
-    rhs[:, -1] = 1.0
-    return certify(rows, rhs, exact=config.exact)
-
-
 def _finish_block(family: Family, deps, results):
     """Lift dependences that share their support labels and their zero
     coefficients, in order, up to the first NoLift, from the next results of
-    their cone LPs in the iterator ``results`` (of :func:`_certify_cones`,
-    which may hold other blocks' LPs before and after them).
+    their cone LPs in the iterator ``results`` (of :func:`tvlab.lp.certify`
+    on a batch that may hold other blocks' LPs before and after them).
 
     r, the in-set points and both residuals of the lifted dependences are
     computed as arrays, in the bits of the one-dependence formulas.  Returns
@@ -478,14 +468,6 @@ def _finish_block(family: Family, deps, results):
     return resid, lift, nolift
 
 
-def _lift_block(family: Family, deps, config: ConsistencyConfig):
-    """Lift dependences that share their support labels and their zero
-    coefficients, in order, up to the first NoLift, as one batch of their
-    own: :func:`_cone_rows`, :func:`_certify_cones` and
-    :func:`_finish_block`, whose (resid, lift, nolift) it returns."""
-    return _finish_block(family, deps, _certify_cones(_cone_rows(family, deps), config))
-
-
 # A lock-step batch holds whole blocks of cone LPs of one shape (2d+3, n),
 # up to this many tableau cells, (2d+4)(n+2d+4) per LP; a block above it is
 # a batch alone.  2^16 float64 cells are 512 KiB, and a pivoting batch keeps
@@ -502,9 +484,10 @@ def _batched_lifts(family: Family, deps, config: ConsistencyConfig):
     in order: each maximal run of consecutive dependences with equal support
     labels.  Consecutive blocks whose cone LPs share a shape are packed, in
     order, into batches within _BATCH_CELLS, and each batch goes through
-    :func:`_certify_cones` as one, when its first block is reached.
-    Enumerated coefficients never vanish on their support, so the labels
-    alone fix a block's layout."""
+    :func:`tvlab.lp.certify` as one (exactly with ``config.exact``), when its
+    first block is reached.  Enumerated coefficients never vanish on their
+    support, so the labels alone fix a block's layout; a lone dependence is
+    a block of its own whatever its zero coefficients."""
     m = 2 * family.dim + 3
     batches, last, used = [], None, 0
     for _, block in groupby(deps, key=attrgetter("labels")):
@@ -517,7 +500,10 @@ def _batched_lifts(family: Family, deps, config: ConsistencyConfig):
         batches[-1].append(block)
         used += cells
     for batch in batches:
-        results = _certify_cones(np.concatenate([_cone_rows(family, b) for b in batch]), config)
+        rows = np.concatenate([_cone_rows(family, b) for b in batch])
+        rhs = np.zeros(rows.shape[:2])
+        rhs[:, -1] = 1.0
+        results = certify(rows, rhs, exact=config.exact)
         for block in batch:
             yield _finish_block(family, block, results)
 
@@ -538,11 +524,12 @@ def lift_dependence(
     Uses the exact equivalence, for vertex-generated sets, between the
     definition's lift and convex-cone membership of the origin among the
     per-vertex generators.  Returns a Lift or a NoLift: the dependence is a
-    block of one for :func:`_lift_block`, so a NoLift always carries an exact
-    Farkas certificate.  Raises ValueError on a non-finite coefficient.
+    block and a batch of one for :func:`_batched_lifts`, so a NoLift always
+    carries an exact Farkas certificate.  Raises ValueError on a non-finite
+    coefficient.
     """
     _require_finite(dep)
-    _, lift, nolift = _lift_block(family, [dep], config or ConsistencyConfig())
+    _, lift, nolift = next(_batched_lifts(family, [dep], config or ConsistencyConfig()))
     return lift(0) if nolift is None else nolift
 
 
@@ -562,30 +549,16 @@ def check_dependency_consistency(
         raise ValueError("dependency consistency is a complex-ambient check")
     deps = enumerate_dependences(family, witness, config)
     n_circuits = sum(1 for dep in deps if dep.origin == "circuit")
-    max_resid = 0.0
-    worst = None
+    counts = dict(samples_budget=config.samples, n_dependences=len(deps),
+                  n_circuits=n_circuits, n_sampled=len(deps) - n_circuits)
+    max_resid, worst = 0.0, None
     for resid, lift, nolift in _batched_lifts(family, deps, config):
         if nolift is not None:
-            return ConsistencyVerdict(
-                "fail",
-                samples_budget=config.samples,
-                n_dependences=len(deps),
-                n_circuits=n_circuits,
-                n_sampled=len(deps) - n_circuits,
-                violation=nolift,
-            )
+            return ConsistencyVerdict("fail", violation=nolift, **counts)
         i = int(resid.argmax())  # the first of equal maxima, as in enumeration order
         if resid[i] > max_resid:
             max_resid, worst = float(resid[i]), lift(i)
-    return ConsistencyVerdict(
-        "pass",
-        samples_budget=config.samples,
-        n_dependences=len(deps),
-        n_circuits=n_circuits,
-        n_sampled=len(deps) - n_circuits,
-        max_lift_residual=max_resid,
-        worst_lift=worst,
-    )
+    return ConsistencyVerdict("pass", max_lift_residual=max_resid, worst_lift=worst, **counts)
 
 
 # ---------------------------------------------------------------------------

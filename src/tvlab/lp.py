@@ -97,35 +97,32 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
 
     The elements still pivoting are kept at the front of T and basis, and
     the loop works on views of that front: an element that leaves swaps
-    places with a later one that stays, and the swaps are undone in reverse
-    on the way out, so no tableau is gathered."""
+    places with a later one that stays, and one move of the rows that moved
+    puts every element back in its place on the way out, so no tableau is
+    gathered."""
     unbounded = np.zeros(len(T), dtype=bool)
     if not live.any() or not ncols:
         return unbounded
     at = np.arange(len(T))  # the element at each position
-    swaps = []
 
-    def front(stay, *extra):
+    def front(stay):
         """Move the positions marked in stay ahead of the others, in T,
-        basis, at and the extra per-position arrays; returns their count."""
+        basis and at; returns their count."""
         s = int(np.count_nonzero(stay))
         if 0 < s < len(stay):
             dst = np.flatnonzero(~stay[:s])
             src = s + np.flatnonzero(stay[s:])
-            for v in (T, basis, at) + extra:
+            for v in (T, basis, at):
                 v[dst], v[src] = v[src], v[dst]
-            swaps.append((dst, src))
         return s
-
-    def restore():
-        for dst, src in reversed(swaps):
-            for v in (T, basis):
-                v[dst], v[src] = v[src], v[dst]
 
     s = front(live)
     W, Wb = T[:s], basis[:s]
     k = np.arange(s)
-    for it in range(max_iter):
+    it = 0
+    while s:
+        if it == max_iter:
+            raise SolverError("simplex iteration limit exceeded")
         r = W[:, -1, :ncols]
         if it < ar.bland_after:
             j = r.argmin(axis=1)
@@ -137,21 +134,21 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
         col = W[k, :, j]
         ok = col[:, :-1] > ar.pivot_tol
         stay = go & ok.any(axis=1)
-        if not stay.all():
+        if not stay.all():  # the stayers' j, col and ok are read again from the front
             unbounded[at[:s][go & ~stay]] = True
-            s = front(stay, j, col, ok)
-            if not s:
-                restore()
-                return unbounded
-            W, Wb, j, col, ok = W[:s], Wb[:s], j[:s], col[:s], ok[:s]
-            k = k[:s]
+            s = front(stay)
+            W, Wb, k = W[:s], Wb[:s], k[:s]
+            continue
         ratios = np.full(ok.shape, np.inf, dtype=T.dtype)
         np.divide(W[:, :-1, -1], col[:, :-1], out=ratios, where=ok)
         best = ratios.min(axis=1, keepdims=True)
         # ties broken by smallest basis label, which cheaply discourages cycling
         tied = ratios <= best + ar.tie_tol * (1 + abs(best))
         _pivot(W, Wb, np.where(tied, Wb, T.shape[2]).argmin(axis=1), j, col)
-    raise SolverError("simplex iteration limit exceeded")
+        it += 1
+    moved = np.flatnonzero(at != np.arange(len(T)))
+    T[at[moved]], basis[at[moved]] = T[moved], basis[moved]
+    return unbounded
 
 
 _STATUS = np.array(["feasible", "infeasible", "unbounded", "inconclusive"], dtype=object)

@@ -169,8 +169,8 @@ class _PolygonBatch:
 def _phi_targets(family: Family, phi) -> np.ndarray:
     """One complex target row per family member, in label order.
 
-    Accepts either an array-like of shape (n_sets, k) or a witness object
-    exposing point_of(label)."""
+    Accepts either an array-like of shape (n_sets, d-1), d+1 the embedded
+    family's dimension, or a witness object exposing point_of(label)."""
     if hasattr(phi, "point_of"):
         rows = [np.asarray(phi.point_of(label)) for label in family.labels]
         out = np.asarray(rows, dtype=complex)
@@ -178,6 +178,8 @@ def _phi_targets(family: Family, phi) -> np.ndarray:
         out = np.asarray(phi, dtype=complex)
     if out.ndim != 2 or out.shape[0] != len(family.labels):
         raise ValueError("one witness image per family member required")
+    if out.shape[1] != family.dim - 2:
+        raise ValueError(f"witness images must lie in C^{family.dim - 2}, got C^{out.shape[1]}")
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,28 @@ def test_equiv_writes_report(tmp_path, capsys):
     assert main(["equiv", "--trials", "3", "--d", "1", "--seed", "0", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["aggregates"]["trials"] == 3
+    capsys.readouterr()
+
+
+# sha256 of the bytes each command writes, recorded with numpy 2.4.6 and
+# OpenBLAS 0.3.31: reports and instances are byte-stable for a fixed version
+OUTPUT_DIGESTS = {
+    "equiv --trials 50 --seed 0 --d 1":
+        "72673c3b427dcfd74ed527b5e8004db46e055eb6f63ef1eb28a082f1ac01bc47",
+    "equiv --trials 50 --seed 0 --d 2":
+        "3cecb0e9ec1084f95bb68cc8c70ecab56233fd6dd143fe79c85a5a0b23993bc7",
+    "gen --d 2 --sets 5 --planted --seed 11":
+        "25d4c0ffd7b6b6673d1dd52a93617636074678f6977db93c759f248236f6cbc1",
+    "gen --d 2 --sets 5 --planted --seed 3 --ambient real":
+        "ca5b21052aeef7a71ea5ad7eca76d85bf13f0a287bda717ee13fa07eb3346a0c",
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_DIGESTS))
+def test_outputs_keep_recorded_bytes(command, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(command.split() + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
     capsys.readouterr()
 
 

@@ -21,11 +21,11 @@ from tvlab.consistency import (
     ConsistencyWitness,
     Lift,
     NoLift,
+    _batched_lifts,
     _canonical_blocks,
     _complex_nullspace,
     _cone_rows,
     _decimal_keys,
-    _lift_block,
     _lift_generators,
     check_dependency_consistency,
     enumerate_dependences,
@@ -353,7 +353,7 @@ def test_lift_block_labels_of_zero_weight_keep_their_first_vertex(exact):
     labels = fam.labels
     deps = [AffineDependence(labels, (a, -a, a, 0.0)) for a in (1.0, 2j, -0.5 + 1j)]
     cfg = ConsistencyConfig(exact=exact)
-    resid, lift, nolift = _lift_block(fam, deps, cfg)
+    [(resid, lift, nolift)] = _batched_lifts(fam, deps, cfg)
     assert nolift is None and len(resid) == len(deps)
     for i, dep in enumerate(deps):
         for res in (lift(i), lift_dependence(fam, dep, cfg)):
@@ -599,7 +599,7 @@ def _block_lifts(fam, w, cfg):
     none for a failing one."""
     lifts = []
     for _, block in groupby(enumerate_dependences(fam, w, cfg), attrgetter("labels")):
-        resid, lift, nolift = _lift_block(fam, list(block), cfg)
+        [(resid, lift, nolift)] = _batched_lifts(fam, list(block), cfg)
         if nolift is not None:
             return []
         lifts.extend(map(lift, range(len(resid))))
@@ -874,7 +874,7 @@ def test_mixed_vertex_counts_give_the_blockwise_verdict(seed, monkeypatch):
     cfg = ConsistencyConfig(samples=16, seed=seed)
     want, worst = None, 0.0
     for _, block in groupby(enumerate_dependences(fam, w, cfg), attrgetter("labels")):
-        resid, _, nolift = _lift_block(fam, list(block), cfg)
+        [(resid, _, nolift)] = _batched_lifts(fam, list(block), cfg)
         if nolift is not None:
             want = nolift
             break

@@ -404,14 +404,16 @@ def test_pivot_leaves_rows_with_a_zero_in_the_pivot_column_untouched():
 
 def test_lock_step_batch_matches_single_solves():
     # programs of one shape, some feasible and some not, solved as one batch
-    # and one at a time: same status and bitwise the same witness
+    # and one at a time: same status and bitwise the same witness or Farkas
+    # row; with a cost, some leave the loop unbounded while others pivot on
     rng = np.random.default_rng(4)
     A = np.round(rng.standard_normal((40, 3, 6)) * 2, 1)
     b = np.round(rng.standard_normal((40, 3)) * 2, 1)
     c = np.round(rng.standard_normal((40, 6)), 1)
     for cost in (None, c):
-        status, x, _, basis = lp_module._solve_standard(A, b, cost, lp_module._FLOAT)
+        status, x, y, basis = lp_module._solve_standard(A, b, cost, lp_module._FLOAT)
         assert {"feasible", "infeasible"} <= set(status)
+        assert cost is None or "unbounded" in set(status)
         for e in range(len(A)):
             one_cost = None if cost is None else cost[e : e + 1]
             one = lp_module._solve_standard(A[e : e + 1], b[e : e + 1], one_cost, lp_module._FLOAT)
@@ -419,6 +421,8 @@ def test_lock_step_batch_matches_single_solves():
             assert one[3][0].tolist() == basis[e].tolist()
             if status[e] == "feasible":
                 assert one[1][0].tobytes() == x[e].tobytes()
+            if status[e] == "infeasible":
+                assert one[2][0].tobytes() == y[e].tobytes()
 
 
 def test_float_infeasible_verdict_is_certified_from_the_basis(monkeypatch):

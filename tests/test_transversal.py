@@ -378,6 +378,22 @@ def test_borsuk_map_rejects_mismatched_shapes():
         borsuk_map(SpherePoint(np.array([1, 0], dtype=complex)), fam, np.zeros((1, 1)))
 
 
+def test_borsuk_route_rejects_images_of_the_wrong_width():
+    # a planted d=2 family takes images in C^1: images in C^3 are refused by
+    # the map, the zero search and the dependence read off a zero alike
+    fam, T, plants = _planted_family(np.random.default_rng(42))
+    emb = embed_family(fam)
+    phi = np.zeros((4, 3), dtype=complex)
+    x = SpherePoint.normalized(np.array([1, 1j, 0.5], dtype=complex))
+    for call in (
+        lambda: borsuk_map(x, emb, phi),
+        lambda: find_borsuk_zero(emb, phi, TransversalConfig(starts=1, iters=20)),
+        lambda: borsuk_zero_dependence(x, emb, phi),
+    ):
+        with pytest.raises(ValueError, match="C\\^1"):
+            call()
+
+
 # -- zero finding ------------------------------------------------------------------
 
 

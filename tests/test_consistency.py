@@ -709,6 +709,40 @@ def test_degenerate_enumeration_keeps_recorded_bits(name):
     assert _enumeration_digest(deps) == DEGENERATE_DIGESTS[name]
 
 
+def _degenerate_batch(count=48, seed=48):
+    """Seeded witnesses at k = 0..3 on 5-7 labels: after two fresh points,
+    each point coincides with an earlier one, lies on the line through the
+    first two at a step rounded to one decimal, or is fresh, rounded to one
+    decimal.  Their circuits of a size often have a smaller support that
+    another subfamily or size shares."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k, n = i % 4, 5 + i % 3
+        pts = []
+        for j in range(n):
+            mode = rng.integers(3) if j >= 2 else 2
+            if mode == 0:
+                pts.append(pts[rng.integers(j)])
+            elif mode == 1:
+                pts.append(pts[0] + round(float(rng.standard_normal()), 1) * (pts[1] - pts[0]))
+            else:
+                pts.append(np.round(rng.standard_normal(k) + 1j * rng.standard_normal(k), 1))
+        fam = _family("complex", *[[[complex(j)]] for j in range(n)])
+        yield fam, _witness(k, np.reshape(pts, (n, k)), {f"S{j}": j for j in range(n)}), i
+
+
+# sha256 of the enumerations of the whole batch at samples=4, in order,
+# recorded when partial-support rows were deduplicated apart from full ones:
+# 925 partial-support candidates at sizes 3 to 7, of which 559 are kept
+DEGENERATE_BATCH_DIGEST = "30928929bc61c6b61decc304a0d6d7429b0166e5e62ae32dadce95e098543e6a"
+
+
+def test_degenerate_batch_keeps_recorded_bits():
+    deps = [dep for fam, w, seed in _degenerate_batch()
+            for dep in enumerate_dependences(fam, w, ConsistencyConfig(samples=4, seed=seed))]
+    assert _enumeration_digest(deps) == DEGENERATE_BATCH_DIGEST
+
+
 def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
     import tvlab.lp as lp
 

@@ -9,7 +9,8 @@ import argparse
 import json
 import sys
 
-from .consistency import ConsistencyConfig, check_dependency_consistency, trivial_witness
+from .consistency import ConsistencyConfig, NoLift, check_dependency_consistency
+from .consistency import lift_dependence, trivial_witness
 from .geometry import PoleError, embed_family, hyperplane_from_sphere_point
 from .harness import (
     EquivConfig,
@@ -74,19 +75,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _witness(instance: Instance, k=None):
+    """(witness, source) of a command: the stored witness, else the planted
+    transversal's frame (target dimension d-1), else the trivial witness
+    (target dimension 0), the first of them with target dimension k when k
+    is given; (None, None) if none has it."""
+    if instance.witness is not None and k in (None, instance.witness.k):
+        return instance.witness, "stored witness"
+    if instance.planted is not None:
+        planted = witness_from_transversal(instance, instance.planted)
+        return planted, "witness from planted transversal"
+    if k in (None, 0):
+        return trivial_witness(instance.family), "trivial witness"
+    return None, None
+
+
 def _cmd_check(args) -> int:
     instance = _load_instance(args.instance)
     family = instance.family
     if family.ambient != "complex":
         print("error: consistency checking expects a complex instance", file=sys.stderr)
         return 2
-    if instance.witness is not None:
-        witness, source = instance.witness, "stored witness"
-    elif instance.planted is not None:
-        witness = witness_from_transversal(instance, instance.planted)
-        source = "witness from planted transversal"
-    else:
-        witness, source = trivial_witness(family), "trivial witness"
+    witness, source = _witness(instance)
     config = ConsistencyConfig(samples=args.samples, exact=args.exact)
     verdict = check_dependency_consistency(family, witness, config)
     print(f"using {source} (target dimension {witness.k})")
@@ -99,17 +109,6 @@ def _cmd_check(args) -> int:
         dep = verdict.violation.dependence
         print(f"unliftable dependence on {list(dep.labels)} (exact={verdict.violation.exact})")
     return 0 if verdict.passed else 1
-
-
-def _borsuk_witness(instance: Instance):
-    d = instance.d
-    if instance.witness is not None and instance.witness.k == d - 1:
-        return instance.witness
-    if instance.planted is not None:
-        return witness_from_transversal(instance, instance.planted)
-    if d == 1:
-        return trivial_witness(instance.family)
-    return None
 
 
 def _cmd_find(args) -> int:
@@ -130,7 +129,7 @@ def _cmd_find(args) -> int:
         T = result
         rep = verify_transversal(T, family, tol=1e-6)
     else:
-        witness = _borsuk_witness(instance)
+        witness, _ = _witness(instance, instance.d - 1)
         if witness is None:
             print(
                 "error: borsuk method needs a witness with target dimension d-1"
@@ -152,14 +151,20 @@ def _cmd_find(args) -> int:
         print(f"zero residual {residual:.3e}")
         rep = verify_transversal(T, family, tol=1e-4)
         if not rep.passed:
-            # a zero whose hyperplane misses a set convicts the witness:
-            # its dependence has no nonnegative lift
+            # a zero whose hyperplane misses a set convicts the witness only
+            # when its dependence has no nonnegative lift, certified exactly
             dep = borsuk_zero_dependence(x, emb, witness)
-            labels = list(dep.labels) if dep is not None else []
+            res = None if dep is None else lift_dependence(family, dep)
+            if isinstance(res, NoLift) and res.exact:
+                why = f"witness convicted by the dependence on {list(dep.labels)}"
+            elif dep is None:
+                why = "the zero misses a set and convicts nothing: it carries no dependence"
+            else:
+                why = (f"the zero misses a set and convicts nothing:"
+                       f" its dependence on {list(dep.labels)} lifts")
             print(
                 f"not found: zero does not yield a transversal"
-                f" (verify max {rep.max_distance:.3e});"
-                f" witness convicted by the dependence on {labels}"
+                f" (verify max {rep.max_distance:.3e}); {why}"
             )
             return 1
     print(dumps_canonical(_hyperplane_json(T)), end="")

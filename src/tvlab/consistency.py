@@ -11,12 +11,13 @@ Two checkers live here:
   higher-dimensional ones are sampled at a seeded budget.  The null spaces
   of all subfamilies of a size come from one stacked elimination, and all
   their candidates are canonicalised (unit norm, support, real-positive
-  pivot) as one array block and deduplicated in candidate order on integer
-  keys of their coefficients.  The dependences of one subfamily form a
-  block, whose cone LPs share one layout; consecutive blocks whose LPs
-  share a shape go through :func:`tvlab.lp.certify` together, in lock-step
-  batches of whole blocks within a fixed budget of tableau cells,
-  and their results are read in enumeration order up to the first NoLift.
+  pivot) as one array block and deduplicated, in candidate order and across
+  sizes, on integer keys of their labels and coefficients.  The dependences
+  of one subfamily form a block, whose cone LPs share one layout;
+  consecutive blocks whose LPs share a shape go through
+  :func:`tvlab.lp.certify` together, in lock-step batches of whole blocks
+  within a fixed budget of tableau cells, and their results are read in
+  enumeration order up to the first NoLift.
   Its one escalation path decides alone and exactly, and only when reached,
   every LP that the float batch leaves uncertified, so every lift equals
   the one-dependence answer.  A block's r, in-set points and residuals are
@@ -131,8 +132,8 @@ class Lift:
     and points p_F in F with vanishing weighted sums.
 
     vertex_weights certify each p_F as a convex combination of its set's
-    vertices (the weights of labels with r_F = 0 are zero; their p_F is an
-    arbitrary vertex)."""
+    vertices (the weights of labels with r_F = 0 are zero; their p_F is
+    their set's first vertex)."""
 
     dependence: AffineDependence
     r: tuple  # per support label
@@ -306,22 +307,22 @@ def enumerate_dependences(
     QR and one draw ``(R, 2, nullity, samples)`` per run of R consecutive
     subfamilies sharing a nullity above one (the per-subfamily stream of
     real, then imaginary parts), and one :func:`_canonical_blocks` call.
-    Candidates are deduplicated by support labels and coefficients to nine
-    decimals (:func:`_decimal_keys`), keeping the first in order: by np.unique
-    within a subfamily, and through a set only where the support is smaller
-    than the subfamily, as only then can another subfamily share the key."""
+    Each candidate is keyed by its support's label indices and then its
+    coefficients to nine decimals (:func:`_decimal_keys`), both padded with
+    -1 to the width min(n, 2k+3), and the first of each key in candidate
+    order is kept, through one set of keys carried across sizes."""
     config = config or ConsistencyConfig()
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
     labels = family.labels
     pts = witness.points[[witness.assignment[l] for l in labels]]
     rng = np.random.default_rng(config.seed)
+    width = min(len(labels), 2 * witness.k + 3)
     out, seen = [], set()
-    full = {}  # size -> its subfamilies' full-support keys, put in seen at its first lookup
-    for size in range(2, min(len(labels), 2 * witness.k + 3) + 1):
-        combos = list(combinations(range(len(labels)), size))
+    for size in range(2, width + 1):
+        combos = np.array(list(combinations(range(len(labels)), size)))
         M = np.ones((len(combos), witness.k + 1, size), dtype=complex)
-        M[:, 1:] = pts[np.array(combos)].transpose(0, 2, 1)
+        M[:, 1:] = pts[combos].transpose(0, 2, 1)
         basis, nullity = _complex_nullspace(M)
         starts = np.flatnonzero(np.diff(nullity, prepend=-1)).tolist() + [len(combos)]
         blocks = []
@@ -335,35 +336,27 @@ def enumerate_dependences(
                 blocks.append((q @ (g[:, 0] + 1j * g[:, 1])).transpose(0, 2, 1).reshape(-1, size))
         if not blocks:
             continue
+        A = np.concatenate(blocks)
         sid = np.repeat(np.arange(len(combos)), np.where(nullity > 1, config.samples, nullity))
-        names = [tuple(labels[i] for i in c) for c in combos]
+        names = [tuple(labels[i] for i in c) for c in combos.tolist()]
         origins = ["circuit" if nu == 1 else "sampled" for nu in nullity.tolist()]
-        found = []  # (row, labels, coeffs, origin, key where another subfamily may share it)
-        for rows, support, coeffs in _canonical_blocks(np.concatenate(blocks)):
+        keys = np.full((len(A), 3 * width), -1)  # a _decimal_keys value is even or 1
+        rows_args = [None] * len(A)  # AffineDependence arguments of each canonical row
+        for rows, support, coeffs in _canonical_blocks(A):
             s = sid[rows]
-            keys = np.column_stack([s, _decimal_keys(coeffs.view(float))])
-            if support.size < size:  # labels that another subfamily or size may share
-                members = zip(rows.tolist(), s.tolist(), coeffs.tolist(), keys.tolist())
-                for r, t, c, (_, *key) in members:
-                    sup = tuple(labels[combos[t][i]] for i in support)
-                    found.append((r, sup, c, origins[t], tuple(key)))
-                continue
-            # the subfamily's own labels: its keys can repeat only among its rows
-            rows_as_one = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-            first = np.sort(np.unique(rows_as_one, return_index=True)[1])
-            full[size] = (names, keys[first])
-            s = s[first].tolist()
-            found += zip(rows[first].tolist(), map(names.__getitem__, s), coeffs[first].tolist(),
-                         map(origins.__getitem__, s), [None] * len(s))
-        for r, sup, c, origin, key in sorted(found):  # rows are distinct
-            if key is not None:
-                if len(sup) in full:
-                    names_t, keys_t = full.pop(len(sup))
-                    seen.update((names_t[t], tuple(k)) for t, *k in keys_t.tolist())
-                if (sup, key) in seen:
-                    continue
-                seen.add((sup, key))
-            out.append(AffineDependence(sup, c, origin))
+            keys[rows, : support.size] = members = combos[s][:, support]
+            keys[rows, width : width + 2 * support.size] = _decimal_keys(coeffs.view(float))
+            if support.size == size:
+                sups = map(names.__getitem__, s.tolist())
+            else:
+                sups = (tuple(labels[i] for i in m) for m in members.tolist())
+            for r, sup, c, t in zip(rows.tolist(), sups, coeffs.tolist(), s.tolist()):
+                rows_args[r] = (sup, c, origins[t])
+        as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        for key, args in zip(as_bytes.tolist(), rows_args):
+            if args is not None and key not in seen:
+                seen.add(key)
+                out.append(AffineDependence(*args))
     return out
 
 
@@ -371,25 +364,10 @@ def enumerate_dependences(
 # lifting
 
 
-def _lift_generators(family: Family, labels, coeffs):
-    """Generators (a_F v, a_F) in C^{d+1}, read in R^{2d+2}, per vertex, for
-    a block of coefficient rows ``coeffs`` (B, s) over the support ``labels``;
-    returns (B, n, 2d+2) with the vertices of all labels in label order."""
-    parts = []
-    for g, label in enumerate(labels):
-        V = family[label].vertices  # (n, d) complex
-        a = coeffs[:, g, None]
-        W = np.empty((len(coeffs), V.shape[0], V.shape[1] + 1), dtype=complex)
-        W[..., :-1] = a[..., None] * V
-        W[..., -1] = a
-        parts.append(complex_to_real(W))
-    return np.concatenate(parts, axis=1)
-
-
 def _exact_generators(coeffs, points):
     """Integer columns (s^2 a z, s a, 1), complex entries in real pairs, for
     each coefficient a and each row z of its (n, k) array of points: the
-    generators (a z, a) of :func:`_lift_generators` and an affine 1, with a
+    generators (a z, a) of :func:`_cone_rows` and an affine 1, with a
     and z Gaussian integers over one scale s.  Scaling a row keeps the null
     space and the cone LP's answer.  Raises ValueError unless there is one
     array of points per coefficient."""
@@ -402,30 +380,30 @@ def _exact_generators(coeffs, points):
     return [[x for _ in row for x in gmul(a, next(pairs))] + [*a, 1] for a, P in cols for row in P]
 
 
-def _active(dep: AffineDependence) -> list:
-    """Indices of dep's labels with a nonzero coefficient: a label whose
-    coefficient vanishes cannot affect the sums, and has no cone LP columns."""
-    return [i for i, a in enumerate(dep.coeffs) if abs(a) > 0.0]
-
-
 def _cone_rows(family: Family, deps) -> np.ndarray:
     """Rows (B, 2d+3, n) of the cone LPs of dependences that share their
-    support labels and their zero coefficients: the generators of
-    :func:`_lift_generators` over the n vertices of the active labels, in
-    label order, as columns, over a row of ones.  The LP asks for convex
-    weights of the columns that sum them to (0, 1)."""
-    labels = deps[0].labels
-    active = _active(deps[0])
-    coeffs = np.array([[dep.coeffs[i] for i in active] for dep in deps])
-    G = _lift_generators(family, [labels[i] for i in active], coeffs)  # (B, n, 2d+2)
+    support labels: the generator (a_F v, a_F) in C^{d+1}, read in R^{2d+2},
+    of each of the n vertices v of the labels F, in label order, as a column
+    over a one.  The LP asks for convex weights of the columns that sum them
+    to (0, 1)."""
+    coeffs = np.array([dep.coeffs for dep in deps])
+    parts = []
+    for g, label in enumerate(deps[0].labels):
+        V = family[label].vertices  # (n, d) complex
+        a = coeffs[:, g, None]
+        W = np.empty((len(coeffs), V.shape[0], V.shape[1] + 1), dtype=complex)
+        W[..., :-1] = a[..., None] * V
+        W[..., -1] = a
+        parts.append(complex_to_real(W))
+    G = np.concatenate(parts, axis=1)  # (B, n, 2d+2)
     return np.concatenate([G.transpose(0, 2, 1), np.ones((len(G), 1, G.shape[1]))], axis=1)
 
 
 def _finish_block(family: Family, deps, results):
-    """Lift dependences that share their support labels and their zero
-    coefficients, in order, up to the first NoLift, from the next results of
-    their cone LPs in the iterator ``results`` (of :func:`tvlab.lp.certify`
-    on a batch that may hold other blocks' LPs before and after them).
+    """Lift dependences that share their support labels, in order, up to the
+    first NoLift, from the next results of their cone LPs in the iterator
+    ``results`` (of :func:`tvlab.lp.certify` on a batch that may hold other
+    blocks' LPs before and after them).
 
     r, the in-set points and both residuals of the lifted dependences are
     computed as arrays, in the bits of the one-dependence formulas.  Returns
@@ -434,26 +412,22 @@ def _finish_block(family: Family, deps, results):
     that ends the block, or None.
     """
     labels = deps[0].labels
-    active = _active(deps[0])
     lams, nolift = [], None
     for dep, (lam, farkas) in zip(deps, results):  # deps first: no result is taken past the block
         if farkas is not None:
             nolift = NoLift(dep, _infeasible(farkas))
             break
         lams.append(np.asarray(lam, dtype=float))  # an exact witness holds Fractions
-    n = sum(len(family[labels[g]].vertices) for g in active)
+    n = sum(len(family[label].vertices) for label in labels)
     lam = np.array(lams).reshape(len(lams), n)
     a = np.array([dep.coeffs for dep in deps[: len(lam)]]).reshape(len(lam), len(labels))
     r = np.zeros(a.shape)
     P = np.empty(a.shape + (family.dim,), dtype=complex)
-    W, start = [], 0  # lam holds the vertices of the active labels, in label order
+    W, start = [], 0  # lam holds the vertices of the labels, in label order
     for g, label in enumerate(labels):
         V = family[label].vertices
         P[:, g] = V[0]  # the point of a label with r_F = 0
-        if g in active:
-            lf, start = lam[:, start : start + len(V)], start + len(V)
-        else:
-            lf = np.zeros((len(lam), len(V)))
+        lf, start = lam[:, start : start + len(V)], start + len(V)
         r[:, g] = lf.sum(axis=1)
         pos = r[:, g, None] > 0.0
         np.divide((lf[:, None, :] @ V)[:, 0], r[:, g, None], out=P[:, g], where=pos)
@@ -485,14 +459,14 @@ def _batched_lifts(family: Family, deps, config: ConsistencyConfig):
     labels.  Consecutive blocks whose cone LPs share a shape are packed, in
     order, into batches within _BATCH_CELLS, and each batch goes through
     :func:`tvlab.lp.certify` as one (exactly with ``config.exact``), when its
-    first block is reached.  Enumerated coefficients never vanish on their
-    support, so the labels alone fix a block's layout; a lone dependence is
-    a block of its own whatever its zero coefficients."""
+    first block is reached.  Every coefficient must be nonzero, as enumerated
+    ones are on their support: :func:`lift_dependence` drops a caller's
+    zeros before it comes here."""
     m = 2 * family.dim + 3
     batches, last, used = [], None, 0
     for _, block in groupby(deps, key=attrgetter("labels")):
         block = list(block)
-        n = sum(len(family[block[0].labels[g]].vertices) for g in _active(block[0]))
+        n = sum(len(family[label].vertices) for label in block[0].labels)
         cells = len(block) * (m + 1) * (n + m + 1)
         if n != last or used + cells > _BATCH_CELLS:
             batches.append([])
@@ -523,14 +497,25 @@ def lift_dependence(
 
     Uses the exact equivalence, for vertex-generated sets, between the
     definition's lift and convex-cone membership of the origin among the
-    per-vertex generators.  Returns a Lift or a NoLift: the dependence is a
-    block and a batch of one for :func:`_batched_lifts`, so a NoLift always
-    carries an exact Farkas certificate.  Raises ValueError on a non-finite
-    coefficient.
+    per-vertex generators.  A label with a zero coefficient cannot affect
+    the sums: the dependence restricted to the other labels is a block and a
+    batch of one for :func:`_batched_lifts`, so a NoLift, which carries dep,
+    always carries an exact Farkas certificate, and a Lift puts each dropped
+    label back with r_F = 0, its first vertex and zero weights.  Raises
+    ValueError on a non-finite coefficient.
     """
     _require_finite(dep)
-    _, lift, nolift = next(_batched_lifts(family, [dep], config or ConsistencyConfig()))
-    return lift(0) if nolift is None else nolift
+    nz = [g for g, a in enumerate(dep.coeffs) if a]
+    part = AffineDependence([dep.labels[g] for g in nz], [dep.coeffs[g] for g in nz], dep.origin)
+    _, lift, nolift = next(_batched_lifts(family, [part], config or ConsistencyConfig()))
+    if nolift is not None:
+        return NoLift(dep, nolift.certificate)
+    got, r = lift(0), [0.0] * len(dep.labels)
+    points = np.array([family[label].vertices[0] for label in dep.labels], dtype=complex)
+    weights = [np.zeros(len(family[label].vertices)) for label in dep.labels]
+    for i, g in enumerate(nz):
+        r[g], points[g], weights[g] = got.r[i], got.points[i], got.vertex_weights[i]
+    return Lift(dep, tuple(r), points, tuple(weights))
 
 
 def check_dependency_consistency(

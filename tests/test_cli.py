@@ -68,6 +68,34 @@ def test_find_borsuk_rejects_unverified_zero(tmp_path, capsys):
         assert code == 1
 
 
+@pytest.mark.parametrize("dependence", [None, (1.0, -1.0), (1.0, 1.0)],
+                         ids=["none", "lifts", "no-lift"])
+def test_find_borsuk_convicts_only_on_an_exact_nolift(tmp_path, capsys, monkeypatch, dependence):
+    import tvlab.cli as cli
+    from tvlab.consistency import AffineDependence, NoLift, lift_dependence
+    from tvlab.transversal import VerificationReport
+
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--d", "2", "--sets", "3", "--planted", "--seed", "5", "-o", str(inst)]) == 0
+    # the zero's hyperplane is made to miss every set, and its dependence is
+    # none at all, (1, -1) on S0 and S1, which lifts, or (1, 1), which cannot
+    monkeypatch.setattr(cli, "verify_transversal", lambda T, fam, tol: VerificationReport(
+        tuple((label, 1.0) for label in fam.labels), tol))
+    dep = None if dependence is None else AffineDependence(("S0", "S1"), dependence)
+    monkeypatch.setattr(cli, "borsuk_zero_dependence", lambda x, emb, witness: dep)
+    family = cli._load_instance(str(inst)).family
+    convicted = dep is not None and isinstance(lift_dependence(family, dep), NoLift)
+    assert convicted == (dependence == (1.0, 1.0))
+    capsys.readouterr()
+    assert main(["find", str(inst), "--method", "borsuk"]) == 1
+    out = capsys.readouterr().out
+    assert "zero does not yield a transversal" in out
+    if convicted:
+        assert "witness convicted by the dependence on ['S0', 'S1']" in out
+    else:
+        assert "convicts nothing" in out and "convicted" not in out
+
+
 def test_find_borsuk_on_real_instance_is_usage_error(tmp_path, capsys):
     # the Borsuk map is complex-only: a real instance must not fall back to
     # the direction sweep and exit 0

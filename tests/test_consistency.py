@@ -26,7 +26,6 @@ from tvlab.consistency import (
     _complex_nullspace,
     _cone_rows,
     _decimal_keys,
-    _lift_generators,
     check_dependency_consistency,
     enumerate_dependences,
     lift_dependence,
@@ -50,7 +49,7 @@ def _witness(k, points, assignment):
 
 def _cone_generators(fam, dep):
     """The generators (a_F v, a_F) of a dependence's cone LP, one per row."""
-    return _lift_generators(fam, dep.labels, np.asarray(dep.coeffs, dtype=complex)[None])[0]
+    return _cone_rows(fam, [dep])[0, :-1].T
 
 
 # -- null space ----------------------------------------------------------------
@@ -343,6 +342,18 @@ def test_lift_drops_zero_coefficients():
     assert max(res.residuals()) < 1e-12
 
 
+def test_nolift_with_a_zero_coefficient_carries_the_callers_dependence():
+    # S0 and S1 are distinct points, so (1, -1) has no lift; S2's zero drops out
+    fam = _family("complex", [[0j]], [[1 + 0j]], [[99 + 0j]])
+    dep = AffineDependence(("S0", "S2", "S1"), (1.0, 0.0, -1.0), origin="borsuk-zero")
+    res = lift_dependence(fam, dep)
+    assert isinstance(res, NoLift) and res.exact
+    assert res.dependence is dep
+    assert (res.dependence.labels, res.dependence.coeffs) == (("S0", "S2", "S1"), (1, 0, -1))
+    again = lift_dependence(fam, AffineDependence(("S0", "S1"), (1.0, -1.0)))
+    assert res.certificate.farkas == again.certificate.farkas
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_lift_block_labels_of_zero_weight_keep_their_first_vertex(exact):
     # S2 lies at Im z >= 1 while S0 and S1 are real segments, so every lift
@@ -353,12 +364,16 @@ def test_lift_block_labels_of_zero_weight_keep_their_first_vertex(exact):
     labels = fam.labels
     deps = [AffineDependence(labels, (a, -a, a, 0.0)) for a in (1.0, 2j, -0.5 + 1j)]
     cfg = ConsistencyConfig(exact=exact)
-    [(resid, lift, nolift)] = _batched_lifts(fam, deps, cfg)
+    # the batch walk takes nonzero coefficients only: S3's zero is left to lift_dependence
+    nonzero = [AffineDependence(labels[:3], dep.coeffs[:3]) for dep in deps]
+    [(resid, lift, nolift)] = _batched_lifts(fam, nonzero, cfg)
     assert nolift is None and len(resid) == len(deps)
     for i, dep in enumerate(deps):
-        for res in (lift(i), lift_dependence(fam, dep, cfg)):
-            assert res.r[0] > 0.0 and res.r[2] == res.r[3] == 0.0
-            for g in (2, 3):
+        whole = lift_dependence(fam, dep, cfg)
+        assert whole.dependence is dep and len(whole.r) == len(whole.vertex_weights) == 4
+        for res in (lift(i), whole):
+            assert res.r[0] > 0.0 and set(res.r[2:]) == {0.0}
+            for g in range(2, len(res.r)):
                 assert res.points[g].tobytes() == fam.sets[g].vertices[0].tobytes()
                 assert not np.asarray(res.vertex_weights[g]).any()
             # the block's array residual is the one-lift formula, to the bit

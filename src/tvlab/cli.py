@@ -100,10 +100,12 @@ def _cmd_check(args) -> int:
     config = ConsistencyConfig(samples=args.samples, exact=args.exact)
     verdict = check_dependency_consistency(family, witness, config)
     print(f"using {source} (target dimension {witness.k})")
+    reached = "" if verdict.passed else " up to the failing subfamily size"
     print(
         f"consistency: {verdict.status}"
         f" ({verdict.n_dependences} dependences, {verdict.n_circuits} circuits,"
-        f" {verdict.n_sampled} sampled, max lift residual {verdict.max_lift_residual:.3e})"
+        f" {verdict.n_sampled} sampled{reached}, max lift residual"
+        f" {verdict.max_lift_residual:.3e})"
     )
     if verdict.violation is not None:
         dep = verdict.violation.dependence

@@ -6,18 +6,19 @@ Two checkers live here:
 * ``check_dependency_consistency`` (complex ambient): every complex affine
   dependence among the witness images must lift to a nonnegatively weighted
   dependence on points chosen inside the sets.  Dependences are enumerated
-  over subfamilies up to support size 2k+3, one size at a time as arrays:
-  one-dimensional null spaces contribute their unique circuit,
-  higher-dimensional ones are sampled at a seeded budget.  The null spaces
-  of all subfamilies of a size come from one stacked elimination, and all
-  their candidates are canonicalised (unit norm, support, real-positive
-  pivot) as one array block and deduplicated, in candidate order and across
-  sizes, on integer keys of their labels and coefficients.  The dependences
-  of one subfamily form a block, whose cone LPs share one layout;
-  consecutive blocks whose LPs share a shape go through
-  :func:`tvlab.lp.certify` together, in lock-step batches of whole blocks
-  within a fixed budget of tableau cells, and their results are read in
-  enumeration order up to the first NoLift.
+  over subfamilies up to support size 2k+3, one size at a time as arrays,
+  and each size is lifted before the next is enumerated, so a fail leaves
+  the sizes above its own untouched: one-dimensional null spaces contribute
+  their unique circuit, higher-dimensional ones are sampled at a seeded
+  budget.  The null spaces of all subfamilies of a size come from one
+  stacked elimination, and all their candidates are canonicalised (unit
+  norm, support, real-positive pivot) as one array block and deduplicated,
+  in candidate order and across sizes, on integer keys of their labels and
+  coefficients.  The dependences of one subfamily form a block, whose cone
+  LPs share one layout; consecutive blocks of a size whose LPs share a
+  shape go through :func:`tvlab.lp.certify` together, in lock-step batches
+  of whole blocks within a fixed budget of tableau cells, and their results
+  are read in enumeration order up to the first NoLift.
   Its one escalation path decides alone and exactly, and only when reached,
   every LP that the float batch leaves uncertified, so every lift equals
   the one-dependence answer.  A block's r, in-set points and residuals are
@@ -164,6 +165,11 @@ class NoLift:
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyVerdict:
+    """Outcome of a consistency check.  The counts of the complex check are
+    those of the dependences enumerated: every subfamily size for a pass,
+    and for a fail the sizes up to and including the failing one, since the
+    check lifts each size before it enumerates the next."""
+
     status: str  # "pass" | "fail"
     samples_budget: int
     n_dependences: int = 0
@@ -296,29 +302,17 @@ def _decimal_keys(x: np.ndarray) -> np.ndarray:
     return n.astype(np.int64) * 2 + ((n == 0) & np.signbit(x))
 
 
-def enumerate_dependences(
-    family: Family, witness: ConsistencyWitness, config: ConsistencyConfig | None = None
-):
-    """All circuit dependences plus sampled higher-nullity directions, over
-    subfamilies of size at most 2k+3, in increasing-size lexicographic order,
-    deduplicated up to global complex scaling.
-
-    All subfamilies of one size go together: one stacked elimination, one
-    QR and one draw ``(R, 2, nullity, samples)`` per run of R consecutive
-    subfamilies sharing a nullity above one (the per-subfamily stream of
-    real, then imaginary parts), and one :func:`_canonical_blocks` call.
-    Each candidate is keyed by its support's label indices and then its
-    coefficients to nine decimals (:func:`_decimal_keys`), both padded with
-    -1 to the width min(n, 2k+3), and the first of each key in candidate
-    order is kept, through one set of keys carried across sizes."""
-    config = config or ConsistencyConfig()
+def _dependences_by_size(family: Family, witness: ConsistencyWitness, config: ConsistencyConfig):
+    """The kept dependences of :func:`enumerate_dependences`, one list per
+    subfamily size 2 .. min(n, 2k+3) (empty where a size has none), each
+    yielded before the next size is eliminated or sampled."""
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
     labels = family.labels
     pts = witness.points[[witness.assignment[l] for l in labels]]
     rng = np.random.default_rng(config.seed)
     width = min(len(labels), 2 * witness.k + 3)
-    out, seen = [], set()
+    seen = set()
     for size in range(2, width + 1):
         combos = np.array(list(combinations(range(len(labels)), size)))
         M = np.ones((len(combos), witness.k + 1, size), dtype=complex)
@@ -335,6 +329,7 @@ def enumerate_dependences(
                 g = rng.standard_normal((j - i, 2, nu, config.samples))
                 blocks.append((q @ (g[:, 0] + 1j * g[:, 1])).transpose(0, 2, 1).reshape(-1, size))
         if not blocks:
+            yield []
             continue
         A = np.concatenate(blocks)
         sid = np.repeat(np.arange(len(combos)), np.where(nullity > 1, config.samples, nullity))
@@ -353,11 +348,31 @@ def enumerate_dependences(
             for r, sup, c, t in zip(rows.tolist(), sups, coeffs.tolist(), s.tolist()):
                 rows_args[r] = (sup, c, origins[t])
         as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        out = []
         for key, args in zip(as_bytes.tolist(), rows_args):
             if args is not None and key not in seen:
                 seen.add(key)
                 out.append(AffineDependence(*args))
-    return out
+        yield out
+
+
+def enumerate_dependences(
+    family: Family, witness: ConsistencyWitness, config: ConsistencyConfig | None = None
+):
+    """All circuit dependences plus sampled higher-nullity directions, over
+    subfamilies of size at most 2k+3, in increasing-size lexicographic order,
+    deduplicated up to global complex scaling.
+
+    All subfamilies of one size go together: one stacked elimination, one
+    QR and one draw ``(R, 2, nullity, samples)`` per run of R consecutive
+    subfamilies sharing a nullity above one (the per-subfamily stream of
+    real, then imaginary parts), and one :func:`_canonical_blocks` call.
+    Each candidate is keyed by its support's label indices and then its
+    coefficients to nine decimals (:func:`_decimal_keys`), both padded with
+    -1 to the width min(n, 2k+3), and the first of each key in candidate
+    order is kept, through one set of keys carried across sizes."""
+    sizes = _dependences_by_size(family, witness, config or ConsistencyConfig())
+    return [dep for deps in sizes for dep in deps]
 
 
 # ---------------------------------------------------------------------------
@@ -522,28 +537,33 @@ def check_dependency_consistency(
     family: Family, witness: ConsistencyWitness, config: ConsistencyConfig | None = None
 ) -> ConsistencyVerdict:
     """Pass iff every enumerated dependence lifts; the first failure (in
-    enumeration order) is returned with its certificate.  Consecutive
-    dependences with equal support labels form a block, and consecutive
-    blocks that share a cone LP shape are certified as one bounded lock-step
-    batch (:func:`_batched_lifts`), whose results are read in
-    enumeration order: a NoLift stops the check before any exact work on the
-    LPs after it, and every verdict, lift and certificate is the one that
-    the dependence's block alone would give."""
+    enumeration order) is returned with its certificate.  The dependences of
+    each subfamily size are lifted before the next size is enumerated, so a
+    fail enumerates no size past its own.  Consecutive dependences with
+    equal support labels form a block, and consecutive blocks of a size that
+    share a cone LP shape are certified as one bounded lock-step batch
+    (:func:`_batched_lifts`), whose results are read in enumeration order: a
+    NoLift stops the check before any exact work on the LPs after it, and
+    every verdict, lift and certificate is the one that the dependence's
+    block alone would give."""
     config = config or ConsistencyConfig()
     if family.ambient != "complex":
         raise ValueError("dependency consistency is a complex-ambient check")
-    deps = enumerate_dependences(family, witness, config)
-    n_circuits = sum(1 for dep in deps if dep.origin == "circuit")
-    counts = dict(samples_budget=config.samples, n_dependences=len(deps),
-                  n_circuits=n_circuits, n_sampled=len(deps) - n_circuits)
+    n_dependences = n_circuits = 0
     max_resid, worst = 0.0, None
-    for resid, lift, nolift in _batched_lifts(family, deps, config):
-        if nolift is not None:
-            return ConsistencyVerdict("fail", violation=nolift, **counts)
-        i = int(resid.argmax())  # the first of equal maxima, as in enumeration order
-        if resid[i] > max_resid:
-            max_resid, worst = float(resid[i]), lift(i)
-    return ConsistencyVerdict("pass", max_lift_residual=max_resid, worst_lift=worst, **counts)
+    for deps in _dependences_by_size(family, witness, config):
+        n_dependences += len(deps)
+        n_circuits += sum(1 for dep in deps if dep.origin == "circuit")
+        for resid, lift, nolift in _batched_lifts(family, deps, config):
+            if nolift is not None:
+                return ConsistencyVerdict("fail", config.samples, n_dependences, n_circuits,
+                                          n_dependences - n_circuits, violation=nolift)
+            i = int(resid.argmax())  # the first of equal maxima, as in enumeration order
+            if resid[i] > max_resid:
+                max_resid, worst = float(resid[i]), lift(i)
+    return ConsistencyVerdict("pass", config.samples, n_dependences, n_circuits,
+                              n_dependences - n_circuits, max_lift_residual=max_resid,
+                              worst_lift=worst)
 
 
 # ---------------------------------------------------------------------------

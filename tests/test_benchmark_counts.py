@@ -24,7 +24,7 @@ import families as F  # noqa: E402  (needs the path set up by load_program)
 
 # recorded with numpy 2.4.6 / OpenBLAS 0.3.31; a pool of the warm-up
 # families alone gives the counts of the full pool
-COUNTS_SHA256 = "2c81977418cb71d95d22cf82a4d4669675b7b87b8f7be55845429472e07cafc0"
+COUNTS_SHA256 = "c95b9007ad9a83ea0b0d9ddc9e5582b298ef49a7e778e495652092793b02a0f7"
 
 
 def test_benchmark_counts_keep_recorded_bytes():

@@ -27,7 +27,7 @@ def test_gen_check_find_verify_planted(tmp_path, capsys):
     assert main(["find", str(inst), "--method", "direction", "-o", str(t)]) == 0
     assert main(["verify", str(inst), "--transversal", str(t), "--tol", "1e-6"]) == 0
     out = capsys.readouterr().out
-    assert "pass" in out
+    assert "pass" in out and "failing subfamily size" not in out
     doc = json.loads(t.read_text())
     assert len(doc["normal"]) == 2
 
@@ -110,10 +110,12 @@ def test_find_borsuk_on_real_instance_is_usage_error(tmp_path, capsys):
     assert not captured.out and not t.exists()
 
 
-def test_check_exit_one_on_fail(tmp_path):
+def test_check_exit_one_on_fail(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--d", "1", "--sets", "3", "--verts", "2", "--seed", "4", "-o", str(inst)]) == 0
+    capsys.readouterr()
     assert main(["check", str(inst)]) == 1
+    assert "sampled up to the failing subfamily size," in capsys.readouterr().out
 
 
 def test_verify_exit_one_on_miss(tmp_path):
@@ -243,7 +245,7 @@ def test_equiv_writes_report(tmp_path, capsys):
 # OpenBLAS 0.3.31: reports and instances are byte-stable for a fixed version
 OUTPUT_DIGESTS = {
     "equiv --trials 50 --seed 0 --d 1":
-        "72673c3b427dcfd74ed527b5e8004db46e055eb6f63ef1eb28a082f1ac01bc47",
+        "8ab0267ede11ca92cd6c4da69d85642e95e38a30ec98d39794c4fcf611ef7432",
     "equiv --trials 50 --seed 0 --d 2":
         "3cecb0e9ec1084f95bb68cc8c70ecab56233fd6dd143fe79c85a5a0b23993bc7",
     "gen --d 2 --sets 5 --planted --seed 11":

@@ -26,6 +26,7 @@ from tvlab.consistency import (
     _complex_nullspace,
     _cone_rows,
     _decimal_keys,
+    _dependences_by_size,
     check_dependency_consistency,
     enumerate_dependences,
     lift_dependence,
@@ -589,7 +590,7 @@ def _gen_case(n_sets, seed, planted):
 # labels, max_lift_residual.hex()) at samples=32, recorded when every lift was
 # still solved on its own; the first three fail inside a sampled block of 32
 # (first no-lift at position 15, 11 and 14; the last two blocks hold three
-# no-lifts each), the other fails are circuits
+# no-lifts each), the other fails are circuits, whose counts stop at size 3
 GOLDEN = {
     (4, 31, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
     (4, 1111, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
@@ -600,12 +601,12 @@ GOLDEN = {
     (6, 4, True): ("pass", 692, 20, 672, None, "0x1.746d62b6a33cdp-42"),
     (6, 5, True): ("pass", 692, 20, 672, None, "0x1.c5d47d1f49c16p-39"),
     (5, 6, True): ("pass", 202, 10, 192, None, "0x1.101c60d3d8f53p-45"),
-    (4, 11, False): ("fail", 36, 4, 32, ("S0", "S1", "S2"), "0x0.0p+0"),
-    (5, 12, False): ("fail", 202, 10, 192, ("S0", "S3", "S4"), "0x0.0p+0"),
-    (6, 13, False): ("fail", 692, 20, 672, ("S0", "S2", "S3"), "0x0.0p+0"),
+    (4, 11, False): ("fail", 4, 4, 0, ("S0", "S1", "S2"), "0x0.0p+0"),
+    (5, 12, False): ("fail", 10, 10, 0, ("S0", "S3", "S4"), "0x0.0p+0"),
+    (6, 13, False): ("fail", 20, 20, 0, ("S0", "S2", "S3"), "0x0.0p+0"),
     (4, 14, False): ("pass", 36, 4, 32, None, "0x1.8170f9660295bp-49"),
-    (5, 15, False): ("fail", 202, 10, 192, ("S0", "S1", "S2"), "0x0.0p+0"),
-    (6, 16, False): ("fail", 692, 20, 672, ("S0", "S1", "S2"), "0x0.0p+0"),
+    (5, 15, False): ("fail", 10, 10, 0, ("S0", "S1", "S2"), "0x0.0p+0"),
+    (6, 16, False): ("fail", 20, 20, 0, ("S0", "S1", "S2"), "0x0.0p+0"),
 }
 
 
@@ -938,6 +939,59 @@ def test_mixed_vertex_counts_give_the_blockwise_verdict(seed, monkeypatch):
         got = v.violation
         assert v.status == "fail" and got.dependence.coeffs == want.dependence.coeffs
         assert got.certificate.farkas_exact == want.certificate.farkas_exact
+
+
+# (sets, seed, planted) at samples=16: Gaussian witnesses that fail on a
+# circuit, pass, or, for (5, 231), fail inside the sampled size 4 of five
+# sets, and planted families, which pass
+EARLY_STOP_CASES = [
+    (4, 200, False), (4, 210, False), (5, 201, False), (5, 213, False), (5, 231, False),
+    (6, 202, False), (6, 229, False), (4, 205, True), (5, 206, True), (6, 207, True),
+]
+
+
+@pytest.mark.parametrize("case", EARLY_STOP_CASES, ids=str)
+def test_a_fail_stops_the_enumeration_at_its_size(case, monkeypatch):
+    # the check lifts each size before it enumerates the next: its verdict is
+    # that of every size enumerated first and lifted as one list, and a fail
+    # counts and eliminates no size past its own
+    import tvlab.consistency as consistency
+
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=16, seed=case[1])
+    sizes = list(_dependences_by_size(fam, w, cfg))  # sizes 2, 3, ...
+    deps = [dep for size in sizes for dep in size]
+    assert _enumeration_digest(deps) == _enumeration_digest(enumerate_dependences(fam, w, cfg))
+    want, worst, max_resid = None, None, 0.0  # the eager reference's verdict
+    for resid, lift, nolift in _batched_lifts(fam, deps, cfg):
+        if nolift is not None:
+            want, worst, max_resid = nolift, None, 0.0
+            break
+        i = int(resid.argmax())
+        if resid[i] > max_resid:
+            max_resid, worst = float(resid[i]), lift(i)
+    widths = []
+    _spy(monkeypatch, widths, consistency, "_complex_nullspace", lambda M: M.shape[-1])
+    v = check_dependency_consistency(fam, w, cfg)
+    if want is None:
+        reached, prefix = len(sizes) + 1, deps
+        assert v.passed and v.max_lift_residual.hex() == max_resid.hex()
+        assert worst.dependence.coeffs == v.worst_lift.dependence.coeffs
+        assert np.asarray(worst.r).tobytes() == np.asarray(v.worst_lift.r).tobytes()
+        assert worst.points.tobytes() == v.worst_lift.points.tobytes()
+    else:
+        at = next(i for i, size in enumerate(sizes) if any(d is want.dependence for d in size))
+        reached, prefix = at + 2, deps[: sum(map(len, sizes[: at + 1]))]
+        got = v.violation
+        assert v.status == "fail" and got.exact and v.worst_lift is None
+        assert v.max_lift_residual.hex() == max_resid.hex()
+        assert (got.dependence.labels, got.dependence.coeffs, got.dependence.origin) == (
+            want.dependence.labels, want.dependence.coeffs, want.dependence.origin)
+        assert got.certificate.farkas_exact == want.certificate.farkas_exact
+    n_circuits = sum(1 for dep in prefix if dep.origin == "circuit")
+    assert (v.n_dependences, v.n_circuits, v.n_sampled) == (
+        len(prefix), n_circuits, len(prefix) - n_circuits)
+    assert widths == list(range(2, reached + 1))
 
 
 @pytest.mark.parametrize("seed", [31, 1111, 1337])

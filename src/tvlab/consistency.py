@@ -6,26 +6,28 @@ Two checkers live here:
 * ``check_dependency_consistency`` (complex ambient): every complex affine
   dependence among the witness images must lift to a nonnegatively weighted
   dependence on points chosen inside the sets.  Dependences are enumerated
-  over subfamilies up to support size 2k+3, one size at a time as arrays,
-  and each size is lifted before the next is enumerated, so a fail leaves
-  the sizes above its own untouched: one-dimensional null spaces contribute
-  their unique circuit, higher-dimensional ones are sampled at a seeded
-  budget.  The null spaces of all subfamilies of a size come from one
-  stacked elimination, and all their candidates are canonicalised (unit
-  norm, support, real-positive pivot) as one array block and deduplicated,
-  in candidate order and across sizes, on integer keys of their labels and
-  coefficients.  The dependences of one subfamily form a block, whose cone
-  LPs share one layout; consecutive blocks of a size whose LPs share a
-  shape go through :func:`tvlab.lp.certify` together, in lock-step batches
-  of whole blocks within a fixed budget of tableau cells, and their results
-  are read in enumeration order up to the first NoLift.
-  Its one escalation path decides alone and exactly, and only when reached,
-  every LP that the float batch leaves uncertified, so every lift equals
-  the one-dependence answer.  A block's r, in-set points and residuals are
-  computed as arrays, and a :class:`Lift` object is built only for the worst
-  lift of a pass and for the result of :func:`lift_dependence`.  A pass is
-  therefore "pass at budget", while a fail carries an exact Farkas
-  certificate that the cone LP of a float-computed dependence is infeasible.
+  over subfamilies up to support size 2k+3, one size at a time, and each
+  size is lifted before the next is enumerated, so a fail leaves the sizes
+  above its own untouched: one-dimensional null spaces contribute their
+  unique circuit, higher-dimensional ones are sampled at a seeded budget.
+  The null spaces of all subfamilies of a size come from one stacked
+  elimination, and all their candidates are canonicalised (unit norm,
+  support, real-positive pivot) as one array block and deduplicated, in
+  candidate order and across sizes, on integer keys of their labels and
+  coefficients.  The kept dependences stay arrays up to the verdict: runs
+  with equal support labels form blocks (labels, coefficients, origins),
+  and consecutive blocks whose labels have equal vertex counts share one
+  cone LP layout.  They are lifted together, in lock-step batches within a
+  fixed budget of tableau cells: one array of cone LPs through
+  :func:`tvlab.lp.certify`, whose results are read in enumeration order up
+  to the first NoLift, and r, the in-set points and the residuals of the
+  lifted rows as arrays.  Its one escalation path decides alone and
+  exactly, and only when reached, every LP that the float batch leaves
+  uncertified, so every lift equals the one-dependence answer.  An
+  :class:`AffineDependence` is built only for a NoLift and for a new worst
+  lift, with its :class:`Lift`.  A pass is therefore "pass at budget", while a
+  fail carries an exact Farkas certificate that the cone LP of a
+  float-computed dependence is infeasible.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
   subfamily pairs of total size at most k+2, with k the witness's target
@@ -39,8 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import combinations
 
 import numpy as np
 
@@ -73,6 +74,8 @@ class ConsistencyWitness:
             raise ValueError("witness needs at least one point")
         assignment = dict(self.assignment)
         for label, idx in assignment.items():
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                raise ValueError(f"assignment of {label!r} is not an integer index: {idx!r}")
             if not 0 <= idx < pts.shape[0]:
                 raise ValueError(f"assignment of {label!r} out of range")
         object.__setattr__(self, "points", pts)
@@ -207,6 +210,8 @@ class ConsistencyConfig:
     exact: bool = False  # rational arithmetic for every lift decision
 
     def __post_init__(self):
+        if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 0:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
@@ -303,9 +308,12 @@ def _decimal_keys(x: np.ndarray) -> np.ndarray:
 
 
 def _dependences_by_size(family: Family, witness: ConsistencyWitness, config: ConsistencyConfig):
-    """The kept dependences of :func:`enumerate_dependences`, one list per
-    subfamily size 2 .. min(n, 2k+3) (empty where a size has none), each
-    yielded before the next size is eliminated or sampled."""
+    """The kept dependences of :func:`enumerate_dependences`, one list of
+    blocks per subfamily size 2 .. min(n, 2k+3) (empty where a size has none),
+    each yielded before the next size is eliminated or sampled.  A block is a
+    maximal run of consecutive dependences with equal support labels, held as
+    (labels, coeffs, origins): the labels, a (b, s) complex array of the
+    coefficients and a (b,) array of the origins."""
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
     labels = family.labels
@@ -333,27 +341,26 @@ def _dependences_by_size(family: Family, witness: ConsistencyWitness, config: Co
             continue
         A = np.concatenate(blocks)
         sid = np.repeat(np.arange(len(combos)), np.where(nullity > 1, config.samples, nullity))
-        names = [tuple(labels[i] for i in c) for c in combos.tolist()]
-        origins = ["circuit" if nu == 1 else "sampled" for nu in nullity.tolist()]
         keys = np.full((len(A), 3 * width), -1)  # a _decimal_keys value is even or 1
-        rows_args = [None] * len(A)  # AffineDependence arguments of each canonical row
+        C = np.zeros((len(A), width), dtype=complex)  # canonical coefficients, left-aligned
         for rows, support, coeffs in _canonical_blocks(A):
-            s = sid[rows]
-            keys[rows, : support.size] = members = combos[s][:, support]
+            keys[rows, : support.size] = combos[sid[rows]][:, support]
             keys[rows, width : width + 2 * support.size] = _decimal_keys(coeffs.view(float))
-            if support.size == size:
-                sups = map(names.__getitem__, s.tolist())
-            else:
-                sups = (tuple(labels[i] for i in m) for m in members.tolist())
-            for r, sup, c, t in zip(rows.tolist(), sups, coeffs.tolist(), s.tolist()):
-                rows_args[r] = (sup, c, origins[t])
+            C[rows, : support.size] = coeffs
         as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        out = []
-        for key, args in zip(as_bytes.tolist(), rows_args):
-            if args is not None and key not in seen:
+        kept = []
+        for r, (key, canonical) in enumerate(zip(as_bytes.tolist(), (keys[:, 0] >= 0).tolist())):
+            if canonical and key not in seen:
                 seen.add(key)
-                out.append(AffineDependence(*args))
-        yield out
+                kept.append(r)
+        members = keys[kept, :width]  # support label indices, padded with -1
+        new = np.ones(len(kept), dtype=bool)
+        new[1:] = (members[1:] != members[:-1]).any(axis=1)
+        starts = np.flatnonzero(new).tolist()
+        origins = np.where(nullity == 1, "circuit", "sampled")[sid[kept]]
+        sups = [members[i][members[i] >= 0].tolist() for i in starts]
+        yield [(tuple(labels[t] for t in sup), C[kept[i:j], : len(sup)], origins[i:j])
+               for sup, i, j in zip(sups, starts, starts[1:] + [len(kept)])]
 
 
 def enumerate_dependences(
@@ -372,7 +379,9 @@ def enumerate_dependences(
     -1 to the width min(n, 2k+3), and the first of each key in candidate
     order is kept, through one set of keys carried across sizes."""
     sizes = _dependences_by_size(family, witness, config or ConsistencyConfig())
-    return [dep for deps in sizes for dep in deps]
+    return [AffineDependence(labels, c, o)
+            for blocks in sizes for labels, coeffs, origins in blocks
+            for c, o in zip(coeffs.tolist(), origins.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +391,7 @@ def enumerate_dependences(
 def _exact_generators(coeffs, points):
     """Integer columns (s^2 a z, s a, 1), complex entries in real pairs, for
     each coefficient a and each row z of its (n, k) array of points: the
-    generators (a z, a) of :func:`_cone_rows` and an affine 1, with a
+    generators (a z, a) of :func:`_lift_batch` and an affine 1, with a
     and z Gaussian integers over one scale s.  Scaling a row keeps the null
     space and the cone LP's answer.  Raises ValueError unless there is one
     array of points per coefficient."""
@@ -395,71 +404,9 @@ def _exact_generators(coeffs, points):
     return [[x for _ in row for x in gmul(a, next(pairs))] + [*a, 1] for a, P in cols for row in P]
 
 
-def _cone_rows(family: Family, deps) -> np.ndarray:
-    """Rows (B, 2d+3, n) of the cone LPs of dependences that share their
-    support labels: the generator (a_F v, a_F) in C^{d+1}, read in R^{2d+2},
-    of each of the n vertices v of the labels F, in label order, as a column
-    over a one.  The LP asks for convex weights of the columns that sum them
-    to (0, 1)."""
-    coeffs = np.array([dep.coeffs for dep in deps])
-    parts = []
-    for g, label in enumerate(deps[0].labels):
-        V = family[label].vertices  # (n, d) complex
-        a = coeffs[:, g, None]
-        W = np.empty((len(coeffs), V.shape[0], V.shape[1] + 1), dtype=complex)
-        W[..., :-1] = a[..., None] * V
-        W[..., -1] = a
-        parts.append(complex_to_real(W))
-    G = np.concatenate(parts, axis=1)  # (B, n, 2d+2)
-    return np.concatenate([G.transpose(0, 2, 1), np.ones((len(G), 1, G.shape[1]))], axis=1)
-
-
-def _finish_block(family: Family, deps, results):
-    """Lift dependences that share their support labels, in order, up to the
-    first NoLift, from the next results of their cone LPs in the iterator
-    ``results`` (of :func:`tvlab.lp.certify` on a batch that may hold other
-    blocks' LPs before and after them).
-
-    r, the in-set points and both residuals of the lifted dependences are
-    computed as arrays, in the bits of the one-dependence formulas.  Returns
-    (resid, lift, nolift): max(|sum r a|, ||sum r a p||) of each lifted
-    dependence, lift(i), which builds the Lift of the i-th, and the NoLift
-    that ends the block, or None.
-    """
-    labels = deps[0].labels
-    lams, nolift = [], None
-    for dep, (lam, farkas) in zip(deps, results):  # deps first: no result is taken past the block
-        if farkas is not None:
-            nolift = NoLift(dep, _infeasible(farkas))
-            break
-        lams.append(np.asarray(lam, dtype=float))  # an exact witness holds Fractions
-    n = sum(len(family[label].vertices) for label in labels)
-    lam = np.array(lams).reshape(len(lams), n)
-    a = np.array([dep.coeffs for dep in deps[: len(lam)]]).reshape(len(lam), len(labels))
-    r = np.zeros(a.shape)
-    P = np.empty(a.shape + (family.dim,), dtype=complex)
-    W, start = [], 0  # lam holds the vertices of the labels, in label order
-    for g, label in enumerate(labels):
-        V = family[label].vertices
-        P[:, g] = V[0]  # the point of a label with r_F = 0
-        lf, start = lam[:, start : start + len(V)], start + len(V)
-        r[:, g] = lf.sum(axis=1)
-        pos = r[:, g, None] > 0.0
-        np.divide((lf[:, None, :] @ V)[:, 0], r[:, g, None], out=P[:, g], where=pos)
-        W.append(np.divide(lf, r[:, g, None], out=lf.copy(), where=pos))
-    prod = r * a
-    S = prod.sum(axis=1)
-    resid = np.maximum(np.hypot(S.real, S.imag), _row_norms((prod[:, None, :] @ P)[:, 0]))
-
-    def lift(i):  # copies, so that a kept Lift does not hold the block's arrays
-        return Lift(deps[i], tuple(r[i].tolist()), P[i].copy(), tuple(w[i].copy() for w in W))
-
-    return resid, lift, nolift
-
-
-# A lock-step batch holds whole blocks of cone LPs of one shape (2d+3, n),
-# up to this many tableau cells, (2d+4)(n+2d+4) per LP; a block above it is
-# a batch alone.  2^16 float64 cells are 512 KiB, and a pivoting batch keeps
+# A lock-step batch holds whole blocks of one cone LP layout, of shape
+# (2d+3, n), up to this many tableau cells, (2d+4)(n+2d+4) per LP; a block
+# above it is a batch alone.  2^16 float64 cells are 512 KiB, and a pivoting batch keeps
 # about three arrays of up to that size alive: its rows, its tableau and one
 # pivot's update.  At d=2 that is four sampled blocks of 64 LPs on 4 sets of
 # 5 vertices (n=20), and the traced peak of a 6-set check is 2.0 MB, against
@@ -468,33 +415,87 @@ def _finish_block(family: Family, deps, results):
 _BATCH_CELLS = 2**16
 
 
-def _batched_lifts(family: Family, deps, config: ConsistencyConfig):
-    """(resid, lift, nolift) of :func:`_finish_block` for each block of deps,
-    in order: each maximal run of consecutive dependences with equal support
-    labels.  Consecutive blocks whose cone LPs share a shape are packed, in
-    order, into batches within _BATCH_CELLS, and each batch goes through
-    :func:`tvlab.lp.certify` as one (exactly with ``config.exact``), when its
-    first block is reached.  Every coefficient must be nonzero, as enumerated
-    ones are on their support: :func:`lift_dependence` drops a caller's
-    zeros before it comes here."""
+def _batched_lifts(family: Family, blocks, config: ConsistencyConfig):
+    """(resid, lift, nolift) of :func:`_lift_batch` for each lock-step batch
+    of the blocks (labels, coeffs, origins) of :func:`_dependences_by_size`,
+    in order.  Consecutive blocks whose labels have equal vertex counts, so
+    that their cone LPs share one shape and layout, are packed in order into
+    batches within _BATCH_CELLS, and each batch is lifted when it is
+    reached.  Every coefficient must be nonzero, as enumerated ones are on
+    their support: :func:`lift_dependence` drops a caller's zeros before it
+    comes here."""
     m = 2 * family.dim + 3
     batches, last, used = [], None, 0
-    for _, block in groupby(deps, key=attrgetter("labels")):
-        block = list(block)
-        n = sum(len(family[label].vertices) for label in block[0].labels)
-        cells = len(block) * (m + 1) * (n + m + 1)
-        if n != last or used + cells > _BATCH_CELLS:
+    for block in blocks:
+        counts = [len(family[label].vertices) for label in block[0]]
+        cells = len(block[1]) * (m + 1) * (sum(counts) + m + 1)
+        if counts != last or used + cells > _BATCH_CELLS:
             batches.append([])
-            last, used = n, 0
+            last, used = counts, 0
         batches[-1].append(block)
         used += cells
     for batch in batches:
-        rows = np.concatenate([_cone_rows(family, b) for b in batch])
-        rhs = np.zeros(rows.shape[:2])
-        rhs[:, -1] = 1.0
-        results = certify(rows, rhs, exact=config.exact)
-        for block in batch:
-            yield _finish_block(family, block, results)
+        yield _lift_batch(family, batch, config)
+
+
+def _lift_batch(family: Family, batch, config: ConsistencyConfig):
+    """Lift the dependences of blocks whose labels have equal vertex counts,
+    in order, up to the first NoLift.  Their cone LPs are built as one array
+    and go through :func:`tvlab.lp.certify` as one (exactly with
+    ``config.exact``): each asks for convex weights of the columns, the
+    generators (a_F v, a_F) in C^{d+1}, read in R^{2d+2}, of the vertices v
+    of each label F over a one, that sum them to (0, 1).
+
+    r, the in-set points and both residuals of the lifted dependences are
+    computed as arrays, in the bits of the one-dependence formulas.  Returns
+    (resid, lift, nolift): max(|sum r a|, ||sum r a p||) of each lifted
+    dependence, lift(i), which builds the Lift of the i-th, and the NoLift
+    that ends the batch, or None.  An AffineDependence is built only for
+    these two."""
+    labels, coeffs, origins = zip(*batch)
+    counts = [len(family[label].vertices) for label in labels[0]]
+    a, origins = np.concatenate(coeffs), np.concatenate(origins)  # a: (B, s)
+    of = np.repeat(np.arange(len(batch)), [len(c) for c in coeffs])  # each row's block
+    # each row's vertices, label by label: (B, n, d)
+    V = np.stack([np.concatenate([family[label].vertices for label in ls]) for ls in labels])[of]
+    G = np.empty(V.shape[:2] + (family.dim + 1,), dtype=complex)
+    G[..., -1] = np.repeat(a, counts, axis=1)
+    G[..., :-1] = G[..., -1:] * V
+    rows = np.ones((len(a), 2 * family.dim + 3, V.shape[1]))
+    rows[:, :-1] = complex_to_real(G).transpose(0, 2, 1)
+    rhs = np.zeros(rows.shape[:2])
+    rhs[:, -1] = 1.0
+
+    def dependence(i):
+        return AffineDependence(labels[of[i]], a[i].tolist(), str(origins[i]))
+
+    lams, nolift = [], None
+    for i, (lam, farkas) in enumerate(certify(rows, rhs, exact=config.exact)):
+        if farkas is not None:
+            nolift = NoLift(dependence(i), _infeasible(farkas))
+            break
+        lams.append(lam)
+    # the witnesses as floats (an exact one holds Fractions)
+    lam = np.array(lams, dtype=float).reshape(len(lams), V.shape[1])
+    r = np.zeros((len(lam), len(counts)))
+    P = np.empty(r.shape + (family.dim,), dtype=complex)
+    W, start = [], 0
+    for g, c in enumerate(counts):
+        Vf = V[: len(lam), start : start + c]
+        P[:, g] = Vf[:, 0]  # the point of a label with r_F = 0: its first vertex
+        lf, start = lam[:, start : start + c], start + c
+        r[:, g] = lf.sum(axis=1)
+        pos = r[:, g, None] > 0.0
+        np.divide((lf[:, None, :] @ Vf)[:, 0], r[:, g, None], out=P[:, g], where=pos)
+        W.append(np.divide(lf, r[:, g, None], out=lf.copy(), where=pos))
+    prod = r * a[: len(lam)]
+    S = prod.sum(axis=1)
+    resid = np.maximum(np.hypot(S.real, S.imag), _row_norms((prod[:, None, :] @ P)[:, 0]))
+
+    def lift(i):  # copies, so that a kept Lift does not hold the batch's arrays
+        return Lift(dependence(i), tuple(r[i].tolist()), P[i].copy(), tuple(w[i].copy() for w in W))
+
+    return resid, lift, nolift
 
 
 def _require_finite(dep: AffineDependence) -> None:
@@ -521,7 +522,8 @@ def lift_dependence(
     """
     _require_finite(dep)
     nz = [g for g, a in enumerate(dep.coeffs) if a]
-    part = AffineDependence([dep.labels[g] for g in nz], [dep.coeffs[g] for g in nz], dep.origin)
+    coeffs = np.array([[dep.coeffs[g] for g in nz]])
+    part = (tuple(dep.labels[g] for g in nz), coeffs, np.array([dep.origin]))
     _, lift, nolift = next(_batched_lifts(family, [part], config or ConsistencyConfig()))
     if nolift is not None:
         return NoLift(dep, nolift.certificate)
@@ -539,22 +541,20 @@ def check_dependency_consistency(
     """Pass iff every enumerated dependence lifts; the first failure (in
     enumeration order) is returned with its certificate.  The dependences of
     each subfamily size are lifted before the next size is enumerated, so a
-    fail enumerates no size past its own.  Consecutive dependences with
-    equal support labels form a block, and consecutive blocks of a size that
-    share a cone LP shape are certified as one bounded lock-step batch
-    (:func:`_batched_lifts`), whose results are read in enumeration order: a
-    NoLift stops the check before any exact work on the LPs after it, and
-    every verdict, lift and certificate is the one that the dependence's
-    block alone would give."""
+    fail enumerates no size past its own.  They are lifted in the lock-step
+    batches of :func:`_batched_lifts`, whose results are read in enumeration
+    order: a NoLift stops the check before any exact work on the LPs after
+    it, and every verdict, lift and certificate is the one that the
+    dependence alone would give."""
     config = config or ConsistencyConfig()
     if family.ambient != "complex":
         raise ValueError("dependency consistency is a complex-ambient check")
     n_dependences = n_circuits = 0
     max_resid, worst = 0.0, None
-    for deps in _dependences_by_size(family, witness, config):
-        n_dependences += len(deps)
-        n_circuits += sum(1 for dep in deps if dep.origin == "circuit")
-        for resid, lift, nolift in _batched_lifts(family, deps, config):
+    for blocks in _dependences_by_size(family, witness, config):
+        n_dependences += sum(len(origins) for _, _, origins in blocks)
+        n_circuits += sum(int(np.count_nonzero(o == "circuit")) for _, _, o in blocks)
+        for resid, lift, nolift in _batched_lifts(family, blocks, config):
             if nolift is not None:
                 return ConsistencyVerdict("fail", config.samples, n_dependences, n_circuits,
                                           n_dependences - n_circuits, violation=nolift)

@@ -195,11 +195,21 @@ class Instance:
         return doc
 
 
+def _integer(value, what: str) -> int:
+    """A JSON number that is a whole number, as an int; ValueError for a
+    fraction, a bool or anything that is not a number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(doc: dict) -> Instance:
     ambient = doc["ambient"]
     if ambient not in ("real", "complex"):
         raise ValueError("ambient must be 'real' or 'complex'")
-    d = int(doc["d"])
+    d = _integer(doc["d"], "d")
     if not doc["sets"]:
         raise ValueError("an instance needs at least one set")
     labels = []
@@ -219,11 +229,12 @@ def instance_from_json(doc: dict) -> Instance:
     witness = None
     if "witness" in doc:
         w = doc["witness"]
-        k = int(w["k"])
+        k = _integer(w["k"], "witness k")
         pts = np.array(
             [[_unpair(p) for p in row] for row in w["points"]], dtype=complex
         ).reshape(len(w["points"]), k)
-        witness = ConsistencyWitness(k, pts, {l: int(i) for l, i in w["assignment"].items()})
+        assignment = {l: _integer(i, f"assignment of {l!r}") for l, i in w["assignment"].items()}
+        witness = ConsistencyWitness(k, pts, assignment)
 
     return Instance(
         family,

@@ -15,7 +15,7 @@ import pytest
 import tvlab
 from tvlab.cli import main
 from tvlab.geometry import ComplexHyperplane, Polytope, Family
-from tvlab.harness import GenSpec, Instance, gen_instance, write_instance
+from tvlab.harness import GenSpec, Instance, gen_instance, witness_from_transversal, write_instance
 from tvlab.plotting import plot_instance
 
 
@@ -127,6 +127,22 @@ def test_verify_exit_one_on_miss(tmp_path):
     planted["offset"] = [planted["offset"][0] + 1.0, planted["offset"][1]]
     t.write_text(json.dumps(planted))
     assert main(["verify", str(inst), "--transversal", str(t), "--tol", "1e-6"]) == 1
+
+
+def test_fractional_or_boolean_witness_indices_are_usage_errors(tmp_path, capsys):
+    # a stored witness is checked as the file holds it, or not at all
+    inst = gen_instance(GenSpec(d=2, n_sets=4, planted=True, seed=11))
+    w = witness_from_transversal(inst, inst.planted)
+    path = tmp_path / "inst.json"
+    write_instance(Instance(inst.family, witness=w, seed=11), path)
+    assert main(["check", str(path), "--samples", "4"]) == 0
+    doc = json.loads(path.read_text())
+    assignment = doc["witness"]["assignment"]
+    for bad in ({l: i + 0.7 for l, i in assignment.items()}, {l: True for l in assignment}):
+        doc["witness"]["assignment"] = bad
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--samples", "4"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
 
 def test_missing_input_is_usage_error(tmp_path, capsys):

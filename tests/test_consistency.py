@@ -24,7 +24,6 @@ from tvlab.consistency import (
     _batched_lifts,
     _canonical_blocks,
     _complex_nullspace,
-    _cone_rows,
     _decimal_keys,
     _dependences_by_size,
     check_dependency_consistency,
@@ -34,7 +33,7 @@ from tvlab.consistency import (
     separates_consistently,
     trivial_witness,
 )
-from tvlab.geometry import Family, Polytope
+from tvlab.geometry import Family, Polytope, complex_to_real
 from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
 from tvlab.lp import nontrivial_zero_in_cone
 
@@ -50,7 +49,26 @@ def _witness(k, points, assignment):
 
 def _cone_generators(fam, dep):
     """The generators (a_F v, a_F) of a dependence's cone LP, one per row."""
-    return _cone_rows(fam, [dep])[0, :-1].T
+    gens = [np.append(a * v, a) for l, a in zip(dep.labels, dep.coeffs) for v in fam[l].vertices]
+    return complex_to_real(np.array(gens))
+
+
+def _blocks(deps):
+    """Dependences as the blocks (labels, coeffs, origins) that the check
+    lifts: each maximal run with equal support labels."""
+    return [
+        (labels, np.array([d.coeffs for d in run]), np.array([d.origin for d in run]))
+        for labels, run in ((k, list(g)) for k, g in groupby(deps, attrgetter("labels")))
+    ]
+
+
+def _sizes(fam, w, cfg):
+    """The dependences of each subfamily size, as the check enumerates them."""
+    return [
+        [AffineDependence(labels, c, o)
+         for labels, coeffs, origins in blocks for c, o in zip(coeffs.tolist(), origins.tolist())]
+        for blocks in _dependences_by_size(fam, w, cfg)
+    ]
 
 
 # -- null space ----------------------------------------------------------------
@@ -367,7 +385,7 @@ def test_lift_block_labels_of_zero_weight_keep_their_first_vertex(exact):
     cfg = ConsistencyConfig(exact=exact)
     # the batch walk takes nonzero coefficients only: S3's zero is left to lift_dependence
     nonzero = [AffineDependence(labels[:3], dep.coeffs[:3]) for dep in deps]
-    [(resid, lift, nolift)] = _batched_lifts(fam, nonzero, cfg)
+    [(resid, lift, nolift)] = _batched_lifts(fam, _blocks(nonzero), cfg)
     assert nolift is None and len(resid) == len(deps)
     for i, dep in enumerate(deps):
         whole = lift_dependence(fam, dep, cfg)
@@ -614,8 +632,8 @@ def _block_lifts(fam, w, cfg):
     """Every lift of a passing check, block by block as the check solves them;
     none for a failing one."""
     lifts = []
-    for _, block in groupby(enumerate_dependences(fam, w, cfg), attrgetter("labels")):
-        [(resid, lift, nolift)] = _batched_lifts(fam, list(block), cfg)
+    for block in _blocks(enumerate_dependences(fam, w, cfg)):
+        [(resid, lift, nolift)] = _batched_lifts(fam, [block], cfg)
         if nolift is not None:
             return []
         lifts.extend(map(lift, range(len(resid))))
@@ -825,14 +843,14 @@ def test_block_certifies_its_nolift_from_its_own_basis(case, monkeypatch):
     fam, w = _gen_case(*case)
     calls = []
     _spy(monkeypatch, calls, consistency, "certify")
-    _spy(monkeypatch, calls, consistency, "_finish_block")
+    _spy(monkeypatch, calls, consistency, "_lift_batch")
     _spy(monkeypatch, calls, lp, "_basis_farkas")
     _spy(monkeypatch, calls, lp, "_solve_standard",
          lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
     v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=32, seed=case[1]))
     assert v.status == "fail" and v.violation.exact
     assert calls.count("float") == calls.count("certify") > 0
-    assert calls.count("certify") <= calls.count("_finish_block")
+    assert calls.count("certify") <= calls.count("_lift_batch")
     assert calls.count("_basis_farkas") == 1
 
 
@@ -886,21 +904,22 @@ def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeyp
         return B * (m + 1) * (n + m + 1)
 
     batches, resid = [], []
-    finish = consistency._finish_block
+    lift_batch = consistency._lift_batch
 
-    def finish_spy(family, deps, results):
-        out = finish(family, deps, results)
+    def lift_batch_spy(family, batch, config):
+        out = lift_batch(family, batch, config)
         resid.append(out[0])
         return out
 
     _spy(monkeypatch, batches, consistency, "certify", lambda rows, rhs: rows.shape)
-    monkeypatch.setattr(consistency, "_finish_block", finish_spy)
+    monkeypatch.setattr(consistency, "_lift_batch", lift_batch_spy)
     v = check_dependency_consistency(fam, w, cfg)
     assert v.passed and v.n_dependences == 692
     deps = enumerate_dependences(fam, w, cfg)
     blocks = [list(b) for _, b in groupby(deps, attrgetter("labels"))]
     size4 = [d for d in deps if len(d.labels) == 4]
-    assert cells(_cone_rows(fam, size4).shape) > limit
+    n = sum(len(fam[label].vertices) for label in size4[0].labels)
+    assert cells((len(size4), 2 * fam.dim + 3, n)) > limit
     if budget == "module":
         assert all(cells(shape) <= limit for shape in batches)
         assert len(blocks) > len(batches) > 3  # sizes 3, 4 and 5, size 4 split
@@ -923,8 +942,8 @@ def test_mixed_vertex_counts_give_the_blockwise_verdict(seed, monkeypatch):
     fam = Family(inst.family.labels, sets)
     cfg = ConsistencyConfig(samples=16, seed=seed)
     want, worst = None, 0.0
-    for _, block in groupby(enumerate_dependences(fam, w, cfg), attrgetter("labels")):
-        [(resid, _, nolift)] = _batched_lifts(fam, list(block), cfg)
+    for block in _blocks(enumerate_dependences(fam, w, cfg)):
+        [(resid, _, nolift)] = _batched_lifts(fam, [block], cfg)
         if nolift is not None:
             want = nolift
             break
@@ -959,11 +978,11 @@ def test_a_fail_stops_the_enumeration_at_its_size(case, monkeypatch):
 
     fam, w = _gen_case(*case)
     cfg = ConsistencyConfig(samples=16, seed=case[1])
-    sizes = list(_dependences_by_size(fam, w, cfg))  # sizes 2, 3, ...
+    sizes = _sizes(fam, w, cfg)  # sizes 2, 3, ...
     deps = [dep for size in sizes for dep in size]
     assert _enumeration_digest(deps) == _enumeration_digest(enumerate_dependences(fam, w, cfg))
     want, worst, max_resid = None, None, 0.0  # the eager reference's verdict
-    for resid, lift, nolift in _batched_lifts(fam, deps, cfg):
+    for resid, lift, nolift in _batched_lifts(fam, _blocks(deps), cfg):
         if nolift is not None:
             want, worst, max_resid = nolift, None, 0.0
             break
@@ -980,7 +999,8 @@ def test_a_fail_stops_the_enumeration_at_its_size(case, monkeypatch):
         assert np.asarray(worst.r).tobytes() == np.asarray(v.worst_lift.r).tobytes()
         assert worst.points.tobytes() == v.worst_lift.points.tobytes()
     else:
-        at = next(i for i, size in enumerate(sizes) if any(d is want.dependence for d in size))
+        key = (want.dependence.labels, want.dependence.coeffs)
+        at = next(i for i, size in enumerate(sizes) if any((d.labels, d.coeffs) == key for d in size))
         reached, prefix = at + 2, deps[: sum(map(len, sizes[: at + 1]))]
         got = v.violation
         assert v.status == "fail" and got.exact and v.worst_lift is None
@@ -1018,20 +1038,56 @@ def test_nolift_inside_sampled_block_is_the_first_failure(seed):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP items 2 and 7: every set of this planted family is tangent to "
-    "its transversal, and the float-rounded witness has a true NoLift on (S0, S1, S3, "
-    "S5), for the float-sampled dependence and for an exact one on the same support",
+    reason="ROADMAP items 2 and 7: the sets are tangent to the planted transversal, and "
+    "the float-rounded witness has a true NoLift: on (S0, S1, S3, S5), for the "
+    "float-sampled dependence and for an exact one on the same support, and on the "
+    "circuit (S0, S4, S5), which a relative 1e-12 inflation of every set mends",
 )
-def test_planted_family_is_not_refuted():
+@pytest.mark.parametrize("seed", [868085967, 3397384325], ids=["304-22", "932-129"])
+def test_planted_family_is_not_refuted(seed):
     # a planted family is consistent by construction (necessity-d2 seed 304,
-    # pool index 22), but only for witness points exactly on H and in the
-    # sets; rounded to floats, the witness has no lift on (S0, S1, S3, S5)
-    inst = gen_instance(GenSpec(d=2, n_sets=6, planted=True, seed=868085967))
+    # pool index 22, and seed 932, pool index 129), but only for witness
+    # points exactly on H and in the sets; rounded to floats, the first
+    # witness has no lift on (S0, S1, S3, S5) and the second none on the
+    # circuit (S0, S4, S5)
+    inst = gen_instance(GenSpec(d=2, n_sets=6, planted=True, seed=seed))
     w = witness_from_transversal(inst, inst.planted)
-    v = check_dependency_consistency(
-        inst.family, w, ConsistencyConfig(samples=64, seed=868085967)
-    )
+    v = check_dependency_consistency(inst.family, w, ConsistencyConfig(samples=64, seed=seed))
     assert v.passed
+
+
+def test_passing_check_builds_a_dependence_only_for_a_new_worst_lift(monkeypatch):
+    # dependences stay arrays from enumeration to verdict: a passing 6-set
+    # planted check builds at most one AffineDependence per lock-step batch,
+    # for the batch's lift when it is a new worst one
+    import tvlab.consistency as consistency
+
+    fam, w = _gen_case(6, 4, True)
+    calls = []
+    _spy(monkeypatch, calls, consistency, "certify")
+    _spy(monkeypatch, calls, consistency, "AffineDependence")
+    v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=32, seed=4))
+    assert v.passed and v.n_dependences == 692
+    assert 0 < calls.count("AffineDependence") <= calls.count("certify")
+    assert isinstance(v.worst_lift.dependence, AffineDependence)
+
+
+def test_config_rejects_samples_that_are_not_integers():
+    # 2.5 samples would reach numpy's draw inside the check and raise there
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match="samples"):
+            ConsistencyConfig(samples=bad)
+    assert ConsistencyConfig(samples=np.int64(3)).samples == 3
+
+
+def test_witness_rejects_indices_that_are_not_integers():
+    # a float index would reach the check and fail there as an IndexError,
+    # and a bool would name point 0 or 1
+    pts = np.zeros((2, 1))
+    for bad in (0.7, 1.0, True, np.bool_(False), "0", None):
+        with pytest.raises(ValueError, match="integer index"):
+            ConsistencyWitness(1, pts, {"S0": 0, "S1": bad})
+    assert ConsistencyWitness(1, pts, {"S0": np.int64(1), "S1": 0}).assignment["S0"] == 1
 
 
 def test_config_rejects_negative_samples():

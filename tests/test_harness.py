@@ -135,6 +135,28 @@ def test_instance_from_json_validates():
         instance_from_json({"ambient": "octonionic", "d": 1, "sets": [], "seed": 0})
 
 
+def test_stored_integers_are_read_whole_or_rejected():
+    # d, the witness's k and its assignment indices are not truncated: an
+    # index i + 0.7 would name point i, and true would name point 1
+    inst = gen_instance(GenSpec(d=2, n_sets=3, planted=True, seed=8))
+    w = witness_from_transversal(inst, inst.planted)
+    doc = Instance(inst.family, witness=w, seed=8).to_json()
+    back = instance_from_json(dict(doc, d=2.0))
+    assert back.witness.assignment == w.assignment and back.family.dim == 2
+
+    def witness_with(**changes):
+        return dict(doc, witness=dict(doc["witness"], **changes))
+
+    assignment = doc["witness"]["assignment"]
+    bad_docs = [dict(doc, d=2.5), dict(doc, d=True), dict(doc, d="2"),
+                witness_with(k=1.5), witness_with(k=True),
+                witness_with(assignment={l: i + 0.7 for l, i in assignment.items()}),
+                witness_with(assignment={l: True for l in assignment})]
+    for bad in bad_docs:
+        with pytest.raises(ValueError, match="must be an integer"):
+            instance_from_json(bad)
+
+
 # -- witness construction ----------------------------------------------------------
 
 

@@ -621,6 +621,9 @@ def _search_digest(results):
         elif isinstance(res, ComplexHyperplane):
             h.update(res.normal.tobytes())
             h.update(f"{res.offset.real.hex()},{res.offset.imag.hex()};".encode())
+        elif isinstance(res, RealHyperplane):
+            h.update(res.normal.tobytes())
+            h.update(f"{res.offset.hex()};".encode())
         else:
             h.update(res.coords.tobytes())
     return h.hexdigest()
@@ -646,3 +649,31 @@ def test_searches_keep_recorded_bits(case):
     direction = find_complex_transversal(fam, cfg)
     zero = find_borsuk_zero(embed_family(fam), phi, cfg)
     assert _search_digest([direction, zero]) == SEARCH_DIGESTS[case]
+
+
+def _real_case(d, n_sets, vertices_per_set, seed):
+    spec = GenSpec(d=d, n_sets=n_sets, vertices_per_set=vertices_per_set, seed=seed,
+                   ambient="real")
+    return gen_instance(spec).family
+
+
+# sha256 over the hyperplane or NotFound best of the real multistart search
+# (d >= 3) on seeded families at TransversalConfig(starts=8, iters=400): point
+# families, whose best margin is 0 and so run every start, families where
+# start 0 or start 1 succeeds, and families with no stabbing direction found
+REAL_SEARCH_DIGESTS = {
+    (3, 3, 1, 0): "336613807ea6f72e89db3fe081c41ab1a4b5b2418b83ac6f79eac81d6ab561cf",
+    (3, 4, 1, 0): "a202e3d5c107cb4ee2093d080a755c3ee5aaad764773666f181eaa9202d98668",
+    (3, 5, 2, 0): "379ed41f8787106d7a278f09b589823f0a3c4809ec2def3f5800a0b8a7cad8bb",
+    (4, 4, 1, 0): "a2035cc8f4285662e9b056528eef4a207a58af0417d71392b2f8c5220d8a119d",
+    (4, 4, 1, 1): "db6a47dc108f04f169ff1c9c973889300a4420b0544b24af32a9655435c4a4be",
+    (4, 10, 2, 0): "6b6779681283f3ed47c8eb4accb2a8bcb00d6eae15be0bac31671ab7463487eb",
+    (4, 10, 2, 3): "723372c438f2de797cd4dda779edeb823c812925fc4bff67bf99351bcda42953",
+}
+
+
+@pytest.mark.parametrize("case", list(REAL_SEARCH_DIGESTS), ids=str)
+def test_real_search_keeps_recorded_bits(case):
+    cfg = TransversalConfig(starts=8, iters=400, seed=case[-1])
+    res = real_hyperplane_transversal(_real_case(*case), cfg)
+    assert _search_digest([res]) == REAL_SEARCH_DIGESTS[case]

@@ -240,7 +240,7 @@ def instance_from_json(doc: dict) -> Instance:
         family,
         witness=witness,
         planted=_hyperplane_from_json(doc["planted"], ambient) if "planted" in doc else None,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
         note=str(doc.get("note", "")),
     )
 
@@ -427,10 +427,10 @@ class EquivConfig:
 def equiv_config_from_json(doc: dict) -> EquivConfig:
     """The config of a stored report; its search budget is the default."""
     return EquivConfig(
-        trials=int(doc["trials"]),
-        d=int(doc["d"]),
-        seed=int(doc["seed"]),
-        samples=int(doc["samples"]),
+        trials=_integer(doc["trials"], "trials"),
+        d=_integer(doc["d"], "d"),
+        seed=_integer(doc["seed"], "seed"),
+        samples=_integer(doc["samples"], "samples"),
     )
 
 
@@ -688,7 +688,7 @@ def reverify_report(doc: dict) -> list:
     config = equiv_config_from_json(doc["config"])
     problems = []
     for record in doc["records"]:
-        trial = int(record["trial"])
+        trial = _integer(record["trial"], "trial")
         family = _trial_instance(config, trial).family
         cons = record["consistency"]
         if cons.get("worst_lift"):

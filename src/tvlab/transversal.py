@@ -6,9 +6,13 @@ Search design: the existence arguments are non-constructive, so location is
 by seeded multistart derivative-free descent (pattern search with step decay
 on the relevant sphere).  The map being minimized is continuous but not
 smooth where the closest polygon point crosses a vertex or edge, which is
-why no gradients are used.  NotFound is a budget statement, never a
-nonexistence certificate, except where noted (d = 1 common-point LP, d = 2
-real exhaustive angle grid).
+why no gradients are used.  The starts run two at a time in lock-step, so
+that one objective call (one closest-point kernel call) serves a step of
+both; each search reads their results in start order and stops at its first
+success, so results and early exits are those of running the starts one
+after the other.  NotFound is a budget statement, never a nonexistence
+certificate, except where noted (d = 1 common-point LP, d = 2 real
+exhaustive angle grid).
 """
 
 from __future__ import annotations
@@ -35,14 +39,19 @@ MARGIN_TOL = 1e-9
 STEP_INIT = 0.5  # pattern-search step size, shrunk by STEP_DECAY on no progress
 STEP_DECAY = 0.7
 ANGLE_RESOLUTION = 10000  # exhaustive grid for the real d=2 sweep
+# Starts of one search in lock-step.  A step's objective call has a fixed
+# numpy cost larger than its rows' work, so two starts share it; a wider
+# window makes a start that succeeds pay for more starts beside it.
+_WINDOW = 2
 
 
 @dataclass(frozen=True)
 class TransversalConfig:
     """Budget of the searches: seeded multistart pattern search with starts
     starts of at most iters steps each (from step size STEP_INIT shrunk by
-    STEP_DECAY); zero_tol is the accepted norm of a Borsuk zero.  The
-    exhaustive real d = 2 sweep uses the fixed grid ANGLE_RESOLUTION."""
+    STEP_DECAY), run two at a time in lock-step and read in start order;
+    zero_tol is the accepted norm of a Borsuk zero.  The exhaustive real
+    d = 2 sweep uses the fixed grid ANGLE_RESOLUTION."""
 
     starts: int = 32
     iters: int = 2000
@@ -50,8 +59,14 @@ class TransversalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("starts", "iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if self.iters < 0:
+            raise ValueError(f"iters must be nonnegative, got {self.iters}")
         if not (np.isfinite(self.zero_tol) and self.zero_tol >= 0):
             raise ValueError(f"zero_tol must be finite and nonnegative, got {self.zero_tol}")
 
@@ -189,34 +204,55 @@ def _borsuk_values(P: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.column_stack([P.sum(axis=1), np.conj(P) @ phi])
 
 
-def _pattern_min(objective, u0: np.ndarray, config: TransversalConfig, target: float,
+def _pattern_min(objective, U0: np.ndarray, config: TransversalConfig, target: float,
                  unit=slice(None)):
     """Minimize objective(rows) by coordinate pattern search with step
-    decay, keeping the coordinates selected by unit on the unit sphere (all
-    of them by default); returns (best vector, best value).
+    decay from each row of the (starts, n) array U0, keeping the coordinates
+    selected by unit on the unit sphere (all of them by default); yields
+    (best vector, best value) per start, in start order.
 
-    objective maps an (m, n) batch of such vectors to m values; descent
-    stops early at the target value."""
-    u = np.array(u0, dtype=float)
-    u[unit] /= np.linalg.norm(u0[unit])
-    val = float(objective(u[None, :])[0])
-    step = STEP_INIT
-    eye = np.eye(u.shape[0])
+    objective maps an (m, n) batch of such vectors to m values; a start's
+    descent stops early at the target value.  A window holds the first
+    _WINDOW starts not yet yielded, and its unfinished starts advance in
+    lock-step, their stencils stacked into one objective call per step.  A
+    start's first point is evaluated alone when it enters the window, so a
+    consumer that stops after a start's result leaves every later start
+    unevaluated but the one beside it."""
+    n = U0.shape[1]
+    eye = np.eye(n)
     stencil = np.vstack([eye, -eye])  # the +-step moves along each axis
-    for _ in range(config.iters):
-        if val <= target or step < 1e-13:
-            break
-        cands = u + step * stencil
+    window = []  # [u, val, step, steps taken] per start in flight, in start order
+    entered = 0
+
+    def done(s):
+        return s[3] >= config.iters or s[1] <= target or s[2] < 1e-13
+
+    while True:
+        while window and done(window[0]):
+            u, val, _, _ = window.pop(0)
+            yield u, val
+        while len(window) < _WINDOW and entered < len(U0):
+            u = U0[entered].copy()
+            u[unit] /= np.linalg.norm(U0[entered][unit])
+            window.append([u, float(objective(u[None, :])[0]), STEP_INIT, 0])
+            entered += 1
+        if not window:
+            return
+        live = [s for s in window if not done(s)]
+        if not live:
+            continue  # the starts that just entered are done at their first point
+        cands = np.vstack([s[0] + s[2] * stencil for s in live])
         part = cands[:, unit]  # a view; the sum of squares np.linalg.norm takes
         part /= np.sqrt((part * part).sum(axis=1))[:, None]
-        vals = objective(cands)
-        j = int(vals.argmin())
-        if vals[j] < val - 1e-16:
-            u = cands[j]
-            val = float(vals[j])
-        else:
-            step *= STEP_DECAY
-    return u, val
+        vals = objective(cands).reshape(len(live), 2 * n)
+        moves = vals.argmin(axis=1).tolist()
+        for s, c, v, j in zip(live, cands.reshape(len(live), 2 * n, n), vals, moves):
+            if v[j] < s[1] - 1e-16:
+                s[0] = c[j]
+                s[1] = float(v[j])
+            else:
+                s[2] *= STEP_DECAY
+            s[3] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +321,12 @@ def real_hyperplane_transversal(family: Family, config: TransversalConfig | None
             note=f"angle grid resolution {m} over [0, pi) plus local refinement",
         )
     # d >= 3: multistart maximization of g
-    rng = np.random.default_rng(config.seed)
+    U0 = np.random.default_rng(config.seed).standard_normal((config.starts, d))
     best_val = -np.inf
     best_u = None
-    for _ in range(config.starts):
-        u0 = rng.standard_normal(d)
-        u, neg = _pattern_min(
-            lambda X: -_interval_margin(family, X), u0, config, target=-MARGIN_TOL
-        )
+    for u, neg in _pattern_min(
+        lambda X: -_interval_margin(family, X), U0, config, target=-MARGIN_TOL
+    ):
         if -neg > best_val:
             best_val = -neg
             best_u = u
@@ -440,12 +474,10 @@ def find_complex_transversal(family: Family, config: TransversalConfig | None = 
         q = batch.closest_all(W[:, :d], shift=W[:, d])
         return np.abs(q).max(axis=1)
 
-    rng = np.random.default_rng(config.seed)
+    Z0 = np.random.default_rng(config.seed).standard_normal((config.starts, 2 * d + 2))
     best_margin = -np.inf
     best_a = None
-    for _ in range(config.starts):
-        z0 = rng.standard_normal(2 * d + 2)
-        z, _ = _pattern_min(objective, z0, config, 1e-12, unit=slice(0, 2 * d))
+    for z, _ in _pattern_min(objective, Z0, config, 1e-12, unit=slice(0, 2 * d)):
         a = real_to_complex(z)[:d]
         a = a / np.linalg.norm(a)
         margin = polygon_intersection_margin(a, family)
@@ -484,8 +516,7 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
     config = config or TransversalConfig()
     poly = _PolygonBatch(embedded)
     targets = _phi_targets(embedded, phi)
-    n = 2 * embedded.dim
-    rng = np.random.default_rng(config.seed)
+    U0 = np.random.default_rng(config.seed).standard_normal((config.starts, 2 * embedded.dim))
     best_val = np.inf
     best_u = None
 
@@ -493,9 +524,7 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
         P = poly.closest_all(real_to_complex(U))
         return np.linalg.norm(_borsuk_values(P, targets), axis=1)
 
-    for _ in range(config.starts):
-        u0 = rng.standard_normal(n)
-        u, val = _pattern_min(norms, u0, config, target=config.zero_tol * 0.1)
+    for u, val in _pattern_min(norms, U0, config, target=config.zero_tol * 0.1):
         if val < best_val:
             best_val = val
             best_u = u

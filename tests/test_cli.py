@@ -145,6 +145,17 @@ def test_fractional_or_boolean_witness_indices_are_usage_errors(tmp_path, capsys
         assert "must be an integer" in capsys.readouterr().err
 
 
+def test_fractional_or_boolean_seed_is_usage_error(tmp_path, capsys):
+    # a stored seed is read as the file holds it: 8.9 is not seed 8
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--d", "2", "--sets", "3", "--seed", "8", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for bad in (8.9, True):
+        path.write_text(json.dumps(dict(doc, seed=bad)))
+        assert main(["check", str(path), "--samples", "4"]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", str(tmp_path / "nope.json"), "--transversal", "x"]) == 2

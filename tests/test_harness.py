@@ -17,6 +17,7 @@ from tvlab.harness import (
     _orthonormal_complement,
     _run_trial,
     dumps_canonical,
+    equiv_config_from_json,
     gen_instance,
     instance_from_json,
     read_instance,
@@ -155,6 +156,26 @@ def test_stored_integers_are_read_whole_or_rejected():
     for bad in bad_docs:
         with pytest.raises(ValueError, match="must be an integer"):
             instance_from_json(bad)
+
+
+def test_stored_seeds_and_report_configs_are_read_whole_or_rejected():
+    # a seed of 8.9 would load as 8 and true as 1; a report's trials, d,
+    # seed, samples and trial numbers are read the same way
+    inst = gen_instance(GenSpec(d=2, n_sets=3, planted=True, seed=8))
+    doc = inst.to_json()
+    assert instance_from_json(dict(doc, seed=8.0)).seed == 8
+    for bad in (8.9, True, "8", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            instance_from_json(dict(doc, seed=bad))
+    config = EquivConfig(trials=1, d=1, seed=0, samples=16).to_json()
+    assert equiv_config_from_json(dict(config, trials=1.0)).trials == 1
+    for key, bad in (("trials", 1.5), ("d", True), ("seed", 0.5), ("samples", 16.5)):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            equiv_config_from_json(dict(config, **{key: bad}))
+    report = json.loads(dumps_canonical(run_equivalence(EquivConfig(trials=1, d=1)).to_json()))
+    report["records"][0]["trial"] = 0.7
+    with pytest.raises(ValueError, match="trial must be an integer"):
+        reverify_report(report)
 
 
 # -- witness construction ----------------------------------------------------------

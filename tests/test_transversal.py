@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import tvlab.transversal as transversal
 from tvlab.consistency import NoLift, lift_dependence
 from tvlab.geometry import (
     ComplexHyperplane,
@@ -20,6 +21,8 @@ from tvlab.geometry import (
 )
 from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
 from tvlab.transversal import (
+    STEP_DECAY,
+    STEP_INIT,
     NotFound,
     RealHyperplane,
     TransversalConfig,
@@ -677,3 +680,120 @@ def test_real_search_keeps_recorded_bits(case):
     cfg = TransversalConfig(starts=8, iters=400, seed=case[-1])
     res = real_hyperplane_transversal(_real_case(*case), cfg)
     assert _search_digest([res]) == REAL_SEARCH_DIGESTS[case]
+
+
+# -- lock-step starts ------------------------------------------------------------
+
+
+def _one_start_min(objective, u0, config, target, unit=slice(None)):
+    """Pattern search from one start, as it ran before starts shared a
+    kernel call: the reference the lock-step searches must reproduce."""
+    u = np.array(u0, dtype=float)
+    u[unit] /= np.linalg.norm(u0[unit])
+    val = float(objective(u[None, :])[0])
+    step = STEP_INIT
+    eye = np.eye(u.shape[0])
+    stencil = np.vstack([eye, -eye])
+    for _ in range(config.iters):
+        if val <= target or step < 1e-13:
+            break
+        cands = u + step * stencil
+        part = cands[:, unit]
+        part /= np.sqrt((part * part).sum(axis=1))[:, None]
+        vals = objective(cands)
+        j = int(vals.argmin())
+        if vals[j] < val - 1e-16:
+            u = cands[j]
+            val = float(vals[j])
+        else:
+            step *= STEP_DECAY
+    return u, val
+
+
+def _one_start_at_a_time(objective, U0, config, target, unit=slice(None)):
+    for u0 in U0:
+        yield _one_start_min(objective, u0, config, target, unit)
+
+
+def _searches(case):
+    """The searches of a lock-step case: (2, 4, True, 3) succeeds at start
+    0; (2, 6, False, 0) finds no direction and a zero at start 3;
+    (2, 6, False, 2) succeeds at starts 1 and 2; (3, 8, False, 1) finds a
+    direction at start 2; (3, 8, False, 3) fails at every start.  Real cases
+    (ambient, d, n_sets, vertices per set, seed) run every start."""
+    if case[0] == "real":
+        fam = _real_case(*case[1:])
+        return lambda cfg: [real_hyperplane_transversal(fam, cfg)]
+    fam, phi = _search_case(*case)
+    return lambda cfg: [find_complex_transversal(fam, cfg),
+                        find_borsuk_zero(embed_family(fam), phi, cfg)]
+
+
+@pytest.mark.parametrize("case", [(2, 4, True, 3), (2, 6, False, 0), (2, 6, False, 2),
+                                  (3, 8, False, 1), (3, 8, False, 3),
+                                  ("real", 3, 3, 1, 0), ("real", 3, 4, 1, 0)], ids=str)
+def test_lock_step_starts_match_one_start_at_a_time(case, monkeypatch):
+    run = _searches(case)
+    for starts in range(1, 6):
+        cfg = TransversalConfig(starts=starts, iters=100, seed=case[-1])
+        lock_step = _search_digest(run(cfg))
+        with monkeypatch.context() as m:
+            m.setattr(transversal, "_pattern_min", _one_start_at_a_time)
+            assert _search_digest(run(cfg)) == lock_step, starts
+
+
+def test_start_vectors_are_the_stream_of_one_draw_per_start():
+    rng = np.random.default_rng(5)
+    rows = [rng.standard_normal(6) for _ in range(4)]
+    assert np.array_equal(np.random.default_rng(5).standard_normal((4, 6)), np.array(rows))
+
+
+def test_starts_past_the_window_stay_unevaluated_after_an_early_success(monkeypatch):
+    # start 0 succeeds in both searches; only start 1 rides beside it, and a
+    # start is first evaluated alone, as one row
+    fam, phi = _search_case(2, 4, True, 3)
+    lock_step = transversal._pattern_min
+    entered = []
+    results = []
+
+    def spy(objective, U0, config, target, unit=slice(None)):
+        def watched(X):
+            if X.shape[0] == 1:
+                entered.append(X[0].copy())
+            return objective(X)
+        for out in lock_step(watched, U0, config, target, unit):
+            results.append(out)
+            yield out
+
+    monkeypatch.setattr(transversal, "_pattern_min", spy)
+    cfg = TransversalConfig(starts=8, iters=400, seed=3)
+    assert isinstance(find_complex_transversal(fam, cfg), ComplexHyperplane)
+    assert isinstance(find_borsuk_zero(embed_family(fam), phi, cfg), SpherePoint)
+    assert len(results) == 2 and len(entered) == 4
+
+
+def test_config_rejects_budgets_that_are_not_integers():
+    # 2.5 iterations would run three lock-step steps, and True one start
+    for field in ("starts", "iters"):
+        for bad in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TransversalConfig(**{field: bad})
+    cfg = TransversalConfig(starts=np.int64(3), iters=np.int64(0))
+    assert (cfg.starts, cfg.iters) == (3, 0)
+    with pytest.raises(ValueError, match="iters must be nonnegative"):
+        TransversalConfig(iters=-1)
+    with pytest.raises(ValueError, match="starts must be at least 1"):
+        TransversalConfig(starts=0)
+
+
+def test_zero_iterations_return_each_start_point(monkeypatch):
+    fam, phi = _search_case(2, 6, False, 0)
+    emb = embed_family(fam)
+    cfg = TransversalConfig(starts=3, iters=0, seed=0)
+
+    def run():
+        return _search_digest([find_complex_transversal(fam, cfg), find_borsuk_zero(emb, phi, cfg)])
+
+    lock_step = run()
+    monkeypatch.setattr(transversal, "_pattern_min", _one_start_at_a_time)
+    assert run() == lock_step

@@ -7,10 +7,10 @@ by seeded multistart derivative-free descent (pattern search with step decay
 on the relevant sphere).  The map being minimized is continuous but not
 smooth where the closest polygon point crosses a vertex or edge, which is
 why no gradients are used.  The starts run two at a time in lock-step, so
-that one objective call (one closest-point kernel call) serves a step of
-both; each search reads their results in start order and stops at its first
-success, so results and early exits are those of running the starts one
-after the other.  NotFound is a budget statement, never a nonexistence
+that one objective call (in the complex searches, one closest-point kernel
+call) serves a step of both; each search reads their results in start order
+and stops at its first success, so results and early exits are those of
+running the starts one after the other.  NotFound is a budget statement, never a nonexistence
 certificate, except where noted (d = 1 common-point LP, d = 2 real
 exhaustive angle grid).
 """
@@ -59,7 +59,7 @@ class TransversalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "iters"):
+        for name in ("starts", "iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -215,9 +215,11 @@ def _pattern_min(objective, U0: np.ndarray, config: TransversalConfig, target: f
     descent stops early at the target value.  A window holds the first
     _WINDOW starts not yet yielded, and its unfinished starts advance in
     lock-step, their stencils stacked into one objective call per step.  A
-    start's first point is evaluated alone when it enters the window, so a
+    start's first point is evaluated when it enters the window, so a
     consumer that stops after a start's result leaves every later start
-    unevaluated but the one beside it."""
+    unevaluated but the one beside it.  It is evaluated alone: a one-row
+    batch of f can round differently from the same row among others (its
+    coefficient rows are contiguous, and numpy then sums them pairwise)."""
     n = U0.shape[1]
     eye = np.eye(n)
     stencil = np.vstack([eye, -eye])  # the +-step moves along each axis

@@ -137,19 +137,22 @@ def test_instance_from_json_validates():
 
 
 def test_stored_integers_are_read_whole_or_rejected():
-    # d, the witness's k and its assignment indices are not truncated: an
-    # index i + 0.7 would name point i, and true would name point 1
+    # d, the seed, the witness's k and its assignment indices are not
+    # truncated: an index i + 0.7 would name point i, and true would name
+    # point 1
     inst = gen_instance(GenSpec(d=2, n_sets=3, planted=True, seed=8))
     w = witness_from_transversal(inst, inst.planted)
     doc = Instance(inst.family, witness=w, seed=8).to_json()
-    back = instance_from_json(dict(doc, d=2.0))
+    back = instance_from_json(dict(doc, d=2.0, seed=8.0))
     assert back.witness.assignment == w.assignment and back.family.dim == 2
+    assert back.seed == 8
 
     def witness_with(**changes):
         return dict(doc, witness=dict(doc["witness"], **changes))
 
     assignment = doc["witness"]["assignment"]
     bad_docs = [dict(doc, d=2.5), dict(doc, d=True), dict(doc, d="2"),
+                dict(doc, seed=8.9), dict(doc, seed=True), dict(doc, seed=None),
                 witness_with(k=1.5), witness_with(k=True),
                 witness_with(assignment={l: i + 0.7 for l, i in assignment.items()}),
                 witness_with(assignment={l: True for l in assignment})]
@@ -158,15 +161,9 @@ def test_stored_integers_are_read_whole_or_rejected():
             instance_from_json(bad)
 
 
-def test_stored_seeds_and_report_configs_are_read_whole_or_rejected():
-    # a seed of 8.9 would load as 8 and true as 1; a report's trials, d,
-    # seed, samples and trial numbers are read the same way
-    inst = gen_instance(GenSpec(d=2, n_sets=3, planted=True, seed=8))
-    doc = inst.to_json()
-    assert instance_from_json(dict(doc, seed=8.0)).seed == 8
-    for bad in (8.9, True, "8", None):
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            instance_from_json(dict(doc, seed=bad))
+def test_stored_report_integers_are_read_whole_or_rejected():
+    # a report's trials, d, seed, samples and trial numbers are read as an
+    # instance's are: 1.5 trials is not 1, and trial 0.7 is not trial 0
     config = EquivConfig(trials=1, d=1, seed=0, samples=16).to_json()
     assert equiv_config_from_json(dict(config, trials=1.0)).trials == 1
     for key, bad in (("trials", 1.5), ("d", True), ("seed", 0.5), ("samples", 16.5)):

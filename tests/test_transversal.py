@@ -773,8 +773,9 @@ def test_starts_past_the_window_stay_unevaluated_after_an_early_success(monkeypa
 
 
 def test_config_rejects_budgets_that_are_not_integers():
-    # 2.5 iterations would run three lock-step steps, and True one start
-    for field in ("starts", "iters"):
+    # 2.5 iterations would run three lock-step steps, True one start, and a
+    # seed of True the searches of seed 1
+    for field in ("starts", "iters", "seed"):
         for bad in (2.5, 2.0, True, "3", None):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 TransversalConfig(**{field: bad})

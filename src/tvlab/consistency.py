@@ -210,10 +210,12 @@ class ConsistencyConfig:
     exact: bool = False  # rational arithmetic for every lift decision
 
     def __post_init__(self):
-        if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 0:
-            raise ValueError(f"samples must be nonnegative, got {self.samples}")
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,45 +324,52 @@ def _dependences_by_size(family: Family, witness: ConsistencyWitness, config: Co
     width = min(len(labels), 2 * witness.k + 3)
     seen = set()
     for size in range(2, width + 1):
-        combos = np.array(list(combinations(range(len(labels)), size)))
-        M = np.ones((len(combos), witness.k + 1, size), dtype=complex)
-        M[:, 1:] = pts[combos].transpose(0, 2, 1)
-        basis, nullity = _complex_nullspace(M)
-        starts = np.flatnonzero(np.diff(nullity, prepend=-1)).tolist() + [len(combos)]
-        blocks = []
-        for i, j in zip(starts, starts[1:]):
-            nu = int(nullity[i])
-            if nu == 1:
-                blocks.append(basis[i:j, :, 0])
-            elif nu > 1:
-                q = np.linalg.qr(basis[i:j, :, :nu]).Q
-                g = rng.standard_normal((j - i, 2, nu, config.samples))
-                blocks.append((q @ (g[:, 0] + 1j * g[:, 1])).transpose(0, 2, 1).reshape(-1, size))
-        if not blocks:
-            yield []
-            continue
-        A = np.concatenate(blocks)
-        sid = np.repeat(np.arange(len(combos)), np.where(nullity > 1, config.samples, nullity))
-        keys = np.full((len(A), 3 * width), -1)  # a _decimal_keys value is even or 1
-        C = np.zeros((len(A), width), dtype=complex)  # canonical coefficients, left-aligned
-        for rows, support, coeffs in _canonical_blocks(A):
-            keys[rows, : support.size] = combos[sid[rows]][:, support]
-            keys[rows, width : width + 2 * support.size] = _decimal_keys(coeffs.view(float))
-            C[rows, : support.size] = coeffs
-        as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        kept = []
-        for r, (key, canonical) in enumerate(zip(as_bytes.tolist(), (keys[:, 0] >= 0).tolist())):
-            if canonical and key not in seen:
-                seen.add(key)
-                kept.append(r)
-        members = keys[kept, :width]  # support label indices, padded with -1
-        new = np.ones(len(kept), dtype=bool)
-        new[1:] = (members[1:] != members[:-1]).any(axis=1)
-        starts = np.flatnonzero(new).tolist()
-        origins = np.where(nullity == 1, "circuit", "sampled")[sid[kept]]
-        sups = [members[i][members[i] >= 0].tolist() for i in starts]
-        yield [(tuple(labels[t] for t in sup), C[kept[i:j], : len(sup)], origins[i:j])
-               for sup, i, j in zip(sups, starts, starts[1:] + [len(kept)])]
+        yield _size_blocks(labels, pts, size, width, rng, config.samples, seen)
+
+
+def _size_blocks(labels, pts, size, width, rng, samples, seen):
+    """The blocks of :func:`_dependences_by_size` for one subfamily size,
+    drawing from rng and keeping the keys not yet in seen, which it extends.
+    The candidates and their keys die on return, so they do not stay alive
+    while the blocks are lifted."""
+    combos = np.array(list(combinations(range(len(labels)), size)))
+    M = np.ones((len(combos), pts.shape[1] + 1, size), dtype=complex)
+    M[:, 1:] = pts[combos].transpose(0, 2, 1)
+    basis, nullity = _complex_nullspace(M)
+    starts = np.flatnonzero(np.diff(nullity, prepend=-1)).tolist() + [len(combos)]
+    blocks = []
+    for i, j in zip(starts, starts[1:]):
+        nu = int(nullity[i])
+        if nu == 1:
+            blocks.append(basis[i:j, :, 0])
+        elif nu > 1:
+            q = np.linalg.qr(basis[i:j, :, :nu]).Q
+            g = rng.standard_normal((j - i, 2, nu, samples))
+            blocks.append((q @ (g[:, 0] + 1j * g[:, 1])).transpose(0, 2, 1).reshape(-1, size))
+    if not blocks:
+        return []
+    A = np.concatenate(blocks)
+    sid = np.repeat(np.arange(len(combos)), np.where(nullity > 1, samples, nullity))
+    keys = np.full((len(A), 3 * width), -1)  # a _decimal_keys value is even or 1
+    C = np.zeros((len(A), width), dtype=complex)  # canonical coefficients, left-aligned
+    for rows, support, coeffs in _canonical_blocks(A):
+        keys[rows, : support.size] = combos[sid[rows]][:, support]
+        keys[rows, width : width + 2 * support.size] = _decimal_keys(coeffs.view(float))
+        C[rows, : support.size] = coeffs
+    as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    kept = []
+    for r, (key, canonical) in enumerate(zip(as_bytes.tolist(), (keys[:, 0] >= 0).tolist())):
+        if canonical and key not in seen:
+            seen.add(key)
+            kept.append(r)
+    members = keys[kept, :width]  # support label indices, padded with -1
+    new = np.ones(len(kept), dtype=bool)
+    new[1:] = (members[1:] != members[:-1]).any(axis=1)
+    starts = np.flatnonzero(new).tolist()
+    origins = np.where(nullity == 1, "circuit", "sampled")[sid[kept]]
+    sups = [members[i][members[i] >= 0].tolist() for i in starts]
+    return [(tuple(labels[t] for t in sup), C[kept[i:j], : len(sup)], origins[i:j])
+            for sup, i, j in zip(sups, starts, starts[1:] + [len(kept)])]
 
 
 def enumerate_dependences(
@@ -406,13 +415,16 @@ def _exact_generators(coeffs, points):
 
 # A lock-step batch holds whole blocks of one cone LP layout, of shape
 # (2d+3, n), up to this many tableau cells, (2d+4)(n+2d+4) per LP; a block
-# above it is a batch alone.  2^16 float64 cells are 512 KiB, and a pivoting batch keeps
-# about three arrays of up to that size alive: its rows, its tableau and one
-# pivot's update.  At d=2 that is four sampled blocks of 64 LPs on 4 sets of
-# 5 vertices (n=20), and the traced peak of a 6-set check is 2.0 MB, against
-# 1.4 MB with one batch per block and 3.7 MB at twice the budget, which saves
-# little more of the per-iteration numpy overhead that batching amortises.
-_BATCH_CELLS = 2**16
+# above it is a batch alone.  2^17 float64 cells are 1 MiB, and a pivoting
+# batch keeps about three arrays of up to that size alive: its rows, its
+# tableau and one pivot's dense update.  At d=2 that is nine sampled blocks
+# of 64 LPs on 4 sets of 5 vertices (n=20).  On 6-set necessity checks of
+# such sets the traced peak is 3.4 MB and a check takes 29 ms of CPU,
+# against 1.8 MB and 32 ms at 2^16, 0.9 MB and 55 ms with one batch per
+# block, and 5.3 MB and 35 ms at 2^18.  A full batch pivots for about 20
+# iterations, and about half of them pivot fewer than a quarter of its LPs:
+# fewer, larger batches pay that fixed numpy cost per iteration less often.
+_BATCH_CELLS = 2**17
 
 
 def _batched_lifts(family: Family, blocks, config: ConsistencyConfig):
@@ -456,13 +468,14 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
     counts = [len(family[label].vertices) for label in labels[0]]
     a, origins = np.concatenate(coeffs), np.concatenate(origins)  # a: (B, s)
     of = np.repeat(np.arange(len(batch)), [len(c) for c in coeffs])  # each row's block
-    # each row's vertices, label by label: (B, n, d)
-    V = np.stack([np.concatenate([family[label].vertices for label in ls]) for ls in labels])[of]
-    G = np.empty(V.shape[:2] + (family.dim + 1,), dtype=complex)
+    # each block's vertices, label by label: (blocks, n, d)
+    V = np.stack([np.concatenate([family[label].vertices for label in ls]) for ls in labels])
+    G = np.empty((len(a), V.shape[1], family.dim + 1), dtype=complex)
     G[..., -1] = np.repeat(a, counts, axis=1)
-    G[..., :-1] = G[..., -1:] * V
+    np.multiply(G[..., -1:], V[of], out=G[..., :-1])
     rows = np.ones((len(a), 2 * family.dim + 3, V.shape[1]))
     rows[:, :-1] = complex_to_real(G).transpose(0, 2, 1)
+    del G  # the batch pivots without it
     rhs = np.zeros(rows.shape[:2])
     rhs[:, -1] = 1.0
 
@@ -477,11 +490,12 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
         lams.append(lam)
     # the witnesses as floats (an exact one holds Fractions)
     lam = np.array(lams, dtype=float).reshape(len(lams), V.shape[1])
+    V = V[of[: len(lam)]]  # each lifted row's vertices: (lifted, n, d)
     r = np.zeros((len(lam), len(counts)))
     P = np.empty(r.shape + (family.dim,), dtype=complex)
     W, start = [], 0
     for g, c in enumerate(counts):
-        Vf = V[: len(lam), start : start + c]
+        Vf = V[:, start : start + c]
         P[:, g] = Vf[:, 0]  # the point of a label with r_F = 0: its first vertex
         lf, start = lam[:, start : start + c], start + c
         r[:, g] = lf.sum(axis=1)

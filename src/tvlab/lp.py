@@ -15,7 +15,9 @@ The tableau carries a leading batch axis: programs of one shape pivot in
 lock-step, each with its own entering column, ratio test and tie break, and
 a single program is a batch of one.  Every pivot leaves the rows with a zero
 in the pivot column untouched, so an element's result does not depend on its
-batch.
+batch: a float pivot updates the whole block densely and subtracts +0.0 from
+those rows, which keeps every bit, and a Fraction pivot masks its update to
+the other rows, so they cost no Fraction work.
 
 :func:`certify` holds the one float-to-exact escalation policy, for a batch
 of programs of one shape and, as a batch of one, for :func:`lp_feasible`.  A
@@ -75,16 +77,23 @@ _EXACT = _Arithmetic(np.frompyfunc(Fraction, 1, 1), 0, 0, 0, 0)
 
 def _pivot(T, basis, i, j, col):
     """Pivot every element e of the batch on T[e, i[e], j[e]], where col[e]
-    is column j[e] of T[e] before the pivot.  The update is masked to the
-    rows with a nonzero in the pivot column, so a zero row keeps its bits,
-    signed zeros included, and costs no Fraction work."""
+    is column j[e] of T[e] before the pivot.  A row with a zero in the pivot
+    column keeps its bits, signed zeros included.  A float tableau takes one
+    dense update, whose product is +0.0 on those rows: subtracting +0.0
+    leaves every float as it is, -0.0 included.  A Fraction tableau masks
+    its update to the other rows, so a zero row costs no Fraction work."""
     e = np.arange(len(T))
     prow = T[e, i] / col[e, i][:, None]
     T[e, i] = prow
     col[e, i] = 0  # the pivot row itself is done
-    mask = (col != 0)[:, :, None]
-    prod = np.multiply(col[:, :, None], prow[:, None, :], out=None, where=mask)
-    np.subtract(T, prod, out=T, where=mask)
+    if T.dtype == object:
+        mask = (col != 0)[:, :, None]
+        prod = np.multiply(col[:, :, None], prow[:, None, :], out=None, where=mask)
+        np.subtract(T, prod, out=T, where=mask)
+    else:
+        prod = col[:, :, None] * prow[:, None, :]
+        prod[col == 0] = 0.0
+        np.subtract(T, prod, out=T)
     basis[e, i] = j
 
 

@@ -67,8 +67,11 @@ class TransversalConfig:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if self.iters < 0:
             raise ValueError(f"iters must be nonnegative, got {self.iters}")
-        if not (np.isfinite(self.zero_tol) and self.zero_tol >= 0):
-            raise ValueError(f"zero_tol must be finite and nonnegative, got {self.zero_tol}")
+        tol = self.zero_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise ValueError(f"zero_tol must be a number, got {tol!r}")
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"zero_tol must be finite and nonnegative, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)

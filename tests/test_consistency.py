@@ -886,14 +886,15 @@ def test_nolift_in_a_later_block_of_a_batch_is_the_first_and_ends_the_work(monke
 
 @pytest.mark.parametrize("budget", ["module", "one-block"])
 def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeypatch):
-    # the 480 sampled LPs of support size 4 hold more cells than the budget,
+    # the 960 sampled LPs of support size 4 hold more cells than the budget,
     # so they go in several batches, each within it; at a budget below one
     # block, each block is a batch alone.  Either way each block's residuals
-    # are those of the lifts of its own batch, to the bit
+    # are those of the lifts of its own batch, to the bit.  The 1364
+    # dependences at samples=64 were counted with the budget at 2^16
     import tvlab.consistency as consistency
 
     fam, w = _gen_case(6, 4, True)
-    cfg = ConsistencyConfig(samples=32, seed=4)
+    cfg = ConsistencyConfig(samples=64, seed=4)
     lifted = [max(lift.residuals()) for lift in _block_lifts(fam, w, cfg)]
     if budget == "one-block":
         monkeypatch.setattr(consistency, "_BATCH_CELLS", 1)
@@ -914,7 +915,7 @@ def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeyp
     _spy(monkeypatch, batches, consistency, "certify", lambda rows, rhs: rows.shape)
     monkeypatch.setattr(consistency, "_lift_batch", lift_batch_spy)
     v = check_dependency_consistency(fam, w, cfg)
-    assert v.passed and v.n_dependences == 692
+    assert v.passed and v.n_dependences == 1364
     deps = enumerate_dependences(fam, w, cfg)
     blocks = [list(b) for _, b in groupby(deps, attrgetter("labels"))]
     size4 = [d for d in deps if len(d.labels) == 4]
@@ -1078,6 +1079,17 @@ def test_config_rejects_samples_that_are_not_integers():
         with pytest.raises(ValueError, match="samples"):
             ConsistencyConfig(samples=bad)
     assert ConsistencyConfig(samples=np.int64(3)).samples == 3
+
+
+def test_config_rejects_seeds_that_are_not_nonnegative_integers():
+    # True would run seed 1; 2.5 and "x" would reach numpy's generator inside
+    # the check as a TypeError, and -1 as numpy's own ValueError
+    for bad in (True, np.bool_(False), 2.5, 2.0, "x", None, -1):
+        with pytest.raises(ValueError, match="seed must be"):
+            ConsistencyConfig(seed=bad)
+    assert ConsistencyConfig(seed=np.int64(7)).seed == 7
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ConsistencyConfig(seed=-1)
 
 
 def test_witness_rejects_indices_that_are_not_integers():

@@ -402,6 +402,87 @@ def test_pivot_leaves_rows_with_a_zero_in_the_pivot_column_untouched():
     assert basis.tolist() == [[0, 1]]
 
 
+def _masked_pivot(T, basis, i, j, col):
+    """Reference pivot whose update touches only the rows with a nonzero in
+    the pivot column, through masked multiply and subtract ufuncs."""
+    e = np.arange(len(T))
+    prow = T[e, i] / col[e, i][:, None]
+    T[e, i] = prow
+    col[e, i] = 0
+    mask = (col != 0)[:, :, None]
+    prod = np.multiply(col[:, :, None], prow[:, None, :], out=None, where=mask)
+    np.subtract(T, prod, out=T, where=mask)
+    basis[e, i] = j
+
+
+def test_float_pivot_matches_the_masked_update_bit_for_bit():
+    # small float tableaux seeded with signed zeros, also in the pivot column
+    # and the pivot row: the dense update gives the masked one's bits
+    pytest.importorskip("hypothesis")
+    from hypothesis import given
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+    )
+    nonzero = st.floats(1e-6, 1e3).flatmap(lambda v: st.sampled_from([v, -v]))
+
+    @given(st.data())
+    def check(data):
+        B = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(2, 5))
+        cols = data.draw(st.integers(2, 6))
+        T = data.draw(hnp.arrays(np.float64, (B, rows, cols), elements=entries))
+        i = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=B, max_size=B)))
+        j = np.array(data.draw(st.lists(st.integers(0, cols - 1), min_size=B, max_size=B)))
+        e = np.arange(B)
+        T[e, i, j] = data.draw(st.lists(nonzero, min_size=B, max_size=B))
+        basis = np.zeros((B, rows), dtype=int)
+        want, want_basis = T.copy(), basis.copy()
+        _masked_pivot(want, want_basis, i, j, want[e, :, j].copy())
+        lp_module._pivot(T, basis, i, j, T[e, :, j].copy())
+        assert T.tobytes() == want.tobytes()
+        assert basis.tolist() == want_basis.tolist()
+
+    check()
+
+
+class _CountedZero(Fraction):
+    """A Fraction zero that records every product it takes part in."""
+
+    products = []
+
+    def __mul__(self, other):
+        self.products.append((self, other))
+        return Fraction.__mul__(self, other)
+
+    def __rmul__(self, other):
+        self.products.append((other, self))
+        return Fraction.__rmul__(self, other)
+
+
+def test_fraction_pivot_multiplies_no_row_with_a_zero_in_the_pivot_column(monkeypatch):
+    # rows 1 and 3 have a zero in the pivot column: no product is formed for
+    # them, and they keep their entries, while rows 0 and 2 are updated
+    monkeypatch.setattr(_CountedZero, "products", [])
+    zero = _CountedZero(0)
+    assert zero * Fraction(3) == 0 and len(_CountedZero.products) == 1  # the spy sees a product
+    _CountedZero.products.clear()
+    F = Fraction
+    T = np.array(
+        [[[F(2), F(-1), F(4)], [zero, F(5), F(-3)], [F(1), F(1), F(5)], [zero, F(-7), F(2)]]],
+        dtype=object,
+    )
+    kept = [T[0, 1].tolist(), T[0, 3].tolist()]  # the entries themselves, not copies
+    basis = np.array([[0, 1, 2, 3]])
+    lp_module._pivot(T, basis, np.array([0]), np.array([0]), T[[0], :, 0].copy())
+    assert _CountedZero.products == []
+    assert all(a is b for a, b in zip(T[0, 1].tolist() + T[0, 3].tolist(), sum(kept, [])))
+    assert T[0, 0].tolist() == [1, F(-1, 2), 2] and T[0, 2].tolist() == [0, F(3, 2), 3]
+
+
 def test_lock_step_batch_matches_single_solves():
     # programs of one shape, some feasible and some not, solved as one batch
     # and one at a time: same status and bitwise the same witness or Farkas

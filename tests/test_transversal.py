@@ -787,6 +787,19 @@ def test_config_rejects_budgets_that_are_not_integers():
         TransversalConfig(starts=0)
 
 
+def test_config_rejects_zero_tol_that_is_not_a_number():
+    # "x" and None raised a bare TypeError from np.isfinite, and True passed
+    # as a tolerance of 1
+    for bad in ("x", None, True, np.bool_(True), 1e-6j):
+        with pytest.raises(ValueError, match="zero_tol must be a number"):
+            TransversalConfig(zero_tol=bad)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="zero_tol must be finite and nonnegative"):
+            TransversalConfig(zero_tol=bad)
+    for good in (0, 1e-3, np.float32(1e-4), np.int64(0)):
+        assert TransversalConfig(zero_tol=good).zero_tol == good
+
+
 def test_zero_iterations_return_each_start_point(monkeypatch):
     fam, phi = _search_case(2, 6, False, 0)
     emb = embed_family(fam)

@@ -27,6 +27,7 @@ from .harness import (
     _hyperplane_json,
 )
 from .plotting import plot_instance
+from .transversal import BORSUK_VERIFY_TOL, ZERO_TOL
 from .transversal import (
     NotFound,
     TransversalConfig,
@@ -129,7 +130,7 @@ def _cmd_find(args) -> int:
             print(f"not found: {result.reason} (best margin {result.best:.3e})")
             return 1
         T = result
-        rep = verify_transversal(T, family, tol=1e-6)
+        rep = verify_transversal(T, family)
     else:
         witness, _ = _witness(instance, instance.d - 1)
         if witness is None:
@@ -151,7 +152,7 @@ def _cmd_find(args) -> int:
             return 1
         residual = borsuk_map(x, emb, witness).norm
         print(f"zero residual {residual:.3e}")
-        rep = verify_transversal(T, family, tol=1e-4)
+        rep = verify_transversal(T, family, tol=BORSUK_VERIFY_TOL)
         if not rep.passed:
             # a zero whose hyperplane misses a set convicts the witness only
             # when its dependence has no nonnegative lift, certified exactly
@@ -229,38 +230,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sets", type=int, required=True)
-    p.add_argument("--verts", type=int, default=4)
+    p.add_argument("--verts", type=int, default=GenSpec.vertices_per_set)
     p.add_argument("--planted", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=GenSpec.seed)
     p.add_argument("--ambient", choices=("real", "complex"), default="complex")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="dependency-consistency check")
     p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=ConsistencyConfig.samples)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("find", help="search for a transversal")
     p.add_argument("instance")
     p.add_argument("--method", choices=("direction", "borsuk"), default="direction")
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--zero-tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int, default=TransversalConfig.starts)
+    p.add_argument("--zero-tol", type=float, default=TransversalConfig.zero_tol)
+    p.add_argument("--seed", type=int, default=TransversalConfig.seed)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_find)
 
     p = sub.add_parser("verify", help="verify a transversal against an instance")
     p.add_argument("instance")
     p.add_argument("--transversal", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=ZERO_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("equiv", help="run the equivalence experiment")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--d", type=int, default=EquivConfig.d)
+    p.add_argument("--seed", type=int, default=EquivConfig.seed)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_equiv)
 

@@ -46,7 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from ._exact import gmul, integers, null_vector
-from .geometry import Family, complex_to_real
+from .geometry import Family, _integer, complex_to_real
 from .lp import FeasibilityCertificate, _infeasible, certify, hulls_intersect
 from .lp import nontrivial_zero_in_cone  # not called here: perfbench/spans.py wraps this name
 
@@ -63,6 +63,7 @@ class ConsistencyWitness:
     assignment: dict  # label -> row index into points
 
     def __post_init__(self):
+        _integer(self.target_dim, "target_dim")
         pts = np.asarray(self.points)
         if pts.ndim != 2:
             raise ValueError("witness points must form a 2-D array (m, k)")
@@ -74,9 +75,8 @@ class ConsistencyWitness:
             raise ValueError("witness needs at least one point")
         assignment = dict(self.assignment)
         for label, idx in assignment.items():
-            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
-                raise ValueError(f"assignment of {label!r} is not an integer index: {idx!r}")
-            if not 0 <= idx < pts.shape[0]:
+            _integer(idx, f"assignment of {label!r} (an integer index into the points)")
+            if idx >= pts.shape[0]:
                 raise ValueError(f"assignment of {label!r} out of range")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "assignment", assignment)
@@ -210,12 +210,8 @@ class ConsistencyConfig:
     exact: bool = False  # rational arithmetic for every lift decision
 
     def __post_init__(self):
-        for name in ("samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        _integer(self.samples, "samples")
+        _integer(self.seed, "seed")
 
 
 # ---------------------------------------------------------------------------

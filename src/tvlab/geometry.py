@@ -32,6 +32,24 @@ class PoleError(ValueError):
     recover a hyperplane from it."""
 
 
+def _integer(value, name: str, minimum: int = 0):
+    """value if it is an int or numpy integer, not a bool, at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        least = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {least}, got {value}")
+    return value
+
+
+def _tolerance(value, name: str) -> None:
+    """ValueError unless value is a finite, nonnegative real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def as_complex_point(coords) -> np.ndarray:
     """Validate and return a point of C^d as a complex array."""
     p = np.asarray(coords, dtype=complex)

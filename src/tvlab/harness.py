@@ -6,8 +6,8 @@ floats at 17 significant digits, complex numbers as [re, im] pairs.  Reading
 a document back and re-serializing it reproduces the file byte for byte,
 and reports depend only on (seed, config, version), never on wall time.
 :func:`reverify_report` re-decides a stored no-lift exactly, on generators
-rebuilt from the instance's own numbers, and checks a float lift in
-rationals to 1e-9.
+rebuilt from the instance's own numbers, and checks a float lift, and that
+each stored dependence is one of the trial's witness, in rationals to 1e-9.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .geometry import (
     Family,
     Polytope,
     _closest_rows,
+    _integer,
     _vertex_pairs,
     embed_family,
     hermitian_inner,
@@ -43,6 +44,7 @@ from .geometry import (
 )
 from .lp import _flat_program, certify, hulls_intersect
 from .transversal import (
+    BORSUK_VERIFY_TOL,
     NotFound,
     RealHyperplane,
     TransversalConfig,
@@ -153,6 +155,7 @@ class Instance:
     note: str = ""
 
     def __post_init__(self):
+        _integer(self.seed, "seed")
         if self.witness is not None and not self.witness.covers(self.family):
             raise ValueError("witness does not cover every family label")
         if self.planted is not None:
@@ -195,21 +198,14 @@ class Instance:
         return doc
 
 
-def _integer(value, what: str) -> int:
-    """A JSON number that is a whole number, as an int; ValueError for a
-    fraction, a bool or anything that is not a number."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def _whole(value):
+    """A whole JSON float as an int; any other value as it is, for its type to check."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def instance_from_json(doc: dict) -> Instance:
-    ambient = doc["ambient"]
-    if ambient not in ("real", "complex"):
-        raise ValueError("ambient must be 'real' or 'complex'")
-    d = _integer(doc["d"], "d")
+    ambient = doc["ambient"]  # Polytope checks it
+    d = _integer(_whole(doc["d"]), "d", 1)
     if not doc["sets"]:
         raise ValueError("an instance needs at least one set")
     labels = []
@@ -229,18 +225,18 @@ def instance_from_json(doc: dict) -> Instance:
     witness = None
     if "witness" in doc:
         w = doc["witness"]
-        k = _integer(w["k"], "witness k")
+        k = _integer(_whole(w["k"]), "witness k")
         pts = np.array(
             [[_unpair(p) for p in row] for row in w["points"]], dtype=complex
         ).reshape(len(w["points"]), k)
-        assignment = {l: _integer(i, f"assignment of {l!r}") for l, i in w["assignment"].items()}
+        assignment = {l: _whole(i) for l, i in w["assignment"].items()}
         witness = ConsistencyWitness(k, pts, assignment)
 
     return Instance(
         family,
         witness=witness,
         planted=_hyperplane_from_json(doc["planted"], ambient) if "planted" in doc else None,
-        seed=_integer(doc.get("seed", 0), "seed"),
+        seed=_whole(doc.get("seed", 0)),
         note=str(doc.get("note", "")),
     )
 
@@ -275,8 +271,8 @@ class GenSpec:
     ambient: str = "complex"
 
     def __post_init__(self):
-        if self.d < 1 or self.n_sets < 1 or self.vertices_per_set < 1:
-            raise ValueError("d, n_sets, and vertices_per_set must be positive")
+        for name, least in (("d", 1), ("n_sets", 1), ("vertices_per_set", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, least)
         if self.ambient not in ("real", "complex"):
             raise ValueError("ambient must be 'real' or 'complex'")
 
@@ -409,8 +405,8 @@ class EquivConfig:
     samples: int = 64
 
     def __post_init__(self):
-        if self.trials < 0 or self.d < 1:
-            raise ValueError("trials must be >= 0 and d >= 1")
+        for name, least in (("trials", 0), ("d", 1), ("seed", 0), ("samples", 0)):
+            _integer(getattr(self, name), name, least)
 
     def to_json(self) -> dict:
         search = TransversalConfig()  # the budget of every trial's searches
@@ -426,12 +422,7 @@ class EquivConfig:
 
 def equiv_config_from_json(doc: dict) -> EquivConfig:
     """The config of a stored report; its search budget is the default."""
-    return EquivConfig(
-        trials=_integer(doc["trials"], "trials"),
-        d=_integer(doc["d"], "d"),
-        seed=_integer(doc["seed"], "seed"),
-        samples=_integer(doc["samples"], "samples"),
-    )
+    return EquivConfig(**{key: _whole(doc[key]) for key in ("trials", "d", "seed", "samples")})
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,17 +488,22 @@ def _consistency_json(verdict: ConsistencyVerdict) -> dict:
     }
 
 
-def _trial_instance(config: EquivConfig, trial: int) -> Instance:
+def _trial_case(config: EquivConfig, trial: int):
+    """A trial's instance and the witness its check takes: the planted
+    transversal's frame at d >= 2, the trivial witness of a d = 1 segment
+    family."""
     rng = np.random.default_rng([config.seed, trial])
     if config.d >= 2:
         n_sets = int(rng.integers(3, 7))
-        return _generate(rng, config.d, n_sets, 4, True, "complex", trial)
+        instance = _generate(rng, config.d, n_sets, 4, True, "complex", trial)
+        return instance, witness_from_transversal(instance, instance.planted)
     n_sets = int(rng.integers(3, 5))
-    return _generate(rng, 1, n_sets, 2, False, "complex", trial)
+    instance = _generate(rng, 1, n_sets, 2, False, "complex", trial)
+    return instance, trivial_witness(instance.family)
 
 
 def _run_trial(config: EquivConfig, trial: int) -> dict:
-    instance = _trial_instance(config, trial)
+    instance, witness = _trial_case(config, trial)
     family = instance.family
     ccfg = ConsistencyConfig(samples=config.samples, seed=trial)
     tcfg = TransversalConfig(seed=trial)
@@ -515,7 +511,6 @@ def _run_trial(config: EquivConfig, trial: int) -> dict:
     record = {"trial": trial, "n_sets": len(family.labels)}
 
     if config.d >= 2:
-        witness = witness_from_transversal(instance, instance.planted)
         verdict = check_dependency_consistency(family, witness, ccfg)
         record["consistency"] = _consistency_json(verdict)
         if not verdict.passed:
@@ -526,7 +521,7 @@ def _run_trial(config: EquivConfig, trial: int) -> dict:
             failures.append("direction search found no transversal")
             record["direction"] = {"found": False, "best_margin": float(direction.best)}
         else:
-            drep = verify_transversal(direction, family, tol=1e-6)
+            drep = verify_transversal(direction, family)
             record["direction"] = {
                 "found": True,
                 **_hyperplane_json(direction),
@@ -543,19 +538,18 @@ def _run_trial(config: EquivConfig, trial: int) -> dict:
         else:
             residual = borsuk_map(x, emb, witness).norm
             H = hyperplane_from_sphere_point(x)
-            brep = verify_transversal(H, family, tol=1e-4)
+            brep = verify_transversal(H, family, tol=BORSUK_VERIFY_TOL)
             record["borsuk"] = {
                 "found": True,
                 "x": [_pair(z) for z in x.coords.tolist()],
                 "residual": float(residual),
                 "verify_max": float(brep.max_distance),
             }
-            if residual > 1e-6:
+            if residual > tcfg.zero_tol:
                 failures.append("accepted zero has residual above 1e-6")
             if not brep.passed:
                 failures.append("zero transversal fails verification at 1e-4")
     else:
-        witness = trivial_witness(family)
         verdict = check_dependency_consistency(family, witness, ccfg)
         record["consistency"] = _consistency_json(verdict)
         b = complex_transversal_for_normal(np.array([1.0 + 0j]), family)
@@ -608,6 +602,28 @@ def run_equivalence(config: EquivConfig) -> ExperimentReport:
 # rational re-verification of stored certificates
 
 
+def _off(terms) -> bool:
+    """Whether a sum of Gaussian rationals (re, im) misses 0 by more than
+    LIFT_TOL."""
+    return any(abs(sum(t[i] for t in terms)) > LIFT_TOL for i in (0, 1))
+
+
+def _reverify_dependence(doc: dict, witness: ConsistencyWitness) -> list:
+    """Rational re-check that the stored coefficients c of a lift or no-lift
+    are an affine dependence of the trial's witness phi: sum c_F = 0 and
+    sum c_F phi(F) = 0.  A dependence is a float null vector, so each holds
+    to LIFT_TOL."""
+    coeffs = [tuple(map(Fraction, p)) for p in doc["coeffs"]]
+    phi = [[(Fraction(z.real), Fraction(z.imag)) for z in witness.point_of(label).tolist()]
+           for label in doc["labels"]]
+    problems = []
+    if _off(coeffs):
+        problems.append("stored coefficients do not sum to zero")
+    if any(_off([gmul(c, p[col]) for c, p in zip(coeffs, phi)]) for col in range(witness.k)):
+        problems.append("stored coefficients are not a dependence of the witness")
+    return problems
+
+
 def _reverify_lift(doc: dict, family: Family) -> list:
     """Rational re-check of a stored lift: nonnegative weights, convex vertex
     certificates, and both dependence equations.  A lift is a float solution
@@ -616,10 +632,6 @@ def _reverify_lift(doc: dict, family: Family) -> list:
     problems = _malformed(doc, ("labels", "coeffs", "r", "points", "vertex_weights"), family)
     if problems:
         return problems
-
-    def off(terms):  # a sum of Gaussian rationals that is not 0 to LIFT_TOL
-        return any(abs(sum(t[i] for t in terms)) > LIFT_TOL for i in (0, 1))
-
     labels = doc["labels"]
     coeffs = [tuple(map(Fraction, p)) for p in doc["coeffs"]]
     r = [Fraction(v) for v in doc["r"]]
@@ -640,14 +652,14 @@ def _reverify_lift(doc: dict, family: Family) -> list:
             problems.append(f"vertex weights of {label} do not sum to one")
         for col in range(family.dim):
             combo = [(w * Fraction(v[col].real), w * Fraction(v[col].imag)) for v, w in zip(V, fw)]
-            if off(combo + [(-pt[col][0], -pt[col][1])]):
+            if _off(combo + [(-pt[col][0], -pt[col][1])]):
                 problems.append(f"stored point of {label} is not the certified combination")
                 break
     # sum r_F a_F = 0 and sum (r_F a_F) p_F = 0
     ra = [(w * c[0], w * c[1]) for w, c in zip(r, coeffs)]
-    if off(ra):
+    if _off(ra):
         problems.append("lift violates the coefficient equation")
-    if any(off([gmul(c, pt[col]) for c, pt in zip(ra, points)]) for col in range(family.dim)):
+    if any(_off([gmul(c, pt[col]) for c, pt in zip(ra, points)]) for col in range(family.dim)):
         problems.append("lift violates the point equation")
     return problems
 
@@ -672,9 +684,12 @@ def _reverify_nolift(doc: dict, family: Family) -> list:
 
 def _malformed(doc: dict, keys, family: Family) -> list:
     """Problems with the shape of a stored record: per-label lists that
-    differ in length, and labels that name no member of the family."""
+    differ in length, labels that name no member of the family, and labels
+    that repeat."""
     problems = [f"stored label {label!r} is not in the family"
                 for label in doc["labels"] if label not in family.labels]
+    if len(set(doc["labels"])) != len(doc["labels"]):
+        problems.append("stored labels repeat")
     if len({len(doc[k]) for k in keys}) > 1:
         lengths = ", ".join(f"{key} ({len(doc[key])})" for key in keys)
         problems.append(f"stored {lengths} differ in length")
@@ -683,20 +698,21 @@ def _malformed(doc: dict, keys, family: Family) -> list:
 
 def reverify_report(doc: dict) -> list:
     """Rational re-check of every stored certificate in a report (no-lifts
-    exactly, lifts to 1e-9); returns the list of discrepancies (empty means
+    exactly, lifts to 1e-9, and the dependence of each against the trial's
+    witness to 1e-9); returns the list of discrepancies (empty means
     clean)."""
     config = equiv_config_from_json(doc["config"])
     problems = []
     for record in doc["records"]:
-        trial = _integer(record["trial"], "trial")
-        family = _trial_instance(config, trial).family
+        trial = _integer(_whole(record["trial"]), "trial")
+        instance, witness = _trial_case(config, trial)
+        family = instance.family
         cons = record["consistency"]
-        if cons.get("worst_lift"):
-            for p in _reverify_lift(cons["worst_lift"], family):
-                problems.append(f"trial {trial}: {p}")
-        if cons.get("violation"):
-            for p in _reverify_nolift(cons["violation"], family):
-                problems.append(f"trial {trial}: {p}")
+        for stored, reverify in ((cons.get("worst_lift"), _reverify_lift),
+                                 (cons.get("violation"), _reverify_nolift)):
+            if stored:  # the dependence is checked once its certificate holds
+                found = reverify(stored, family) or _reverify_dependence(stored, witness)
+                problems += [f"trial {trial}: {p}" for p in found]
         oracle = record.get("oracle")
         if oracle and oracle.get("common_point"):
             point = np.array([[_unpair(oracle["point"])]])

@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from ._exact import integers, solve
-from .geometry import Polytope, complex_to_real
+from .geometry import Polytope, _integer, complex_to_real
 
 PIVOT_TOL = 1e-11
 FEAS_TOL = 1e-9
@@ -285,8 +285,8 @@ class LinearProgram:
     objective: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_nonneg < 0 or self.n_free < 0:
-            raise ValueError("variable counts must be nonnegative")
+        _integer(self.n_nonneg, "n_nonneg")
+        _integer(self.n_free, "n_free")
         n = self.n_vars
         rows = _read_only(self.rows, "coefficients")
         if rows.size == 0:

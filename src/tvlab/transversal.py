@@ -28,6 +28,8 @@ from .geometry import (
     SpherePoint,
     _closest_rows,
     _hull2d,
+    _integer,
+    _tolerance,
     complex_to_real,
     real_to_complex,
 )
@@ -35,6 +37,7 @@ from .consistency import AffineDependence
 from .lp import LinearProgram, SolverError, lp_feasible
 
 ZERO_TOL = 1e-6
+BORSUK_VERIFY_TOL = 1e-4  # to which the hyperplane of an accepted Borsuk zero must meet every set
 MARGIN_TOL = 1e-9
 STEP_INIT = 0.5  # pattern-search step size, shrunk by STEP_DECAY on no progress
 STEP_DECAY = 0.7
@@ -59,19 +62,9 @@ class TransversalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.starts < 1:
-            raise ValueError(f"starts must be at least 1, got {self.starts}")
-        if self.iters < 0:
-            raise ValueError(f"iters must be nonnegative, got {self.iters}")
-        tol = self.zero_tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-            raise ValueError(f"zero_tol must be a number, got {tol!r}")
-        if not (np.isfinite(tol) and tol >= 0):
-            raise ValueError(f"zero_tol must be finite and nonnegative, got {tol}")
+        for name, least in (("starts", 1), ("iters", 0), ("seed", 0)):
+            _integer(getattr(self, name), name, least)
+        _tolerance(self.zero_tol, "zero_tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,8 +572,7 @@ def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> Verification
     no slack, so a polygon a thin sliver away from the offset reports that
     sliver however long its edges are.  Real T: the distance from the
     offset to each projection interval [min u.v, max u.v]."""
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _tolerance(tol, "tol")
     ambient = "real" if isinstance(T, RealHyperplane) else "complex"
     if family.ambient != ambient or family.dim != T.normal.shape[0]:
         raise ValueError("family and hyperplane ambients and dimensions must agree")

@@ -323,6 +323,21 @@ def test_plot_d1_and_panels(tmp_path):
     assert main(["plot", str(inst2), "-o", str(svg2)]) == 0
 
 
+def test_plot_draws_the_separating_half_plane_of_a_missed_set(tmp_path):
+    # a panel whose polygon misses the origin draws the boundary of the
+    # half-plane that separates them, dashed, and an arrow to its far vertex
+    inst = tmp_path / "d2.json"
+    t = tmp_path / "t.json"
+    main(["gen", "--d", "2", "--sets", "3", "--planted", "--seed", "2", "-o", str(inst)])
+    doc = json.loads(inst.read_text())["planted"]
+    for name, offset in (("met", doc["offset"]), ("missed", [doc["offset"][0] + 10.0, 0.0])):
+        t.write_text(json.dumps(dict(doc, offset=offset)))
+        svg = tmp_path / f"{name}.svg"
+        assert main(["plot", str(inst), "--transversal", str(t), "-o", str(svg)]) == 0
+        dashed = svg.read_text().count('stroke-dasharray="0.05,0.05"')
+        assert dashed == (0 if name == "met" else 3), name
+
+
 def test_plot_d2_without_direction_is_input_error(tmp_path, capsys):
     inst = tmp_path / "d2.json"
     svg = tmp_path / "d2.svg"

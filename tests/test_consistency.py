@@ -1102,6 +1102,15 @@ def test_witness_rejects_indices_that_are_not_integers():
     assert ConsistencyWitness(1, pts, {"S0": np.int64(1), "S1": 0}).assignment["S0"] == 1
 
 
+def test_witness_rejects_target_dims_that_are_not_integers():
+    # True and 1.0 compared equal to the points' width and were stored
+    pts = np.zeros((2, 1))
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="target_dim must be an integer"):
+            ConsistencyWitness(bad, pts, {"S0": 0})
+    assert ConsistencyWitness(np.int64(1), pts, {"S0": 0}).k == 1
+
+
 def test_config_rejects_negative_samples():
     with pytest.raises(ValueError, match="samples"):
         ConsistencyConfig(samples=-3)

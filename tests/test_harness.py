@@ -3,12 +3,19 @@ equivalence experiment, report stability, and rational re-verification."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from tvlab.consistency import ConsistencyConfig, _exact_generators, check_dependency_consistency
+from tvlab.consistency import (
+    ConsistencyConfig,
+    ConsistencyWitness,
+    _exact_generators,
+    check_dependency_consistency,
+)
 from tvlab.geometry import ComplexHyperplane, Family, Polytope, hermitian_inner
 from tvlab.harness import (
     EquivConfig,
@@ -16,6 +23,7 @@ from tvlab.harness import (
     Instance,
     _orthonormal_complement,
     _run_trial,
+    _trial_case,
     dumps_canonical,
     equiv_config_from_json,
     gen_instance,
@@ -27,7 +35,7 @@ from tvlab.harness import (
     write_instance,
     write_report,
 )
-from tvlab.lp import _flat_program, certify
+from tvlab.lp import _flat_program, certify, hulls_intersect
 from tvlab.transversal import RealHyperplane, verify_transversal
 
 
@@ -92,6 +100,12 @@ def test_gen_rejects_bad_spec():
         GenSpec(d=1, n_sets=0)
     with pytest.raises(ValueError):
         GenSpec(d=1, n_sets=1, ambient="quaternionic")
+    # True would run seed 1 and 2.5 would reach numpy's draws; each was
+    # accepted, and seed=True wrote an instance that read_instance rejects
+    for bad in (dict(seed=True), dict(d=2.5), dict(n_sets=3.0), dict(vertices_per_set=True),
+                dict(seed=-1)):
+        with pytest.raises(ValueError, match="must be"):
+            GenSpec(**dict(dict(d=2, n_sets=3), **bad))
 
 
 def test_instance_rejects_false_planted_claim():
@@ -159,6 +173,39 @@ def test_stored_integers_are_read_whole_or_rejected():
     for bad in bad_docs:
         with pytest.raises(ValueError, match="must be an integer"):
             instance_from_json(bad)
+
+
+def test_documents_the_library_writes_read_back(tmp_path):
+    # every instance and report that constructs writes a document that its
+    # reader accepts and rewrites to the same bytes; a value that the reader
+    # would reject fails at construction
+    values = (True, 2.0, 2.5, np.int64(2))
+    path = tmp_path / "doc.json"
+    spec = dict(d=2, n_sets=3, vertices_per_set=2, planted=True, seed=1)
+    instances = []
+    for field, value in itertools.product(("d", "n_sets", "vertices_per_set", "seed"), values):
+        with contextlib.suppress(ValueError):
+            instances.append(gen_instance(GenSpec(**dict(spec, **{field: value}))))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Instance(instances[0].family, seed=2.5)
+    w = witness_from_transversal(instances[0], instances[0].planted)
+    assignment = {l: np.int64(i) for l, i in w.assignment.items()}
+    instances.append(Instance(instances[0].family, ConsistencyWitness(np.int64(1), w.points, assignment)))
+    assert len(instances) == 5  # a numpy integer in each field, and the witness
+    for inst in instances:
+        write_instance(inst, path)
+        text = path.read_text()
+        assert dumps_canonical(read_instance(path).to_json()) == text
+        assert dumps_canonical(instance_from_json(inst.to_json()).to_json()) == text
+    config = dict(trials=1, d=1, seed=0, samples=16)
+    reports = []
+    for field, value in itertools.product(config, values):
+        with contextlib.suppress(ValueError):
+            reports.append(run_equivalence(EquivConfig(**dict(config, **{field: value}))))
+    assert len(reports) == 4  # a numpy integer in each field
+    for report in reports:
+        assert reverify_report(report.to_json()) == []
+        assert reverify_report(json.loads(dumps_canonical(report.to_json()))) == []
 
 
 def test_stored_report_integers_are_read_whole_or_rejected():
@@ -325,6 +372,10 @@ def test_equivalence_rejects_bad_config():
         EquivConfig(trials=-1)
     with pytest.raises(ValueError):
         EquivConfig(trials=1, d=0)
+    # trials=True ran one trial into a report that reverify_report rejects
+    for bad in (dict(trials=True), dict(seed=1.5), dict(samples=2.5), dict(d=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            EquivConfig(**dict(dict(trials=1, d=1), **bad))
 
 
 # -- rational re-verification --------------------------------------------------------
@@ -410,3 +461,49 @@ def test_reverify_reports_labels_outside_the_family():
     doc = _report_doc(EquivConfig(trials=50, d=2, seed=0), [12])
     doc["records"][0]["consistency"]["worst_lift"]["labels"][0] = "S9"
     assert reverify_report(doc) == ["trial 12: stored label 'S9' is not in the family"]
+
+
+def test_reverify_checks_the_stored_dependence():
+    # each tampered no-lift below is one whose exact cone LP stays
+    # infeasible, so only its dependence or its labels give it away
+    doc = json.loads(dumps_canonical(
+        run_equivalence(EquivConfig(trials=40, d=1, seed=0, samples=16)).to_json()))
+    assert reverify_report(doc) == []
+    record = next(r for r in doc["records"] if r["consistency"]["violation"])
+    nolift = record["consistency"]["violation"]
+    assert len(nolift["labels"]) == 2
+    stored = json.loads(json.dumps(nolift))
+    where = f"trial {record['trial']}: "
+
+    nolift["coeffs"] = [[1.0, 0.0], [1.0, 0.0]]
+    assert reverify_report(doc) == [where + "stored coefficients do not sum to zero"]
+    nolift.update(labels=stored["labels"][:1], coeffs=stored["coeffs"][:1])
+    assert reverify_report(doc) == [where + "stored coefficients do not sum to zero"]
+    # the first coefficient split over two copies of its label
+    (re, im), second = stored["coeffs"]
+    nolift.update(labels=stored["labels"] + stored["labels"][:1],
+                  coeffs=[[re / 2, im / 2], second, [re / 2, im / 2]])
+    assert reverify_report(doc) == [where + "stored labels repeat"]
+
+    # d = 2: (1, -1) on two disjoint sets sums to zero and has no lift, but
+    # the witness sends the two sets to different points
+    cfg = EquivConfig(trials=10, d=2, seed=0, samples=16)
+    doc = _report_doc(cfg, [0])
+    family = _trial_case(cfg, 0)[0].family
+    a, b = next((a, b) for a, b in itertools.combinations(family.labels, 2)
+                if not hulls_intersect(family[a], family[b], exact=True).feasible)
+    doc["records"][0]["consistency"]["violation"] = {
+        "labels": [a, b], "coeffs": [[1.0, 0.0], [-1.0, 0.0]], "origin": "circuit", "exact": True}
+    assert reverify_report(doc) == ["trial 0: stored coefficients are not a dependence of the witness"]
+
+
+def test_reverify_checks_a_stored_common_point():
+    # no d = 1 trial of seed 0 has a common point, so only a stored one
+    # reaches the oracle check
+    doc = _report_doc(EquivConfig(trials=1, d=1, seed=0), [0])
+    record = doc["records"][0]
+    assert record["oracle"]["common_point"] is False
+    assert reverify_report(doc) == []
+    record["oracle"] = {"common_point": True, "point": [5.0, 0.0]}
+    n_sets = record["n_sets"]
+    assert reverify_report(doc) == [f"trial 0: oracle point outside S{i}" for i in range(n_sets)]

@@ -171,6 +171,10 @@ def test_malformed_program_rejected():
         LinearProgram(1, 0, ((1.0, 2.0),), (1.0,))  # row width mismatch
     with pytest.raises(ValueError):
         LinearProgram(1, 0, ((np.nan,),), (1.0,))
+    # 2.0 variables matched a row of width 2 and were stored as a float
+    for counts in ((2.0, 0), (1, True), (3, -1)):
+        with pytest.raises(ValueError, match="n_nonneg|n_free"):
+            LinearProgram(*counts, ((1.0, 1.0),), (1.0,))
 
 
 # -- hulls_intersect -----------------------------------------------------------

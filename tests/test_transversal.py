@@ -285,6 +285,17 @@ def test_complex_search_d1_empty_triple_intersection():
     assert res.best < -1e-3
 
 
+def test_complex_search_d1_finds_a_common_point():
+    # two crossing segments and a triangle around their crossing: at d = 1
+    # the search is one exact LP, and its point is a transversal
+    fam = _family(
+        "complex", [[-1 + 0j], [1 + 0j]], [[-1j], [1j]], [[-1 - 1j], [1 - 1j], [1j]]
+    )
+    res = find_complex_transversal(fam)
+    assert isinstance(res, ComplexHyperplane)
+    assert verify_transversal(res, fam).passed
+
+
 def test_complex_search_canonical_phase():
     fam, _, _ = _planted_family(np.random.default_rng(77))
     res = find_complex_transversal(fam, TransversalConfig(starts=32, iters=2000, seed=2))
@@ -590,6 +601,20 @@ def test_verify_rejects_mismatches():
     T = ComplexHyperplane(np.array([1.0 + 0j, 0j]), 0j)
     with pytest.raises(ValueError):
         verify_transversal(T, fam)
+
+
+def test_verify_rejects_tolerances_that_are_not_numbers():
+    # "x" and None raised a bare TypeError from np.isfinite, and True
+    # passed as a tolerance of 1
+    fam = _family("complex", [[0j]])
+    T = ComplexHyperplane(np.array([1.0 + 0j]), 0j)
+    for bad in ("x", None, True, 1e-6j):
+        with pytest.raises(ValueError, match="tol must be a number"):
+            verify_transversal(T, fam, tol=bad)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_transversal(T, fam, tol=bad)
+    assert verify_transversal(T, fam, tol=0).passed
 
 
 # -- recorded bits of the searches ----------------------------------------------

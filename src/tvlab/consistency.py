@@ -39,6 +39,7 @@ here; it runs in exact integer arithmetic (:mod:`tvlab._exact`).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,8 +101,8 @@ def trivial_witness(family: Family) -> ConsistencyWitness:
 
 @dataclass(frozen=True, eq=False)
 class AffineDependence:
-    """Support labels and complex coefficients with zero sum and zero
-    weighted witness sum.
+    """Support labels and finite complex coefficients, not all zero, with
+    zero sum and zero weighted witness sum.
 
     origin records how the dependence was produced ("circuit" for a
     one-dimensional null space, "sampled" otherwise); it carries no
@@ -118,6 +119,8 @@ class AffineDependence:
             raise ValueError("labels and coefficients must align and be nonempty")
         if not any(coeffs):
             raise ValueError("dependence coefficients must not all vanish")
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError("dependence coefficients must be finite")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -508,14 +511,6 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
     return resid, lift, nolift
 
 
-def _require_finite(dep: AffineDependence) -> None:
-    """Raise ValueError unless every coefficient of dep is finite.  Enumerated
-    dependences are finite by construction, so only the public entry points
-    that take a caller's dependence check it."""
-    if not np.isfinite(dep.coeffs).all():
-        raise ValueError("dependence coefficients must be finite")
-
-
 def lift_dependence(
     family: Family, dep: AffineDependence, config: ConsistencyConfig | None = None
 ):
@@ -527,10 +522,8 @@ def lift_dependence(
     the sums: the dependence restricted to the other labels is a block and a
     batch of one for :func:`_batched_lifts`, so a NoLift, which carries dep,
     always carries an exact Farkas certificate, and a Lift puts each dropped
-    label back with r_F = 0, its first vertex and zero weights.  Raises
-    ValueError on a non-finite coefficient.
+    label back with r_F = 0, its first vertex and zero weights.
     """
-    _require_finite(dep)
     nz = [g for g, a in enumerate(dep.coeffs) if a]
     coeffs = np.array([[dep.coeffs[g] for g in nz]])
     part = (tuple(dep.labels[g] for g in nz), coeffs, np.array([dep.origin]))
@@ -642,10 +635,8 @@ def reduce_dependence_support(
     Runs in exact arithmetic on the paired real coordinates of the points
     (a_F phi(F), a_F), in integers (:func:`_exact_generators`); the output
     coefficients are s_F * a_F with s_F > 0 and satisfy both dependence
-    equations to rounding error only.  Raises ValueError on a non-finite
-    coefficient.
+    equations to rounding error only.
     """
-    _require_finite(dep)
     k = witness.k
     labels = list(dep.labels)
     coeffs = [complex(c) for c in dep.coeffs]

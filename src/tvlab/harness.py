@@ -7,7 +7,8 @@ a document back and re-serializing it reproduces the file byte for byte,
 and reports depend only on (seed, config, version), never on wall time.
 :func:`reverify_report` re-decides a stored no-lift exactly, on generators
 rebuilt from the instance's own numbers, and checks a float lift, and that
-each stored dependence is one of the trial's witness, in rationals to 1e-9.
+each stored dependence is one of the trial's witness, in rationals to 1e-9,
+and a stored d = 1 common point by float membership LPs to 1e-9.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ from .geometry import (
     hermitian_inner,
     hyperplane_from_sphere_point,
 )
-from .lp import _flat_program, certify, hulls_intersect
+from .lp import certify, hulls_intersect
 from .transversal import (
     BORSUK_VERIFY_TOL,
     NotFound,
     RealHyperplane,
     TransversalConfig,
+    _PolygonBatch,
+    _coefficient_rows,
     borsuk_map,
     complex_transversal_for_normal,
     find_borsuk_zero,
@@ -156,6 +159,8 @@ class Instance:
 
     def __post_init__(self):
         _integer(self.seed, "seed")
+        if not isinstance(self.note, str):
+            raise ValueError("note must be a string")
         if self.witness is not None and not self.witness.covers(self.family):
             raise ValueError("witness does not cover every family label")
         if self.planted is not None:
@@ -237,7 +242,7 @@ def instance_from_json(doc: dict) -> Instance:
         witness=witness,
         planted=_hyperplane_from_json(doc["planted"], ambient) if "planted" in doc else None,
         seed=_whole(doc.get("seed", 0)),
-        note=str(doc.get("note", "")),
+        note=doc.get("note", ""),
     )
 
 
@@ -356,15 +361,12 @@ def witness_from_transversal(instance: Instance, T: ComplexHyperplane) -> Consis
     a, b = T.normal, T.offset
     z0 = b * a
     basis = _orthonormal_complement(a)
-    # the flat programs of sets with equal vertex counts are certified as
-    # one batch; a set whose program is infeasible gets no point from it
+    # the coefficient programs of sets with equal vertex counts are certified
+    # as one batch; a set whose program is infeasible gets no point from it
     points = [None] * len(family.sets)
-    by_size = {}
-    for idx, poly in enumerate(family.sets):
-        by_size.setdefault(len(poly.vertices), []).append(idx)
-    for idxs in by_size.values():
-        rows, rhs = zip(*(_flat_program([(a, b)], family.sets[i]) for i in idxs))
-        for i, (lam, _) in zip(idxs, certify(np.array(rows), np.array(rhs))):
+    for idx, cols in _PolygonBatch(family).groups:
+        lams = certify(*_coefficient_rows(cols.transpose(0, 2, 1), a, b))
+        for i, (lam, _) in zip(idx.tolist(), lams):
             if lam is not None:
                 points[i] = np.asarray(lam, dtype=float) @ family.sets[i].vertices
     rows = []
@@ -682,6 +684,15 @@ def _reverify_nolift(doc: dict, family: Family) -> list:
     return []
 
 
+def _reverify_oracle(oracle: dict, family: Family) -> list:
+    """Re-check a stored d = 1 common point by each set's float membership
+    LP, to FEAS_TOL = 1e-9 like a lift: the point is a float rounding of a
+    common point, so it need not lie exactly in a set it meets."""
+    point = np.array([[_unpair(oracle["point"])]])
+    return [f"oracle point outside {label}" for label, poly in family
+            if not hulls_intersect(point, poly).feasible]
+
+
 def _malformed(doc: dict, keys, family: Family) -> list:
     """Problems with the shape of a stored record: per-label lists that
     differ in length, labels that name no member of the family, and labels
@@ -715,10 +726,5 @@ def reverify_report(doc: dict) -> list:
                 problems += [f"trial {trial}: {p}" for p in found]
         oracle = record.get("oracle")
         if oracle and oracle.get("common_point"):
-            point = np.array([[_unpair(oracle["point"])]])
-            for label, poly in family:
-                if not hulls_intersect(point, poly, exact=True).feasible:
-                    problems.append(
-                        f"trial {trial}: oracle point outside {label}"
-                    )
+            problems += [f"trial {trial}: {p}" for p in _reverify_oracle(oracle, family)]
     return problems

@@ -396,8 +396,9 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
 def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificate:
     """Certified feasibility (and optimization, when an objective is given)
     of one program: :func:`certify` on a batch of one, so every infeasible
-    certificate is exact.  Raises :class:`UnboundedError` when an objective
-    is supplied and unbounded."""
+    certificate is exact.  ``exact`` solves in Fractions alone: the
+    reference the float path is tested against.  Raises
+    :class:`UnboundedError` when an objective is supplied and unbounded."""
     objective = None if lp.objective is None else lp.objective[None]
     x, y = next(certify(lp.rows[None], lp.rhs[None], objective, lp.n_free, exact))
     if y is not None:
@@ -448,10 +449,11 @@ class HullIntersection:
         return self.certificate.feasible
 
 
-def hulls_intersect(U, V, exact: bool = False) -> HullIntersection:
+def hulls_intersect(U, V) -> HullIntersection:
     """Do conv(U) and conv(V) intersect?  Feasible iff there are convex
     weights lam over U's vertices and mu over V's with equal weighted sums;
-    the common point is returned when they exist.
+    the common point is returned when they exist.  A float witness is kept
+    when it re-substitutes to FEAS_TOL, and a disjoint verdict is exact.
 
     U, V: Polytope or point array (complex points are read in R^{2d}).
     """
@@ -469,7 +471,7 @@ def hulls_intersect(U, V, exact: bool = False) -> HullIntersection:
     rhs = np.zeros(d + 2)
     rhs[d:] = 1.0
     lp = LinearProgram(nu + nv, 0, rows, rhs)
-    cert = lp_feasible(lp, exact=exact)
+    cert = lp_feasible(lp)
     point = None
     if cert.feasible:
         lam = np.asarray(cert.witness[:nu])
@@ -512,33 +514,6 @@ def kirchberger_separated(U, V) -> KirchbergerVerdict:
     return KirchbergerVerdict(True)
 
 
-def _flat_program(equalities, poly: Polytope):
-    """(rows, rhs) of the convex-weight program for the intersection of a
-    complex affine flat with a complex polytope.
-
-    equalities: iterable of (a, rhs) with a in C^d and rhs complex, each
-    encoding <z, a> = rhs under the Hermitian convention (conjugate-linear in
-    a).  The program is feasible iff some convex combination of the
-    polytope's vertices satisfies every equality; its witness is those
-    weights."""
-    if poly.ambient != "complex":
-        raise ValueError("the flat program expects a complex polytope")
-    V = poly.vertices
-    rows = []
-    rhs = []
-    for a, b in equalities:
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (poly.dim,):
-            raise ValueError("constraint dimension mismatch")
-        proj = V @ np.conj(a)
-        b = complex(b)
-        rows += [proj.real, proj.imag]
-        rhs += [b.real, b.imag]
-    rows.append(np.ones(V.shape[0]))
-    rhs.append(1.0)
-    return np.vstack(rows), np.array(rhs)
-
-
 @dataclass(frozen=True, eq=False)
 class ConeZero:
     """Convex weights hitting the origin, grouped by generator label."""
@@ -548,7 +523,7 @@ class ConeZero:
     group_weights: tuple | None  # tuple of (label, float r) with r = sum(lambdas)
 
 
-def nontrivial_zero_in_cone(groups, exact: bool = False) -> ConeZero:
+def nontrivial_zero_in_cone(groups) -> ConeZero:
     """Is 0 a convex combination of the given generators?
 
     groups: ordered iterable of (label, generators) with generators an
@@ -567,7 +542,7 @@ def nontrivial_zero_in_cone(groups, exact: bool = False) -> ConeZero:
     rhs = np.zeros(dim + 1)
     rhs[dim] = 1.0
     lp = LinearProgram(n, 0, rows, rhs)
-    cert = lp_feasible(lp, exact=exact)
+    cert = lp_feasible(lp)
     if not cert.feasible:
         return ConeZero(cert, None, None)
     lam = np.asarray(cert.witness)

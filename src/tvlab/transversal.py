@@ -339,6 +339,19 @@ def real_hyperplane_transversal(family: Family, config: TransversalConfig | None
 # complex transversal: projected-polygon intersection
 
 
+def _coefficient_rows(V: np.ndarray, a: np.ndarray, b: complex):
+    """The coefficient program of each set of a stack V (k, n, d) of sets
+    with n vertices each: rows (k, 3, n) = [Re c; Im c; 1] with c = V @
+    conj(a), and right-hand sides (k, 3) = [Re b, Im b, 1].  Convex weights
+    lam of a set's vertices solve rows @ lam = rhs iff their point lam @ V
+    lies on the hyperplane {<z, a> = b}; with b free, iff b is a common
+    coefficient."""
+    c = V @ np.conj(a)
+    rows = np.ones((len(V), 3, V.shape[1]))
+    rows[:, 0], rows[:, 1] = c.real, c.imag
+    return rows, np.tile([b.real, b.imag, 1.0], (len(V), 1))
+
+
 def complex_transversal_for_normal(a: np.ndarray, family: Family):
     """Common point b of all projected polygons along the unit normal a, as
     one LP over per-set convex weights; returns complex b or NotFound.
@@ -351,19 +364,16 @@ def complex_transversal_for_normal(a: np.ndarray, family: Family):
     a = np.asarray(a, dtype=complex)
     if abs(float(np.linalg.norm(a)) - 1.0) > 1e-9:
         raise ValueError("normal must have unit norm")
-    sizes = [p.n_vertices for p in family.sets]
-    total = sum(sizes)
-    # per set: Re and Im of sum(lam c) - b = 0, then sum(lam) = 1
-    rows = np.zeros((3 * len(sizes), total + 2))
+    total = sum(p.n_vertices for p in family.sets)
+    # per set: its coefficient program with b = 0, and -b in the free columns
+    rows = np.zeros((3 * len(family.sets), total + 2))
     pos = 0
-    for s, (poly, n) in enumerate(zip(family.sets, sizes)):
-        c = poly.vertices @ np.conj(a)
-        rows[3 * s, pos : pos + n] = c.real
-        rows[3 * s + 1, pos : pos + n] = c.imag
-        rows[3 * s + 2, pos : pos + n] = 1.0
-        rows[3 * s : 3 * s + 2, total : total + 2] = -np.eye(2)
+    for s, poly in enumerate(family.sets):
+        n = poly.n_vertices
+        rows[3 * s : 3 * s + 3, pos : pos + n] = _coefficient_rows(poly.vertices[None], a, 0)[0][0]
+        rows[3 * s : 3 * s + 2, total:] = -np.eye(2)
         pos += n
-    lp = LinearProgram(total, 2, rows, np.tile([0.0, 0.0, 1.0], len(sizes)))
+    lp = LinearProgram(total, 2, rows, np.tile([0.0, 0.0, 1.0], len(family.sets)))
     cert = lp_feasible(lp)
     if not cert.feasible:
         return NotFound("projected polygons have no common point", exhaustive=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import tvlab
-from tvlab.cli import main
+from tvlab.cli import build_parser, main
 from tvlab.geometry import ComplexHyperplane, Polytope, Family
 from tvlab.harness import GenSpec, Instance, gen_instance, witness_from_transversal, write_instance
 from tvlab.plotting import plot_instance
@@ -349,6 +351,30 @@ def test_plot_d2_without_direction_is_input_error(tmp_path, capsys):
 def test_plot_deterministic_bytes(tmp_path):
     inst = gen_instance(GenSpec(d=1, n_sets=4, vertices_per_set=3, planted=True, seed=13))
     assert plot_instance(inst, inst.planted) == plot_instance(inst, inst.planted)
+
+
+def test_a_note_that_is_not_a_string_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--d", "2", "--sets", "3", "--seed", "8", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for bad in (5, ["a"]):
+        path.write_text(json.dumps(dict(doc, note=bad)))
+        assert main(["check", str(path), "--samples", "4"]) == 2
+        assert "note must be a string" in capsys.readouterr().err
+
+
+def test_readme_examples_run_and_parse():
+    # the library example runs as written, and every line of the
+    # command-line block parses
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 7 and all(words[0] == "tvlab" for words in commands)
+    parser = build_parser()
+    for words in commands:
+        parser.parse_args(words[1:])
 
 
 def test_usage_error_exit_code():

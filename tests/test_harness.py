@@ -22,6 +22,7 @@ from tvlab.harness import (
     GenSpec,
     Instance,
     _orthonormal_complement,
+    _reverify_oracle,
     _run_trial,
     _trial_case,
     dumps_canonical,
@@ -35,8 +36,13 @@ from tvlab.harness import (
     write_instance,
     write_report,
 )
-from tvlab.lp import _flat_program, certify, hulls_intersect
-from tvlab.transversal import RealHyperplane, verify_transversal
+from tvlab.lp import certify, hulls_intersect
+from tvlab.transversal import (
+    RealHyperplane,
+    _coefficient_rows,
+    complex_transversal_for_normal,
+    verify_transversal,
+)
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -208,6 +214,19 @@ def test_documents_the_library_writes_read_back(tmp_path):
         assert reverify_report(json.loads(dumps_canonical(report.to_json()))) == []
 
 
+@pytest.mark.parametrize("note", [5, ["a"]], ids=["int", "list"])
+def test_instance_note_must_be_a_string(note):
+    # a note that is not a string would come back from its document as
+    # str(note), and the rewritten document would differ
+    family = gen_instance(GenSpec(d=1, n_sets=2, seed=3)).family
+    with pytest.raises(ValueError, match="note must be a string"):
+        Instance(family, note=note)
+    doc = Instance(family, note="five").to_json()
+    assert dumps_canonical(instance_from_json(doc).to_json()) == dumps_canonical(doc)
+    with pytest.raises(ValueError, match="note must be a string"):
+        instance_from_json(dict(doc, note=note))
+
+
 def test_stored_report_integers_are_read_whole_or_rejected():
     # a report's trials, d, seed, samples and trial numbers are read as an
     # instance's are: 1.5 trials is not 1, and trial 0.7 is not trial 0
@@ -296,13 +315,41 @@ def test_witness_fallback_projects_nearest_set_point():
     seg = np.array([(b + miss - 0.3j) * a + 0.2 * e, (b + miss + 0.3j) * a - 0.4 * e])
     family = Family(inst.family.labels + ("X",), inst.family.sets + (Polytope("complex", seg),))
     assert verify_transversal(T, family, tol=1e-6).passed
-    rows, rhs = _flat_program([(a, b)], family["X"])
-    assert next(certify(rows[None], rhs[None]))[0] is None
+    assert next(certify(*_coefficient_rows(family["X"].vertices[None], a, b)))[0] is None
     w = witness_from_transversal(Instance(family), T)
     point = b * a + basis.T @ w.point_of("X")
     assert abs(hermitian_inner(point, a) - b) < 1e-12  # on T
     # nearest set point: the segment's midpoint, whose coefficient is b + miss
     assert np.linalg.norm(point - seg.mean(axis=0)) == pytest.approx(miss, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coefficient_rows_and_witness_points_on_mixed_vertex_counts(d):
+    # sets of 3 and 5 vertices, each with one vertex on T: the stacked rows
+    # of each vertex count are each set's own rows, to the bit, and every
+    # witness point lies on T and in its set
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    T = ComplexHyperplane(a / np.linalg.norm(a), complex(*rng.uniform(-0.5, 0.5, 2)))
+    polys = []
+    for n in (3, 5, 5, 3, 5):
+        V = rng.uniform(-1, 1, (n, d)) + 1j * rng.uniform(-1, 1, (n, d))
+        V[0] -= (hermitian_inner(V[0], T.normal) - T.offset) * T.normal
+        polys.append(Polytope("complex", V))
+    family = Family(tuple(f"S{i}" for i in range(len(polys))), tuple(polys))
+    for n in (3, 5):
+        V = np.array([p.vertices for p in polys if p.n_vertices == n])
+        rows, rhs = _coefficient_rows(V, T.normal, T.offset)
+        for k, Vk in enumerate(V):
+            c = Vk @ np.conj(T.normal)
+            assert rows[k].tobytes() == np.vstack([c.real, c.imag, np.ones(n)]).tobytes()
+            assert rhs[k].tolist() == [T.offset.real, T.offset.imag, 1.0]
+    w = witness_from_transversal(Instance(family), T)
+    basis = _orthonormal_complement(T.normal)
+    for label, poly in family:
+        point = T.offset * T.normal + basis.T @ w.point_of(label)
+        assert abs(hermitian_inner(point, T.normal) - T.offset) < 1e-12
+        assert hulls_intersect(point[None], poly).feasible
 
 
 def test_witness_chain_consistency_pass():
@@ -491,7 +538,8 @@ def test_reverify_checks_the_stored_dependence():
     doc = _report_doc(cfg, [0])
     family = _trial_case(cfg, 0)[0].family
     a, b = next((a, b) for a, b in itertools.combinations(family.labels, 2)
-                if not hulls_intersect(family[a], family[b], exact=True).feasible)
+                if not hulls_intersect(family[a], family[b]).feasible)
+    assert hulls_intersect(family[a], family[b]).certificate.exact  # disjoint, exactly
     doc["records"][0]["consistency"]["violation"] = {
         "labels": [a, b], "coeffs": [[1.0, 0.0], [-1.0, 0.0]], "origin": "circuit", "exact": True}
     assert reverify_report(doc) == ["trial 0: stored coefficients are not a dependence of the witness"]
@@ -507,3 +555,23 @@ def test_reverify_checks_a_stored_common_point():
     record["oracle"] = {"common_point": True, "point": [5.0, 0.0]}
     n_sets = record["n_sets"]
     assert reverify_report(doc) == [f"trial 0: oracle point outside S{i}" for i in range(n_sets)]
+
+
+def test_reverify_oracle_accepts_the_common_point_it_stored():
+    # three segments through p at angles about pi/3 apart: the common point
+    # that the d = 1 LP returns is a float rounding of p, which an exact
+    # membership test can find outside a segment; the float membership LP
+    # accepts it to 1e-9 and still reports a point 1e-6 off S0 along S1
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p = complex(*rng.uniform(-0.5, 0.5, 2))
+        angles = np.pi * (np.arange(3) / 3 + rng.uniform(0, 0.05, 3))
+        u = np.exp(1j * angles)
+        ends = rng.uniform(0.1, 1.0, (3, 2))
+        segs = [Polytope("complex", [[p - s * v], [p + t * v]]) for v, (s, t) in zip(u, ends)]
+        family = Family(("S0", "S1", "S2"), tuple(segs))
+        b = complex_transversal_for_normal(np.array([1.0 + 0j]), family)
+        assert _reverify_oracle({"common_point": True, "point": [b.real, b.imag]}, family) == []
+        off = b + 1e-6 / abs(np.sin(angles[1] - angles[0])) * u[1]
+        assert _reverify_oracle({"common_point": True, "point": [off.real, off.imag]}, family) == [
+            "oracle point outside S0", "oracle point outside S2"]

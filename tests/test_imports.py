@@ -169,7 +169,7 @@ def test_public_surface_is_pinned():
         "find_complex_transversal": "family config",
         "gen_instance": "spec",
         "hermitian_inner": "u v",
-        "hulls_intersect": "U V exact",
+        "hulls_intersect": "U V",
         "hyperplane_from_sphere_point": "x0",
         "kirchberger_separated": "U V",
         "lift_dependence": "family dep config",

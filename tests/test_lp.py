@@ -15,13 +15,13 @@ from tvlab.geometry import Polytope
 from tvlab.lp import (
     LinearProgram,
     UnboundedError,
-    _flat_program,
     certify,
     hulls_intersect,
     kirchberger_separated,
     lp_feasible,
     nontrivial_zero_in_cone,
 )
+from tvlab.transversal import _coefficient_rows
 
 
 def _brute_feasible(A, b, tol=1e-7):
@@ -188,10 +188,8 @@ def test_intervals_sharing_endpoint():
 
 def test_intervals_disjoint():
     res = hulls_intersect(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]))
-    assert not res.feasible
+    assert not res.feasible and res.certificate.exact
     assert res.point is None
-    confirm = hulls_intersect(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]), exact=True)
-    assert not confirm.feasible and confirm.certificate.exact
 
 
 def test_triangle_contains_point():
@@ -265,13 +263,13 @@ def test_kirchberger_reads_complex_points_in_r2m():
         kirchberger_separated(np.array([[1j]]), np.array([[-1.0]]))
 
 
-# -- flat programs -------------------------------------------------------------
+# -- coefficient programs ------------------------------------------------------
 
 
 def test_flat_meets_segment():
     seg = Polytope("complex", np.array([[1 + 0j, 0j], [-1 + 0j, 0j]]))
-    rows, rhs = _flat_program([(np.array([1, 0], dtype=complex), 0.0)], seg)
-    lam, farkas = next(certify(rows[None], rhs[None]))
+    rows, rhs = _coefficient_rows(seg.vertices[None], np.array([1, 0], dtype=complex), 0.0)
+    lam, farkas = next(certify(rows, rhs))
     assert lam is not None
     point = np.asarray(lam, dtype=float) @ seg.vertices
     assert abs(point[0]) < 1e-9
@@ -279,16 +277,16 @@ def test_flat_meets_segment():
 
 def test_flat_misses_singleton():
     pt = Polytope("complex", np.array([[1 + 0j, 0j]]))
-    rows, rhs = _flat_program([(np.array([1, 0], dtype=complex), 0.0)], pt)
-    lam, farkas = next(certify(rows[None], rhs[None]))
+    rows, rhs = _coefficient_rows(pt.vertices[None], np.array([1, 0], dtype=complex), 0.0)
+    lam, farkas = next(certify(rows, rhs))
     assert lam is None and farkas is not None
 
 
 def test_flat_conjugation_convention():
     # <z, a> = z * conj(a); a = i and rhs = i force -i*z = i, i.e. z = -1
     seg = Polytope("complex", np.array([[-2 + 0j], [2 + 0j]]))
-    rows, rhs = _flat_program([(np.array([1j]), 1j)], seg)
-    lam, farkas = next(certify(rows[None], rhs[None]))
+    rows, rhs = _coefficient_rows(seg.vertices[None], np.array([1j]), 1j)
+    lam, farkas = next(certify(rows, rhs))
     assert lam is not None
     point = np.asarray(lam, dtype=float) @ seg.vertices
     assert point[0] == pytest.approx(-1.0)
@@ -306,11 +304,7 @@ def test_cone_symmetric_cancellation():
 
 def test_cone_same_halfline_infeasible():
     res = nontrivial_zero_in_cone([("a", np.array([[1.0]])), ("b", np.array([[2.0]]))])
-    assert not res.certificate.feasible
-    confirm = nontrivial_zero_in_cone(
-        [("a", np.array([[1.0]])), ("b", np.array([[2.0]]))], exact=True
-    )
-    assert not confirm.certificate.feasible and confirm.certificate.exact
+    assert not res.certificate.feasible and res.certificate.exact
 
 
 def test_cone_planted_combination():

@@ -455,7 +455,8 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
     and go through :func:`tvlab.lp.certify` as one (exactly with
     ``config.exact``): each asks for convex weights of the columns, the
     generators (a_F v, a_F) in C^{d+1}, read in R^{2d+2}, of the vertices v
-    of each label F over a one, that sum them to (0, 1).
+    of each label F over a one, that sum them to (0, 1).  The witnesses
+    come back in runs of consecutive programs and are read as one array.
 
     r, the in-set points and both residuals of the lifted dependences are
     computed as arrays, in the bits of the one-dependence formulas.  Returns
@@ -481,14 +482,14 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
     def dependence(i):
         return AffineDependence(labels[of[i]], a[i].tolist(), str(origins[i]))
 
-    lams, nolift = [], None
-    for i, (lam, farkas) in enumerate(certify(rows, rhs, exact=config.exact)):
+    runs, nolift = [np.empty((0, V.shape[1]))], None
+    for lam, farkas in certify(rows, rhs, exact=config.exact):
         if farkas is not None:
-            nolift = NoLift(dependence(i), _infeasible(farkas))
+            nolift = NoLift(dependence(sum(map(len, runs))), _infeasible(farkas))
             break
-        lams.append(lam)
+        runs.append(lam)
     # the witnesses as floats (an exact one holds Fractions)
-    lam = np.array(lams, dtype=float).reshape(len(lams), V.shape[1])
+    lam = np.concatenate(runs).astype(float, copy=False)
     V = V[of[: len(lam)]]  # each lifted row's vertices: (lifted, n, d)
     r = np.zeros((len(lam), len(counts)))
     P = np.empty(r.shape + (family.dim,), dtype=complex)

@@ -365,8 +365,10 @@ def witness_from_transversal(instance: Instance, T: ComplexHyperplane) -> Consis
     # as one batch; a set whose program is infeasible gets no point from it
     points = [None] * len(family.sets)
     for idx, cols in _PolygonBatch(family).groups:
-        lams = certify(*_coefficient_rows(cols.transpose(0, 2, 1), a, b))
-        for i, (lam, _) in zip(idx.tolist(), lams):
+        lams = []
+        for run, _ in certify(*_coefficient_rows(cols.transpose(0, 2, 1), a, b)):
+            lams.extend([None] if run is None else run)
+        for i, lam in zip(idx.tolist(), lams):
             if lam is not None:
                 points[i] = np.asarray(lam, dtype=float) @ family.sets[i].vertices
     rows = []

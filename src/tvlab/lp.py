@@ -13,14 +13,18 @@ solves it in either of two arithmetics, chosen once per solve:
 
 The tableau carries a leading batch axis: programs of one shape pivot in
 lock-step, each with its own entering column, ratio test and tie break, and
-a single program is a batch of one.  Every pivot leaves the rows with a zero
-in the pivot column untouched, so an element's result does not depend on its
-batch: a float pivot updates the whole block densely and subtracts +0.0 from
-those rows, which keeps every bit, and a Fraction pivot masks its update to
-the other rows, so they cost no Fraction work.
+a single program is a batch of one.  Each pass scans the programs still
+pivoting once, and those that leave make room without a second scan of the
+others.  Every pivot leaves the rows with a zero in the pivot column
+untouched, so an element's result does not depend on its batch: a float
+pivot updates the whole block densely and subtracts +0.0 from those rows,
+which keeps every bit, signed zeros included, and a Fraction pivot masks its
+update to the other rows, so they cost no Fraction work.  The pivot row is
+written after the update.
 
 :func:`certify` holds the one float-to-exact escalation policy, for a batch
-of programs of one shape and, as a batch of one, for :func:`lp_feasible`.  A
+of programs of one shape and, as a batch of one, for :func:`lp_feasible`,
+and yields each run of consecutive kept float witnesses as one array.  A
 float answer is kept only as a witness that re-substitutes to within 1e-9,
 or as the Farkas functional of the element's own final phase-1 basis: its
 dual y, solved exactly (floats are dyadic rationals, so in integers, by
@@ -77,23 +81,27 @@ _EXACT = _Arithmetic(np.frompyfunc(Fraction, 1, 1), 0, 0, 0, 0)
 
 def _pivot(T, basis, i, j, col):
     """Pivot every element e of the batch on T[e, i[e], j[e]], where col[e]
-    is column j[e] of T[e] before the pivot.  A row with a zero in the pivot
-    column keeps its bits, signed zeros included.  A float tableau takes one
-    dense update, whose product is +0.0 on those rows: subtracting +0.0
-    leaves every float as it is, -0.0 included.  A Fraction tableau masks
-    its update to the other rows, so a zero row costs no Fraction work."""
+    is column j[e] of T[e] before the pivot; col is only read.  The pivot
+    row is written after the update of the others.  A row with a zero in
+    the pivot column keeps its bits, signed zeros included: a float tableau
+    takes one dense update whose product is set to +0.0 on those rows (it
+    could be -0.0), and subtracting +0.0 leaves every float as it is, -0.0
+    included.  A Fraction tableau masks its update to the rows with a
+    nonzero in the pivot column, the pivot row aside, so a zero row costs
+    no Fraction work."""
     e = np.arange(len(T))
     prow = T[e, i] / col[e, i][:, None]
-    T[e, i] = prow
-    col[e, i] = 0  # the pivot row itself is done
     if T.dtype == object:
-        mask = (col != 0)[:, :, None]
+        mask = col != 0
+        mask[e, i] = False
+        mask = mask[:, :, None]
         prod = np.multiply(col[:, :, None], prow[:, None, :], out=None, where=mask)
         np.subtract(T, prod, out=T, where=mask)
     else:
         prod = col[:, :, None] * prow[:, None, :]
         prod[col == 0] = 0.0
         np.subtract(T, prod, out=T)
+    T[e, i] = prow
     basis[e, i] = j
 
 
@@ -108,21 +116,26 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
     the loop works on views of that front: an element that leaves swaps
     places with a later one that stays, and one move of the rows that moved
     puts every element back in its place on the way out, so no tableau is
-    gathered."""
+    gathered.  Each pass scans its front once: the entering column, the
+    pivot column and its positive entries of the stayers move with their
+    tableaux when others leave, and the stayers pivot in the same pass."""
     unbounded = np.zeros(len(T), dtype=bool)
     if not live.any() or not ncols:
         return unbounded
     at = np.arange(len(T))  # the element at each position
 
-    def front(stay):
+    def front(stay, *scanned):
         """Move the positions marked in stay ahead of the others, in T,
-        basis and at; returns their count."""
+        basis and at, and the stayers' rows of the scanned arrays with them;
+        returns their count."""
         s = int(np.count_nonzero(stay))
         if 0 < s < len(stay):
             dst = np.flatnonzero(~stay[:s])
             src = s + np.flatnonzero(stay[s:])
             for v in (T, basis, at):
                 v[dst], v[src] = v[src], v[dst]
+            for v in scanned:
+                v[dst] = v[src]
         return s
 
     s = front(live)
@@ -143,11 +156,12 @@ def _pivot_loop(T, basis, live, ncols, ar: _Arithmetic, max_iter=20000):
         col = W[k, :, j]
         ok = col[:, :-1] > ar.pivot_tol
         stay = go & ok.any(axis=1)
-        if not stay.all():  # the stayers' j, col and ok are read again from the front
+        if not stay.all():
             unbounded[at[:s][go & ~stay]] = True
-            s = front(stay)
-            W, Wb, k = W[:s], Wb[:s], k[:s]
-            continue
+            s = front(stay, j, col, ok)
+            if not s:
+                break
+            W, Wb, k, j, col, ok = W[:s], Wb[:s], k[:s], j[:s], col[:s], ok[:s]
         ratios = np.full(ok.shape, np.inf, dtype=T.dtype)
         np.divide(W[:, :-1, -1], col[:, :-1], out=ratios, where=ok)
         best = ratios.min(axis=1, keepdims=True)
@@ -350,13 +364,16 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
     Unless ``exact``, the batch is solved in one lock-step float tableau,
     and all its float witnesses are re-substituted at once, in one batched
     product rows @ x and one nonnegativity test (:func:`_verified`).
-    Yields per program, in order, (x, None) with a witness x or (None, y)
-    with an exact Farkas functional y (Fractions): the float witness when
-    it re-substitutes to within FEAS_TOL, else the functional of the
-    program's own final phase-1 basis when it checks out exactly, else the
-    program's exact solve (a witness of Fractions), run only when the
-    consumer reaches it.  Exact input may hold integers or Fractions.
-    Raises :class:`UnboundedError` on an unbounded objective.
+    Yields, in program order, (X, None) with the witnesses X (r, n) of r
+    consecutive programs or (None, y) with the exact Farkas functional y
+    (Fractions) of one program.  A float witness is kept when it
+    re-substitutes to within FEAS_TOL, and each maximal run of consecutive
+    kept ones is yielded as one array, rows of the batch's solution.  Any
+    other program is decided alone, only when the consumer reaches it: by
+    the functional of its own final phase-1 basis when that checks out
+    exactly, else by its exact solve, whose witness (Fractions) is a run of
+    one.  Exact input may hold integers or Fractions.  Raises
+    :class:`UnboundedError` on an unbounded objective.
     """
     B, m, n = rows.shape
     k = n - n_free
@@ -369,15 +386,17 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
         x[..., k:n] -= x[..., n:]
         return x[..., :n]
 
+    kept = np.zeros(B, dtype=bool)
     if not exact:
         status, x, _, basis = _solve_standard(A, rhs, c, _FLOAT)
         x = merged(x)
-        kept = _verified(rows, rhs, k, x)
-    for e in range(B):
+        kept = (status == "feasible") & _verified(rows, rhs, k, x)
+    first = 0  # the first program not yet yielded
+    for e in np.flatnonzero(~kept).tolist():
+        if first < e:  # the run of kept witnesses before e
+            yield x[first:e], None
+        first = e + 1
         status_e = None if exact else status[e]
-        if status_e == "feasible" and kept[e]:
-            yield x[e], None
-            continue
         y = _basis_farkas(A[e], rhs[e], basis[e]) if status_e == "infeasible" else None
         if y is not None:
             yield None, y
@@ -385,12 +404,14 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
         if status_e != "unbounded":  # a float unbounded ray is trusted as it stands
             one = slice(e, e + 1)
             solved = _solve_standard(A[one], rhs[one], None if c is None else c[one], _EXACT)
-            status_e, x_e, y, _ = (v[0] for v in solved)
+            status_e, x_e, y = solved[0][0], solved[1], solved[2][0]
         if status_e == "unbounded":
             raise UnboundedError("objective unbounded on the feasible region")
         if status_e == "inconclusive":
             raise SolverError("exact phase 1 reported an unbounded ray")
         yield (merged(x_e), None) if status_e == "feasible" else (None, y)
+    if first < B:
+        yield x[first:], None
 
 
 def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificate:
@@ -403,6 +424,7 @@ def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificat
     x, y = next(certify(lp.rows[None], lp.rhs[None], objective, lp.n_free, exact))
     if y is not None:
         return _infeasible(y)
+    x = x[0]
     if x.dtype != object:
         return FeasibilityCertificate("feasible", witness=tuple(x))
     return FeasibilityCertificate(

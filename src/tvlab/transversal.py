@@ -119,7 +119,9 @@ class VerificationReport:
 
     @property
     def max_distance(self) -> float:
-        return max(d for _, d in self.distances)
+        """The largest distance; NaN when any distance is NaN, so that a
+        distance that could not be computed is a miss in every label order."""
+        return float(np.max([d for _, d in self.distances]))
 
     @property
     def passed(self) -> bool:

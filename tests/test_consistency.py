@@ -818,6 +818,67 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
     assert np.asarray(lift.r).tobytes() == np.asarray(exact.r).tobytes()
 
 
+def _lifts_until_nolift(fam, blocks, cfg):
+    """Residuals and lifts of _batched_lifts over the blocks, in order, up to
+    the first NoLift, which is returned with them."""
+    resid, lifts = [], []
+    for r, lift, nolift in _batched_lifts(fam, blocks, cfg):
+        resid += r.tolist()
+        lifts += map(lift, range(len(r)))
+        if nolift is not None:
+            return resid, lifts, nolift
+    return resid, lifts, None
+
+
+# (case, index of the rejected dependence): of (4, 31, False), the first and
+# the last of its batch of four circuits, and the first, an inner one and the
+# last before the NoLift at 19 of its sampled batch, 4 to 35; the last of
+# (4, 2, True), which passes
+REJECTED = [((4, 31, False), 0), ((4, 31, False), 3), ((4, 31, False), 4),
+            ((4, 31, False), 10), ((4, 31, False), 18), ((4, 2, True), 35)]
+
+
+@pytest.mark.parametrize("case, at", REJECTED, ids=str)
+def test_a_rejected_witness_ends_its_run_of_kept_witnesses(case, at, monkeypatch):
+    # the float witness of one dependence is rejected wherever it is solved,
+    # so it ends a run of kept witnesses of its batch, or begins the batch's
+    # only run after it: the batches give the residual bits, lifts and NoLift
+    # of each dependence lifted alone under the same rejection, and only the
+    # rejected program reaches the exact solve
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=32, seed=case[1])
+    deps = enumerate_dependences(fam, w, cfg)
+    cols = _cone_generators(fam, deps[at])
+    target_rows = np.vstack([cols.T, np.ones(len(cols))])
+    verified = lp._verified
+
+    def reject_target(rows, rhs, n_nonneg, x):
+        target = np.array([np.array_equal(A, target_rows) for A in rows])
+        return verified(rows, rhs, n_nonneg, x) & ~target
+
+    exact = []
+    _spy(monkeypatch, exact, lp, "_solve_standard", lambda A, b, c, ar: A if ar is lp._EXACT else None)
+    monkeypatch.setattr(lp, "_verified", reject_target)
+    resid, lifts, nolift = _lifts_until_nolift(fam, _blocks(deps), cfg)
+    solved = [A for A in exact if A is not None]
+    assert len(solved) == 1 and np.array_equal(solved[0], target_rows[None])
+    want = _lifts_until_nolift(fam, [block for dep in deps for block in _blocks([dep])], cfg)
+    assert np.array(resid).tobytes() == np.array(want[0]).tobytes()
+    assert len(lifts) == len(want[1]) > at
+    for got, alone in zip(lifts, want[1]):
+        assert got.dependence.coeffs == alone.dependence.coeffs
+        assert np.asarray(got.r).tobytes() == np.asarray(alone.r).tobytes()
+        assert got.points.tobytes() == alone.points.tobytes()
+        for a, b in zip(got.vertex_weights, alone.vertex_weights, strict=True):
+            assert a.tobytes() == b.tobytes()
+    assert (nolift is None) == (want[2] is None) == case[2]
+    if nolift is not None:
+        assert nolift.dependence.coeffs == want[2].dependence.coeffs == deps[19].coeffs
+        assert nolift.certificate.farkas_exact == want[2].certificate.farkas_exact
+
+
 def _spy(monkeypatch, calls, module, name, tag=None):
     """Record a call of module.name in calls, as tag(*args) or its name."""
     fn = getattr(module, name)

@@ -119,6 +119,19 @@ def test_instance_rejects_false_planted_claim():
     bad = ComplexHyperplane(inst.planted.normal, inst.planted.offset + 1.0)
     with pytest.raises(ValueError):
         Instance(inst.family, planted=bad, seed=1)
+    # H = {z_1 = 0}: B's coordinates of about 1e300 overflow the closest-point
+    # kernel to a NaN distance, which was dropped in the label order (A, B)
+    s = 1e300
+    sets = {
+        "A": Polytope("complex", np.array([[0, 0], [0, 1]], dtype=complex)),
+        "B": Polytope("complex", np.array([[s + s * 1j, 0], [s + 0.5 * s * 1j, 0],
+                                           [0.5 * s + s * 1j, 1]])),
+    }
+    H = ComplexHyperplane(np.array([1 + 0j, 0j]), 0j)
+    for order in ("AB", "BA"):
+        fam = Family(tuple(order), tuple(sets[label] for label in order))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="by nan"):
+            Instance(fam, planted=H)
 
 
 # -- persistence -----------------------------------------------------------------

@@ -4,6 +4,7 @@ subset separation, flats, cones)."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -271,7 +272,7 @@ def test_flat_meets_segment():
     rows, rhs = _coefficient_rows(seg.vertices[None], np.array([1, 0], dtype=complex), 0.0)
     lam, farkas = next(certify(rows, rhs))
     assert lam is not None
-    point = np.asarray(lam, dtype=float) @ seg.vertices
+    point = np.asarray(lam[0], dtype=float) @ seg.vertices
     assert abs(point[0]) < 1e-9
 
 
@@ -288,7 +289,7 @@ def test_flat_conjugation_convention():
     rows, rhs = _coefficient_rows(seg.vertices[None], np.array([1j]), 1j)
     lam, farkas = next(certify(rows, rhs))
     assert lam is not None
-    point = np.asarray(lam, dtype=float) @ seg.vertices
+    point = np.asarray(lam[0], dtype=float) @ seg.vertices
     assert point[0] == pytest.approx(-1.0)
 
 
@@ -479,18 +480,21 @@ def test_fraction_pivot_multiplies_no_row_with_a_zero_in_the_pivot_column():
 def test_lock_step_batch_matches_single_solves():
     # programs of one shape, some feasible and some not, solved as one batch
     # and one at a time: same status and bitwise the same witness or Farkas
-    # row; with a cost, some leave the loop unbounded while others pivot on
+    # row; with a cost, some leave the loop unbounded while others pivot on.
+    # Under Bland's rule from the second pass, the stayers of a pass where
+    # others leave also enter by it
     rng = np.random.default_rng(4)
     A = np.round(rng.standard_normal((40, 3, 6)) * 2, 1)
     b = np.round(rng.standard_normal((40, 3)) * 2, 1)
     c = np.round(rng.standard_normal((40, 6)), 1)
-    for cost in (None, c):
-        status, x, y, basis = lp_module._solve_standard(A, b, cost, lp_module._FLOAT)
+    bland = dataclasses.replace(lp_module._FLOAT, bland_after=1)
+    for ar, cost in itertools.product((lp_module._FLOAT, bland), (None, c)):
+        status, x, y, basis = lp_module._solve_standard(A, b, cost, ar)
         assert {"feasible", "infeasible"} <= set(status)
         assert cost is None or "unbounded" in set(status)
         for e in range(len(A)):
             one_cost = None if cost is None else cost[e : e + 1]
-            one = lp_module._solve_standard(A[e : e + 1], b[e : e + 1], one_cost, lp_module._FLOAT)
+            one = lp_module._solve_standard(A[e : e + 1], b[e : e + 1], one_cost, ar)
             assert one[0][0] == status[e]
             assert one[3][0].tolist() == basis[e].tolist()
             if status[e] == "feasible":

@@ -596,6 +596,24 @@ def test_verify_inside_test_has_no_slack():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_verify_counts_a_nan_distance_as_a_miss_in_every_label_order(order):
+    # H = {z_1 = 0} meets A; B's coordinates of about 1e300 overflow the
+    # closest-point kernel's |D|^2 to a NaN distance, which Python's max
+    # dropped unless it came first: (A, B) passed and (B, A) failed
+    s = 1e300
+    sets = {
+        "A": Polytope("complex", np.array([[0, 0], [0, 1]], dtype=complex)),
+        "B": Polytope("complex", np.array([[s + s * 1j, 0], [s + 0.5 * s * 1j, 0],
+                                           [0.5 * s + s * 1j, 1]])),
+    }
+    fam = Family(tuple(order), tuple(sets[label] for label in order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_transversal(ComplexHyperplane(np.array([1 + 0j, 0j]), 0j), fam)
+    assert np.isnan(dict(rep.distances)["B"])
+    assert np.isnan(rep.max_distance) and not rep.passed
+
+
 def test_verify_rejects_mismatches():
     fam = _family("real", [[0.0, 0.0]])
     T = ComplexHyperplane(np.array([1.0 + 0j, 0j]), 0j)

@@ -48,7 +48,7 @@ import numpy as np
 
 from ._exact import gmul, integers, null_vector
 from .geometry import Family, _integer, complex_to_real
-from .lp import FeasibilityCertificate, _infeasible, certify, hulls_intersect
+from .lp import FeasibilityCertificate, _infeasible, _pivot, certify, hulls_intersect
 from .lp import nontrivial_zero_in_cone  # not called here: perfbench/spans.py wraps this name
 
 NULLSPACE_TOL = 1e-10
@@ -222,15 +222,14 @@ class ConsistencyConfig:
 
 
 def _complex_nullspace(M: np.ndarray):
-    """Null-space bases by elimination with full column pivoting, rank decided
-    by the threshold NULLSPACE_TOL: of one complex matrix (m, n), its basis (n,
-    nullity); of a stack (R, m, n), eliminated at once with each matrix's own
-    pivots, row swaps and masked updates (the bits of that matrix alone), the
-    bases zero-padded to (R, n, n) and the nullities (R,)."""
+    """Null-space bases of a stack of complex matrices (R, m, n), by
+    elimination with full column pivoting, rank decided by the threshold
+    NULLSPACE_TOL.  The stack is eliminated at once, each matrix with its own
+    pivots and row swaps, and each pivot is the simplex's Gauss-Jordan row
+    update :func:`tvlab.lp._pivot`, with the pivot columns as its basis, so a
+    matrix gets the bits of its elimination alone.  Returns the bases
+    zero-padded to (R, n, n) and the nullities (R,)."""
     M = np.array(M, dtype=complex)
-    if M.ndim == 2:
-        basis, nullity = _complex_nullspace(M[None])
-        return basis[0, :, : nullity[0]]
     R, m, n = M.shape
     pivoted = np.zeros((R, n), dtype=bool)
     pivot_cols = np.zeros((R, min(m, n)), dtype=int)  # of each pivot row
@@ -245,13 +244,10 @@ def _complex_nullspace(M: np.ndarray):
             break
         i, j = np.divmod(ij[a] + row * n, n)  # M's row and column
         M[a, row], M[a, i] = M[a, i], M[a, row]
-        M[a, row] = M[a, row] / M[a, row, j, None]
-        f = M[a, :, j]  # a copy
-        f[:, row] = 0.0  # the pivot row is not updated
-        u, r = np.nonzero(f)
-        M[a[u], r] = M[a[u], r] - f[u, r, None] * M[a[u], row]
+        W, Wb = M[a], pivot_cols[a]
+        _pivot(W, Wb, row, j, W[np.arange(len(a)), :, j])
+        M[a], pivot_cols[a] = W, Wb
         pivoted[a, j] = True
-        pivot_cols[a, row] = j
     rank = pivoted.sum(axis=1)
     nullity = n - rank
     free = np.argsort(pivoted, axis=1, kind="stable")  # free columns first, ascending

@@ -15,12 +15,13 @@ The tableau carries a leading batch axis: programs of one shape pivot in
 lock-step, each with its own entering column, ratio test and tie break, and
 a single program is a batch of one.  Each pass scans the programs still
 pivoting once, and those that leave make room without a second scan of the
-others.  Every pivot leaves the rows with a zero in the pivot column
-untouched, so an element's result does not depend on its batch: a float
-pivot updates the whole block densely and subtracts +0.0 from those rows,
-which keeps every bit, signed zeros included, and a Fraction pivot masks its
-update to the other rows, so they cost no Fraction work.  The pivot row is
-written after the update.
+others.  Every pivot, in either arithmetic, is one dense Gauss-Jordan row
+update of the whole block, which the complex null spaces of
+:mod:`tvlab.consistency` share: its product is set to 0 on the rows with a
+zero in the pivot column, and subtracting +0 keeps every float bit, signed
+zeros included, so an element's result does not depend on its batch.  A
+Fraction row with a zero there is multiplied too, and keeps its value.  The
+pivot row is written after the update.
 
 :func:`certify` holds the one float-to-exact escalation policy, for a batch
 of programs of one shape and, as a batch of one, for :func:`lp_feasible`,
@@ -80,27 +81,18 @@ _EXACT = _Arithmetic(np.frompyfunc(Fraction, 1, 1), 0, 0, 0, 0)
 
 
 def _pivot(T, basis, i, j, col):
-    """Pivot every element e of the batch on T[e, i[e], j[e]], where col[e]
-    is column j[e] of T[e] before the pivot; col is only read.  The pivot
-    row is written after the update of the others.  A row with a zero in
-    the pivot column keeps its bits, signed zeros included: a float tableau
-    takes one dense update whose product is set to +0.0 on those rows (it
-    could be -0.0), and subtracting +0.0 leaves every float as it is, -0.0
-    included.  A Fraction tableau masks its update to the rows with a
-    nonzero in the pivot column, the pivot row aside, so a zero row costs
-    no Fraction work."""
+    """Pivot every element e of the batch on T[e, i[e], j[e]] (i may be one
+    row for all), where col[e] is column j[e] of T[e] before the pivot; col
+    is only read.  One dense update serves float, complex and Fraction
+    tableaux: the product col * prow is set to 0 on the rows with a zero in
+    the pivot column (in floats it could be -0.0), and subtracting +0 leaves
+    every float as it is, -0.0 included, so those rows keep their bits.  The
+    pivot row is written after the update of the others."""
     e = np.arange(len(T))
     prow = T[e, i] / col[e, i][:, None]
-    if T.dtype == object:
-        mask = col != 0
-        mask[e, i] = False
-        mask = mask[:, :, None]
-        prod = np.multiply(col[:, :, None], prow[:, None, :], out=None, where=mask)
-        np.subtract(T, prod, out=T, where=mask)
-    else:
-        prod = col[:, :, None] * prow[:, None, :]
-        prod[col == 0] = 0.0
-        np.subtract(T, prod, out=T)
+    prod = col[:, :, None] * prow[:, None, :]
+    prod[col == 0] = 0
+    np.subtract(T, prod, out=T)
     T[e, i] = prow
     basis[e, i] = j
 
@@ -221,7 +213,7 @@ def _solve_standard(A, b, c, ar: _Arithmetic):
         T[e[~has], i] = 0
         e = e[has]
         W, Wb, j = T[e], basis[e], nz[has].argmax(axis=1)
-        _pivot(W, Wb, np.full(len(e), i), j, W[np.arange(len(e)), :, j])
+        _pivot(W, Wb, i, j, W[np.arange(len(e)), :, j])
         T[e], basis[e] = W, Wb
 
     unbounded = np.zeros(B, dtype=bool)

@@ -165,6 +165,11 @@ class _PolygonBatch:
     def closest_all(self, X: np.ndarray, shift=None):
         """(m, n_sets) closest coefficients; shift translates each row's
         polygon by -shift[row] first (distance-to-point queries)."""
+        q = _closest_rows(self.block(X, shift).reshape(-1, self.width))[0]
+        return q.reshape(self.n_sets, X.shape[0]).T
+
+    def block(self, X: np.ndarray, shift=None) -> np.ndarray:
+        """closest_all's (n_sets, m, width) block for the kernel."""
         cX = np.conj(X)
         block = np.empty((self.n_sets, X.shape[0], self.width), dtype=complex)
         for idx, cols in self.groups:
@@ -175,8 +180,7 @@ class _PolygonBatch:
                 block[idx, :, n:] = coeffs[:, :, n - 1 : n]
         if shift is not None:
             block -= shift[:, None]
-        q = _closest_rows(block.reshape(-1, self.width))[0]
-        return q.reshape(self.n_sets, X.shape[0]).T
+        return block
 
 
 def _phi_targets(family: Family, phi) -> np.ndarray:
@@ -582,15 +586,21 @@ def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> Verification
     when the offset is inside the polygon, i.e. when the polygon's vertices
     seen from the offset leave no angular gap wider than pi; the test has
     no slack, so a polygon a thin sliver away from the offset reports that
-    sliver however long its edges are.  Real T: the distance from the
-    offset to each projection interval [min u.v, max u.v]."""
+    sliver however long its edges are.  The kernel squares segment lengths,
+    which overflow from about 2^511, so a polygon whose coefficients reach
+    2^500 is scaled by a power of two of its own, and its distance back.
+    Real T: the distance from the offset to each projection interval
+    [min u.v, max u.v]."""
     _tolerance(tol, "tol")
     ambient = "real" if isinstance(T, RealHyperplane) else "complex"
     if family.ambient != ambient or family.dim != T.normal.shape[0]:
         raise ValueError("family and hyperplane ambients and dimensions must agree")
     if ambient == "complex":
-        q = _PolygonBatch(family).closest_all(T.normal[None, :], shift=np.array([T.offset]))
-        dists = np.abs(q[0]).tolist()
+        C = _PolygonBatch(family).block(T.normal[None, :], shift=np.array([T.offset]))[:, 0]
+        e = np.frexp(np.abs(C).max(axis=1))[1][:, None]
+        e[e <= 500] = 0
+        C.real, C.imag = np.ldexp(C.real, -e), np.ldexp(C.imag, -e)
+        dists = np.ldexp(np.abs(_closest_rows(C)[0]), e[:, 0]).tolist()
     else:
         dists = []
         for poly in family.sets:

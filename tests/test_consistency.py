@@ -74,13 +74,19 @@ def _sizes(fam, w, cfg):
 # -- null space ----------------------------------------------------------------
 
 
+def _nullspace_of(M):
+    """The null-space basis (n, nullity) of one matrix, as a stack of one."""
+    basis, nullity = _complex_nullspace(np.asarray(M)[None])
+    return basis[0, :, : nullity[0]]
+
+
 def test_nullspace_rank_and_residual():
     rng = np.random.default_rng(0)
     for _ in range(40):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(1, 6))
         M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        B = _complex_nullspace(M)
+        B = _nullspace_of(M)
         assert B.shape[1] == n - np.linalg.matrix_rank(M, tol=1e-10)
         if B.size:
             assert np.max(np.abs(M @ B)) < 1e-9
@@ -88,7 +94,7 @@ def test_nullspace_rank_and_residual():
 
 def test_nullspace_threshold_collapses_tiny_rows():
     M = np.array([[1e-12, 1e-12]], dtype=complex)
-    B = _complex_nullspace(M)
+    B = _nullspace_of(M)
     # the row is below the threshold NULLSPACE_TOL: treated as zero
     assert NULLSPACE_TOL == 1e-10 and B.shape[1] == 2
 
@@ -160,7 +166,7 @@ def test_stacked_nullspace_matches_matrices_alone(m):
             want = _complex_nullspace_reference(M)
             assert B[:, :nu].shape == want.shape and B[:, :nu].tobytes() == want.tobytes()
             assert not B[:, nu:].any()
-            assert _complex_nullspace(M).tobytes() == want.tobytes()
+            assert _nullspace_of(M).tobytes() == want.tobytes()
 
 
 # -- enumerate_dependences -------------------------------------------------------
@@ -538,7 +544,7 @@ def test_reducer_shrinks_stress_dependence():
         pts = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         w = ConsistencyWitness(k, pts, {f"S{i}": i for i in range(n)})
         M = np.vstack([np.ones((1, n), dtype=complex), pts.T])
-        B = _complex_nullspace(M)
+        B = _nullspace_of(M)
         coeff = B @ (rng.standard_normal(B.shape[1]) + 1j * rng.standard_normal(B.shape[1]))
         dep = AffineDependence(tuple(f"S{i}" for i in range(n)), tuple(coeff.tolist()))
         red = reduce_dependence_support(dep, w)
@@ -568,7 +574,7 @@ def test_reducer_keeps_recorded_bits():
         if trial % 5 == 4:
             pts = np.round(pts * 2) / 2  # a coarse grid: repeated and collinear points
         w = ConsistencyWitness(k, pts, {f"S{i}": i for i in range(n)})
-        B = _complex_nullspace(np.vstack([np.ones((1, n), dtype=complex), pts.T]))
+        B = _nullspace_of(np.vstack([np.ones((1, n), dtype=complex), pts.T]))
         coeff = B @ (rng.standard_normal(B.shape[1]) + 1j * rng.standard_normal(B.shape[1]))
         dep = AffineDependence(tuple(f"S{i}" for i in range(n)), tuple(coeff.tolist()))
         red = reduce_dependence_support(dep, w)

@@ -119,8 +119,8 @@ def test_instance_rejects_false_planted_claim():
     bad = ComplexHyperplane(inst.planted.normal, inst.planted.offset + 1.0)
     with pytest.raises(ValueError):
         Instance(inst.family, planted=bad, seed=1)
-    # H = {z_1 = 0}: B's coordinates of about 1e300 overflow the closest-point
-    # kernel to a NaN distance, which was dropped in the label order (A, B)
+    # H = {z_1 = 0} misses B, of coordinates about 1e300, by a finite distance
+    # in either label order: verification scales B's row for the kernel
     s = 1e300
     sets = {
         "A": Polytope("complex", np.array([[0, 0], [0, 1]], dtype=complex)),
@@ -130,7 +130,7 @@ def test_instance_rejects_false_planted_claim():
     H = ComplexHyperplane(np.array([1 + 0j, 0j]), 0j)
     for order in ("AB", "BA"):
         fam = Family(tuple(order), tuple(sets[label] for label in order))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="by nan"):
+        with pytest.raises(ValueError, match=r"misses a set by 1\.061e\+300"):
             Instance(fam, planted=H)
 
 

@@ -26,6 +26,7 @@ from tvlab.transversal import (
     NotFound,
     RealHyperplane,
     TransversalConfig,
+    VerificationReport,
     _borsuk_values,
     _PolygonBatch,
     borsuk_map,
@@ -598,9 +599,14 @@ def test_verify_inside_test_has_no_slack():
 
 @pytest.mark.parametrize("order", ["AB", "BA"])
 def test_verify_counts_a_nan_distance_as_a_miss_in_every_label_order(order):
-    # H = {z_1 = 0} meets A; B's coordinates of about 1e300 overflow the
-    # closest-point kernel's |D|^2 to a NaN distance, which Python's max
-    # dropped unless it came first: (A, B) passed and (B, A) failed
+    # a NaN distance is a miss wherever it falls in the label order (Python's
+    # max keeps a NaN only when it comes first)
+    nan = {"A": 0.0, "B": float("nan")}
+    rep = VerificationReport(tuple((label, nan[label]) for label in order), 1e-6)
+    assert np.isnan(rep.max_distance) and not rep.passed
+    # H = {z_1 = 0} meets A; B's coordinates of about 1e300 would overflow
+    # the closest-point kernel's |D|^2, so verification scales B's row: B is
+    # 1.5 s / sqrt(2) away, a finite miss in either order
     s = 1e300
     sets = {
         "A": Polytope("complex", np.array([[0, 0], [0, 1]], dtype=complex)),
@@ -608,10 +614,26 @@ def test_verify_counts_a_nan_distance_as_a_miss_in_every_label_order(order):
                                            [0.5 * s + s * 1j, 1]])),
     }
     fam = Family(tuple(order), tuple(sets[label] for label in order))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_transversal(ComplexHyperplane(np.array([1 + 0j, 0j]), 0j), fam)
-    assert np.isnan(dict(rep.distances)["B"])
-    assert np.isnan(rep.max_distance) and not rep.passed
+    rep = verify_transversal(ComplexHyperplane(np.array([1 + 0j, 0j]), 0j), fam)
+    assert dict(rep.distances)["A"] == 0.0
+    assert dict(rep.distances)["B"] == pytest.approx(1.5 * s / np.sqrt(2), rel=1e-12)
+    assert rep.max_distance == dict(rep.distances)["B"] and not rep.passed
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_verify_scales_only_the_large_rows(order):
+    # B, of coordinates about 1e300, contains the offset of H = {z_1 = 0};
+    # A lies 1e-7 from it, within ZERO_TOL, and keeps that distance only if
+    # its own row is not scaled along with B's
+    s = 1e300
+    sets = {
+        "A": Polytope("complex", np.array([[-1 + 1e-7j, 0], [1 + 1e-7j, 0]])),
+        "B": Polytope("complex", np.array([[s + s * 1j, 0], [-s + s * 1j, 0], [-s * 1j, 0]])),
+    }
+    fam = Family(tuple(order), tuple(sets[label] for label in order))
+    rep = verify_transversal(ComplexHyperplane(np.array([1 + 0j, 0j]), 0j), fam)
+    assert dict(rep.distances) == {"A": pytest.approx(1e-7, rel=1e-9), "B": 0.0}
+    assert rep.passed
 
 
 def test_verify_rejects_mismatches():

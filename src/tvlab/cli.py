@@ -1,7 +1,7 @@
 """Command line front end: generate, check, find, verify, equiv, plot.
 
 Exit codes: 0 for pass/found, 1 for fail/not-found, 2 for usage or input
-errors."""
+errors and for an output file that cannot be written."""
 
 from __future__ import annotations
 
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
         raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # inputs are read under _READ_ERRORS
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

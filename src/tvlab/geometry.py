@@ -1,9 +1,9 @@
 """Complex/real vector geometry: points, polytopes and families, their
-embedding into the affine slice {z_{d+1} = 1}, the one closest-point kernel
-for polygons of projection coefficients (a vectorized block of rows; the
-projection itself is a matrix product done by its callers, and the
-monotone-chain hull here only draws and describes polygons), and recovery of
-a complex hyperplane from a unit sphere point.
+embedding into the affine slice {z_{d+1} = 1}, a family's polygons of
+coefficients along a batch of complex directions (one block, on the family's
+layout of its sets by vertex count), the one closest-point kernel for such
+polygons (the monotone-chain hull here only draws and describes polygons),
+and recovery of a complex hyperplane from a unit sphere point.
 
 Conventions
 -----------
@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class Polytope:
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """Ordered, labeled list of polytopes sharing ambient and dimension."""
+    """Ordered, labeled, nonempty list of polytopes sharing ambient and dimension."""
 
     labels: tuple
     sets: tuple
@@ -141,11 +141,12 @@ class Family:
             raise ValueError("labels and sets must have equal length")
         if len(set(labels)) != len(labels):
             raise ValueError("family labels must be unique")
-        if sets:
-            amb, dim = sets[0].ambient, sets[0].dim
-            for p in sets:
-                if p.ambient != amb or p.dim != dim:
-                    raise ValueError("family members must share ambient and dimension")
+        if not sets:
+            raise ValueError("a family needs at least one set")
+        amb, dim = sets[0].ambient, sets[0].dim
+        for p in sets:
+            if p.ambient != amb or p.dim != dim:
+                raise ValueError("family members must share ambient and dimension")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sets", sets)
 
@@ -172,6 +173,20 @@ class Family:
     def subfamily(self, labels) -> "Family":
         labels = tuple(labels)
         return Family(labels, tuple(self[l] for l in labels))
+
+    @cached_property
+    def _layout(self):
+        """(width, groups) of :func:`_coefficient_block`: the largest vertex
+        count, and per vertex count the indices of its sets and the (k, dim,
+        n) transposed stack of their vertices; built on first use."""
+        by_count = {}
+        for s, p in enumerate(self.sets):
+            by_count.setdefault(p.n_vertices, []).append(s)
+        return max(by_count), [
+            (np.array(idx),
+             np.array([self.sets[s].vertices for s in idx], dtype=complex).transpose(0, 2, 1))
+            for idx in by_count.values()
+        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,6 +338,36 @@ def _closest_rows(C: np.ndarray):
         np.maximum((ang[1:] - ang[:-1]).max(axis=0), maxgap, out=maxgap)
     q[maxgap <= np.pi] = 0.0
     return q, best, t
+
+
+def _coefficient_block(family: Family, X: np.ndarray, shift=None) -> np.ndarray:
+    """The (n_sets, m, width) block of the coefficients <v, x> of each set
+    along each row x of the complex (m, dim) array X, less shift[row] when
+    shift is given.  The sets of one vertex count take one stacked product,
+    each slice of which is the product the set would get alone (padding the
+    vertices, or one product over all sets, would change the shape BLAS sees
+    and the low bits); each set is then padded to the family's largest vertex
+    count by repeating its last coefficient, which the kernel's q ignores."""
+    width, groups = family._layout
+    cX = np.conj(X)
+    block = np.empty((len(family.sets), X.shape[0], width), dtype=complex)
+    for idx, cols in groups:
+        n = cols.shape[2]
+        coeffs = cX @ cols
+        block[idx, :, :n] = coeffs
+        if n < width:
+            block[idx, :, n:] = coeffs[:, :, n - 1 : n]
+    if shift is not None:
+        block -= shift[:, None]
+    return block
+
+
+def _closest_coefficients(family: Family, X: np.ndarray, shift=None) -> np.ndarray:
+    """(m, n_sets) closest points to the origin of the polygons of
+    :func:`_coefficient_block`, by one kernel call."""
+    block = _coefficient_block(family, X, shift)
+    q = _closest_rows(block.reshape(-1, block.shape[2]))[0]
+    return q.reshape(len(family.sets), X.shape[0]).T
 
 
 def hyperplane_from_sphere_point(x0: SpherePoint) -> ComplexHyperplane:

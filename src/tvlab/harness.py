@@ -49,7 +49,6 @@ from .transversal import (
     NotFound,
     RealHyperplane,
     TransversalConfig,
-    _PolygonBatch,
     _coefficient_rows,
     borsuk_map,
     complex_transversal_for_normal,
@@ -211,8 +210,6 @@ def _whole(value):
 def instance_from_json(doc: dict) -> Instance:
     ambient = doc["ambient"]  # Polytope checks it
     d = _integer(_whole(doc["d"]), "d", 1)
-    if not doc["sets"]:
-        raise ValueError("an instance needs at least one set")
     labels = []
     polys = []
     for entry in doc["sets"]:
@@ -364,7 +361,7 @@ def witness_from_transversal(instance: Instance, T: ComplexHyperplane) -> Consis
     # the coefficient programs of sets with equal vertex counts are certified
     # as one batch; a set whose program is infeasible gets no point from it
     points = [None] * len(family.sets)
-    for idx, cols in _PolygonBatch(family).groups:
+    for idx, cols in family._layout[1]:
         lams = []
         for run, _ in certify(*_coefficient_rows(cols.transpose(0, 2, 1), a, b)):
             lams.extend([None] if run is None else run)

@@ -1,6 +1,7 @@
 """Transversal search: real hyperplanes by direction sweep, complex
 hyperplanes by projected-polygon intersection and by zero-finding on the odd
-sphere map built from closest projection coefficients.
+sphere map built from closest projection coefficients; the coefficient
+polygons and their closest points come from geometry's coefficient block.
 
 Search design: the existence arguments are non-constructive, so location is
 by seeded multistart derivative-free descent (pattern search with step decay
@@ -10,9 +11,9 @@ why no gradients are used.  The starts run two at a time in lock-step, so
 that one objective call (in the complex searches, one closest-point kernel
 call) serves a step of both; each search reads their results in start order
 and stops at its first success, so results and early exits are those of
-running the starts one after the other.  NotFound is a budget statement, never a nonexistence
-certificate, except where noted (d = 1 common-point LP, d = 2 real
-exhaustive angle grid).
+running the starts one after the other.  NotFound is a budget statement,
+never a nonexistence certificate, except where noted (d = 1 common-point LP,
+d = 2 real exhaustive angle grid).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .geometry import (
     ComplexHyperplane,
     Family,
     SpherePoint,
+    _closest_coefficients,
     _closest_rows,
+    _coefficient_block,
     _hull2d,
     _integer,
     _tolerance,
@@ -126,61 +129,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.max_distance <= self.tol
-
-
-# ---------------------------------------------------------------------------
-# shared batched evaluator
-#
-# Pattern search spends nearly all its time evaluating closest polygon
-# points for a batch of candidate directions.  The sets are grouped by vertex
-# count, and each group's vertex columns are stacked once, so that the
-# coefficients of a whole group come from one stacked complex matrix product
-# (one product in all for the generated families, whose sets share a vertex
-# count).  The groups are written into one block padded in coefficient space
-# to the largest vertex count by repeating each set's last coefficient, and
-# one call of the geometry kernel answers the whole batch.  Each slice of the
-# stacked product is the product a set would get on its own: padding the
-# vertices instead, or one product over all sets' vertices concatenated,
-# changes the shape BLAS sees and with it the low bits of the coefficients.
-# Verification and single-point evaluations of f are one-row batches.
-
-
-class _PolygonBatch:
-    """Closest-to-target coefficients for all sets over a batch of unit
-    directions, vectorized."""
-
-    def __init__(self, family: Family):
-        by_count = {}
-        for s, p in enumerate(family.sets):
-            by_count.setdefault(p.n_vertices, []).append(s)
-        self.n_sets = len(family.sets)
-        self.width = max(by_count)
-        # (set indices, (k, dim, n) transposed view of the stacked vertices)
-        self.groups = [
-            (np.array(idx),
-             np.array([family.sets[s].vertices for s in idx], dtype=complex).transpose(0, 2, 1))
-            for idx in by_count.values()
-        ]
-
-    def closest_all(self, X: np.ndarray, shift=None):
-        """(m, n_sets) closest coefficients; shift translates each row's
-        polygon by -shift[row] first (distance-to-point queries)."""
-        q = _closest_rows(self.block(X, shift).reshape(-1, self.width))[0]
-        return q.reshape(self.n_sets, X.shape[0]).T
-
-    def block(self, X: np.ndarray, shift=None) -> np.ndarray:
-        """closest_all's (n_sets, m, width) block for the kernel."""
-        cX = np.conj(X)
-        block = np.empty((self.n_sets, X.shape[0], self.width), dtype=complex)
-        for idx, cols in self.groups:
-            n = cols.shape[2]
-            coeffs = cX @ cols
-            block[idx, :, :n] = coeffs
-            if n < self.width:
-                block[idx, :, n:] = coeffs[:, :, n - 1 : n]
-        if shift is not None:
-            block -= shift[:, None]
-        return block
 
 
 def _phi_targets(family: Family, phi) -> np.ndarray:
@@ -425,11 +373,9 @@ def polygon_intersection_margin(a: np.ndarray, family: Family) -> float:
 
     Computed through the dual of {max eps : n_i . b + eps <= c_i}, which is a
     three-row LP over edge weights."""
-    a = np.asarray(a, dtype=complex)
     normals = []
     offsets = []
-    for poly in family.sets:
-        c = poly.vertices @ np.conj(a)
+    for c in _coefficient_block(family, np.asarray(a, dtype=complex)[None, :])[:, 0]:
         for (nx, ny), off in _polygon_halfplanes(complex_to_real(c[:, None])):
             normals.append((nx, ny))
             offsets.append(off)
@@ -480,12 +426,10 @@ def find_complex_transversal(family: Family, config: TransversalConfig | None = 
             )
         return ComplexHyperplane(a, b)
 
-    batch = _PolygonBatch(family)
-
     def objective(Z: np.ndarray) -> np.ndarray:
         # rows: (unit a in R^{2d} | b in R^2), normalized on the a-part only
         W = real_to_complex(Z)
-        q = batch.closest_all(W[:, :d], shift=W[:, d])
+        q = _closest_coefficients(family, W[:, :d], shift=W[:, d])
         return np.abs(q).max(axis=1)
 
     Z0 = np.random.default_rng(config.seed).standard_normal((config.starts, 2 * d + 2))
@@ -514,11 +458,10 @@ def borsuk_map(x: SpherePoint, embedded: Family, phi) -> BorsukEvaluation:
     """f(x) = sum_F (p_{x,F}, conj(p_{x,F}) phi(F)) for a family embedded in
     the slice {z_{d+1} = 1}; phi maps family order to C^{d-1} rows (a raw
     array or a witness object)."""
-    poly = _PolygonBatch(embedded)
     targets = _phi_targets(embedded, phi)
     if embedded.dim != x.dim:
         raise ValueError("family must be embedded in the sphere's dimension")
-    P = poly.closest_all(x.coords[None, :])
+    P = _closest_coefficients(embedded, x.coords[None, :])
     return BorsukEvaluation(x, _borsuk_values(P, targets)[0],
                             tuple(zip(embedded.labels, P[0].tolist())))
 
@@ -528,14 +471,13 @@ def find_borsuk_zero(embedded: Family, phi, config: TransversalConfig | None = N
     C^{d+1}; success at ||f|| <= config.zero_tol with the pole guard
     enforced (pole-adjacent minima are rejected and the next start runs)."""
     config = config or TransversalConfig()
-    poly = _PolygonBatch(embedded)
     targets = _phi_targets(embedded, phi)
     U0 = np.random.default_rng(config.seed).standard_normal((config.starts, 2 * embedded.dim))
     best_val = np.inf
     best_u = None
 
     def norms(U: np.ndarray) -> np.ndarray:
-        P = poly.closest_all(real_to_complex(U))
+        P = _closest_coefficients(embedded, real_to_complex(U))
         return np.linalg.norm(_borsuk_values(P, targets), axis=1)
 
     for u, val in _pattern_min(norms, U0, config, target=config.zero_tol * 0.1):
@@ -596,7 +538,7 @@ def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> Verification
     if family.ambient != ambient or family.dim != T.normal.shape[0]:
         raise ValueError("family and hyperplane ambients and dimensions must agree")
     if ambient == "complex":
-        C = _PolygonBatch(family).block(T.normal[None, :], shift=np.array([T.offset]))[:, 0]
+        C = _coefficient_block(family, T.normal[None, :], shift=np.array([T.offset]))[:, 0]
         e = np.frexp(np.abs(C).max(axis=1))[1][:, None]
         e[e <= 500] = 0
         C.real, C.imag = np.ldexp(C.real, -e), np.ldexp(C.imag, -e)

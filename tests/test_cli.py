@@ -158,6 +158,22 @@ def test_fractional_or_boolean_seed_is_usage_error(tmp_path, capsys):
         assert "seed must be an integer" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--d", "2", "--sets", "3", "--planted", "--seed", "5", "-o", str(inst)]) == 0
+    out = str(tmp_path / "missing" / "out.json")
+    for args in (
+        ["gen", "--d", "2", "--sets", "3", "-o", out],
+        ["find", str(inst), "-o", out],
+        ["equiv", "--trials", "1", "--d", "1", "-o", out],
+        ["plot", str(inst), "-o", out],
+    ):
+        capsys.readouterr()
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err, args
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", str(tmp_path / "nope.json"), "--transversal", "x"]) == 2

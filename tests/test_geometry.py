@@ -16,6 +16,7 @@ from tvlab.geometry import (
     PoleError,
     Polytope,
     SpherePoint,
+    _closest_coefficients,
     _closest_rows,
     _vertex_pairs,
     complex_to_real,
@@ -25,7 +26,6 @@ from tvlab.geometry import (
     hyperplane_from_sphere_point,
     real_to_complex,
 )
-from tvlab.transversal import _PolygonBatch
 
 
 def _inner_oracle(u, v):
@@ -126,6 +126,8 @@ def test_family_validation_and_lookup():
         fam["C"]
     with pytest.raises(ValueError):
         Family(("A", "A"), (p, q))
+    with pytest.raises(ValueError, match="at least one set"):
+        Family((), ())
 
 
 def test_embed_polytope_lands_in_slice():
@@ -149,7 +151,7 @@ def test_sphere_point_norm_enforced():
 #
 # A set with one vertex v projects to the single coefficient <v, x>, which is
 # then its own closest coefficient, so a family of one-vertex sets reads the
-# projection off _PolygonBatch.closest_all.
+# projection off _closest_coefficients.
 
 
 def _vertex_sets(v) -> Family:
@@ -161,7 +163,7 @@ def _vertex_sets(v) -> Family:
 def test_project_axis_direction():
     x = SpherePoint(np.array([1, 0, 0], dtype=complex))
     f = np.array([[3, 0, 1], [5, 0, 1]], dtype=complex)
-    coeffs = _PolygonBatch(_vertex_sets(f)).closest_all(x.coords[None, :])[0]
+    coeffs = _closest_coefficients(_vertex_sets(f), x.coords[None, :])[0]
     assert sorted(coeffs, key=lambda c: c.real) == [3, 5]
 
 
@@ -170,7 +172,7 @@ def test_project_last_axis_gives_ones():
     rng = np.random.default_rng(4)
     v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     f = embed_polytope(Polytope("complex", v))
-    coeffs = _PolygonBatch(_vertex_sets(f.vertices)).closest_all(x.coords[None, :])[0]
+    coeffs = _closest_coefficients(_vertex_sets(f.vertices), x.coords[None, :])[0]
     assert all(c == pytest.approx(1.0) for c in coeffs)
 
 
@@ -179,7 +181,7 @@ def test_project_matches_inner_product_oracle():
     for _ in range(25):
         x = _random_sphere_point(rng, 3)
         v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        coeffs = _PolygonBatch(_vertex_sets(v)).closest_all(x.coords[None, :])[0]
+        coeffs = _closest_coefficients(_vertex_sets(v), x.coords[None, :])[0]
         for row, c in zip(v, coeffs):
             assert c == pytest.approx(_inner_oracle(row, x.coords), abs=1e-12)
 
@@ -188,7 +190,7 @@ def test_project_dimension_mismatch():
     x = SpherePoint(np.array([1, 0], dtype=complex))
     f = Family(("F",), (Polytope("complex", np.array([[1, 2, 3]], dtype=complex)),))
     with pytest.raises(ValueError):
-        _PolygonBatch(f).closest_all(x.coords[None, :])
+        _closest_coefficients(f, x.coords[None, :])
 
 
 # -- closest coefficients ------------------------------------------------------
@@ -282,7 +284,7 @@ def test_antipodal_flip():
         x = _random_sphere_point(rng, 3)
         v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         f = Family(("F",), (Polytope("complex", v),))
-        p_pos, p_neg = _PolygonBatch(f).closest_all(np.array([x.coords, (-x).coords]))[:, 0]
+        p_pos, p_neg = _closest_coefficients(f, np.array([x.coords, (-x).coords]))[:, 0]
         assert p_neg == pytest.approx(-p_pos, abs=1e-10)
 
 
@@ -297,7 +299,7 @@ def test_projection_continuity_probe():
         delta *= 1e-6 / np.linalg.norm(delta)
         y = SpherePoint.normalized(x.coords + delta)
         step = float(np.linalg.norm(y.coords - x.coords))
-        p_x, p_y = _PolygonBatch(f).closest_all(np.array([x.coords, y.coords]))[:, 0]
+        p_x, p_y = _closest_coefficients(f, np.array([x.coords, y.coords]))[:, 0]
         assert abs(p_y - p_x) <= bound * step + 1e-12
 
 
@@ -335,8 +337,8 @@ def _mixed_family() -> Family:
     return Family(tuple(f"S{i}" for i in range(len(sets))), tuple(sets))
 
 
-# sha256 of closest_all on the mixed family (without and with a shift per
-# row), recorded when each set was still projected in its own product
+# sha256 of _closest_coefficients on the mixed family (without and with a
+# shift per row), recorded when each set was still projected in its own product
 CLOSEST_ALL_DIGESTS = {
     False: "2a18f22c1f6fec3201a3089b3e1619260610d4d5b60a3f2e9591a48d588e9635",
     True: "6c7a1ccae8616095a994f3b1844c5f7a5368869bcaa3ecb39f570ee80cafc0e6",
@@ -349,9 +351,26 @@ def test_closest_all_keeps_recorded_bits(shifted):
     X = rng.standard_normal((13, 3)) + 1j * rng.standard_normal((13, 3))
     X /= np.linalg.norm(X, axis=1)[:, None]
     shift = rng.standard_normal(13) + 1j * rng.standard_normal(13) if shifted else None
-    P = _PolygonBatch(_mixed_family()).closest_all(X, shift=shift)
+    P = _closest_coefficients(_mixed_family(), X, shift=shift)
     assert P.shape == (13, 9)
     assert hashlib.sha256(P.tobytes()).hexdigest() == CLOSEST_ALL_DIGESTS[shifted]
+
+
+def test_subfamily_and_embedded_family_get_their_own_layout():
+    # a subfamily of the 1-, 2- and 1-vertex sets pads to width 2, not 7,
+    # and its closest coefficients are the family's, bit for bit
+    fam = _mixed_family()
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((13, 3)) + 1j * rng.standard_normal((13, 3))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    picked = [1, 4, 7]
+    sub = fam.subfamily(fam.labels[i] for i in picked)
+    P = _closest_coefficients(fam, X)
+    assert _closest_coefficients(sub, X).tobytes() == np.ascontiguousarray(P[:, picked]).tobytes()
+    assert (fam._layout[0], sub._layout[0]) == (7, 2)
+    emb = embed_family(fam)
+    assert emb._layout is not fam._layout
+    assert [cols.shape[1] for _, cols in emb._layout[1]] == [4] * len(fam._layout[1])
 
 
 def _kernel_block():

@@ -15,11 +15,15 @@ from tvlab.geometry import (
     Family,
     Polytope,
     SpherePoint,
+    _closest_coefficients,
+    _closest_rows,
+    complex_to_real,
     embed_family,
     hermitian_inner,
     hyperplane_from_sphere_point,
 )
 from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
+from tvlab.lp import LinearProgram, lp_feasible
 from tvlab.transversal import (
     STEP_DECAY,
     STEP_INIT,
@@ -28,7 +32,6 @@ from tvlab.transversal import (
     TransversalConfig,
     VerificationReport,
     _borsuk_values,
-    _PolygonBatch,
     borsuk_map,
     borsuk_zero_dependence,
     complex_transversal_for_normal,
@@ -374,7 +377,7 @@ def test_borsuk_map_batch_agreement():
     phi = _random_complex(rng, (4, 1))
     X = _random_complex(rng, (16, 3))
     X /= np.linalg.norm(X, axis=1)[:, None]
-    V = _borsuk_values(_PolygonBatch(fam).closest_all(X), phi)
+    V = _borsuk_values(_closest_coefficients(fam, X), phi)
     for i in range(X.shape[0]):
         # both share the closest-point kernel, so check both on the oracle
         p = np.array([_closest_oracle(poly.vertices @ np.conj(X[i])) for poly in fam.sets])
@@ -382,6 +385,18 @@ def test_borsuk_map_batch_agreement():
         ev = borsuk_map(SpherePoint(X[i]), fam, phi)
         assert np.linalg.norm(ev.value - f) < 1e-12
         assert np.linalg.norm(V[i] - f) < 1e-12
+
+
+def test_borsuk_map_builds_the_layout_once():
+    rng = np.random.default_rng(24)
+    emb = embed_family(_family("complex", *[_random_complex(rng, (n, 2)) for n in (3, 1, 4)]))
+    phi = _random_complex(rng, (3, 1))
+    x = SpherePoint.normalized(_random_complex(rng, 3))
+    borsuk_map(x, emb, phi)
+    layout = emb.__dict__["_layout"]
+    for _ in range(3):
+        borsuk_map(x, emb, phi)
+    assert emb.__dict__["_layout"] is layout
 
 
 def test_borsuk_map_rejects_mismatched_shapes():
@@ -597,6 +612,32 @@ def test_verify_inside_test_has_no_slack():
     assert not rep.passed
 
 
+def _margin_from_own_coefficients(a, fam):
+    """polygon_intersection_margin's LP, with each set projected alone."""
+    planes = [h for poly in fam.sets for h in transversal._polygon_halfplanes(
+        complex_to_real((poly.vertices @ np.conj(a))[:, None]))]
+    rows = np.vstack([np.array([n for n, _ in planes]).T, np.ones(len(planes))])
+    lp = LinearProgram(len(planes), 0, rows, (0.0, 0.0, 1.0), objective=[c for _, c in planes])
+    return float(np.asarray(lp_feasible(lp).witness) @ lp.objective)
+
+
+def test_margin_and_verify_read_each_sets_own_coefficients():
+    # the padded coefficient block changes no bit of either answer
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        d = int(rng.integers(2, 4))
+        fam = _family("complex", *[_random_complex(rng, (n, d)) * 10.0 ** int(rng.integers(-3, 4))
+                                   for n in (4, 2, 5, 1, 3)])
+        a = _random_complex(rng, d)
+        a /= np.linalg.norm(a)
+        b = complex(fam.sets[0].vertices[0] @ np.conj(a))
+        margin = polygon_intersection_margin(a, fam)
+        assert margin.hex() == _margin_from_own_coefficients(a, fam).hex()
+        own = [_closest_rows((poly.vertices @ np.conj(a) - b)[None, :])[0][0] for poly in fam.sets]
+        rep = verify_transversal(ComplexHyperplane(a, b), fam)
+        assert np.array([dist for _, dist in rep.distances]).tobytes() == np.abs(own).tobytes()
+
+
 @pytest.mark.parametrize("order", ["AB", "BA"])
 def test_verify_counts_a_nan_distance_as_a_miss_in_every_label_order(order):
     # a NaN distance is a miss wherever it falls in the label order (Python's
@@ -699,7 +740,7 @@ def _search_digest(results):
 
 # sha256 over the hyperplane, sphere-point or NotFound (best, x) bits of the
 # direction search and the zero finder on seeded families at a small budget,
-# recorded when closest_all still projected each set in its own product
+# recorded when each set was still projected in its own product
 SEARCH_DIGESTS = {
     (2, 4, True, 3): "97602e3e2233dce7de0ff0f94581fb03a3b4b5d074db1ea826eb6178429fb1d3",
     (2, 9, False, 31): "7c1f15b199a818641eb6fa534c7e26e7ae983794d39eff25faba3650ebfa5b16",

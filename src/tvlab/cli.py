@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .consistency import ConsistencyConfig, NoLift, check_dependency_consistency
@@ -59,6 +60,18 @@ def _load_transversal(path: str, ambient: str):
             return _hyperplane_from_json(json.load(fh), ambient)
     except _READ_ERRORS as exc:
         raise SystemExit(f"error: cannot read transversal {path}: {exc}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, before any work: a
+    new file is created and removed again, and an existing one is opened for
+    appending, which keeps its bytes until the run succeeds."""
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.remove(path)
 
 
 def _cmd_gen(args) -> int:
@@ -121,6 +134,8 @@ def _cmd_find(args) -> int:
     if family.ambient == "real" and args.method == "borsuk":
         print("error: the borsuk method needs a complex instance", file=sys.stderr)
         return 2
+    if args.output:
+        _check_writable(args.output)
     if args.method == "direction":
         if family.ambient == "real":
             result = real_hyperplane_transversal(family, config)
@@ -190,6 +205,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_equiv(args) -> int:
     config = EquivConfig(trials=args.trials, d=args.d, seed=args.seed)
+    _check_writable(args.output)
     report = run_equivalence(config)
     write_report(report, args.output)
     agg = report.aggregates

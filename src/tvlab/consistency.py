@@ -225,9 +225,10 @@ def _complex_nullspace(M: np.ndarray):
     """Null-space bases of a stack of complex matrices (R, m, n), by
     elimination with full column pivoting, rank decided by the threshold
     NULLSPACE_TOL.  The stack is eliminated at once, each matrix with its own
-    pivots and row swaps, and each pivot is the simplex's Gauss-Jordan row
-    update :func:`tvlab.lp._pivot`, with the pivot columns as its basis, so a
-    matrix gets the bits of its elimination alone.  Returns the bases
+    pivots and row swaps, and each pivot is :func:`tvlab.lp._pivot`, with
+    the pivot columns as its basis: on a complex block its update leaves the
+    rows with a zero in the pivot column untouched, so a matrix gets the
+    bits of its elimination alone.  Returns the bases
     zero-padded to (R, n, n) and the nullities (R,)."""
     M = np.array(M, dtype=complex)
     R, m, n = M.shape

@@ -17,11 +17,13 @@ a single program is a batch of one.  Each pass scans the programs still
 pivoting once, and those that leave make room without a second scan of the
 others.  Every pivot, in either arithmetic, is one dense Gauss-Jordan row
 update of the whole block, which the complex null spaces of
-:mod:`tvlab.consistency` share: its product is set to 0 on the rows with a
-zero in the pivot column, and subtracting +0 keeps every float bit, signed
-zeros included, so an element's result does not depend on its batch.  A
-Fraction row with a zero there is multiplied too, and keeps its value.  The
-pivot row is written after the update.
+:mod:`tvlab.consistency` share.  On a float tableau every zero product is
+formed as +0 (by einsum), and subtracting +0 keeps every float bit, signed
+zeros included, so an entry whose product is zero keeps its bits and an
+element's result does not depend on its batch.  On a complex or Fraction
+tableau the product is set to 0 on the rows with a zero in the pivot
+column: a complex row there keeps its bits, and a Fraction row its value.
+The pivot row is written after the update.
 
 :func:`certify` holds the one float-to-exact escalation policy, for a batch
 of programs of one shape and, as a batch of one, for :func:`lp_feasible`,
@@ -83,15 +85,21 @@ _EXACT = _Arithmetic(np.frompyfunc(Fraction, 1, 1), 0, 0, 0, 0)
 def _pivot(T, basis, i, j, col):
     """Pivot every element e of the batch on T[e, i[e], j[e]] (i may be one
     row for all), where col[e] is column j[e] of T[e] before the pivot; col
-    is only read.  One dense update serves float, complex and Fraction
-    tableaux: the product col * prow is set to 0 on the rows with a zero in
-    the pivot column (in floats it could be -0.0), and subtracting +0 leaves
-    every float as it is, -0.0 included, so those rows keep their bits.  The
-    pivot row is written after the update of the others."""
+    is only read.  One dense update of the whole block subtracts the product
+    col * prow.  On a float64 tableau einsum forms it in a zeroed output, so
+    every zero product is +0, and subtracting +0 leaves every float as it
+    is, -0.0 included: an entry whose product is zero keeps its bits.  On a
+    complex or Fraction tableau the product is set to 0 on the rows with a
+    zero in the pivot column, so a complex row there keeps its bits and a
+    Fraction row its value.  The pivot row is written after the update of
+    the others."""
     e = np.arange(len(T))
     prow = T[e, i] / col[e, i][:, None]
-    prod = col[:, :, None] * prow[:, None, :]
-    prod[col == 0] = 0
+    if T.dtype == np.float64:
+        prod = np.einsum("bi,bj->bij", col, prow)
+    else:
+        prod = col[:, :, None] * prow[:, None, :]
+        prod[col == 0] = 0
     np.subtract(T, prod, out=T)
     T[e, i] = prow
     basis[e, i] = j

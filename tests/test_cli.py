@@ -174,6 +174,49 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         assert err.startswith("error: cannot write") and "Traceback" not in err, args
 
 
+def _spy(monkeypatch, name, result):
+    """Replace cli.<name> by a stub that records its calls and returns result."""
+    import tvlab.cli as cli
+
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        return result
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def test_equiv_checks_its_output_before_the_trials(tmp_path, capsys, monkeypatch):
+    calls = _spy(monkeypatch, "run_equivalence", None)
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["equiv", "--trials", "200", "--d", "2", "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output")
+    assert calls == []
+
+
+def test_find_checks_its_output_before_the_search(tmp_path, capsys, monkeypatch):
+    from tvlab.transversal import NotFound
+
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--d", "2", "--sets", "3", "--planted", "--seed", "5", "-o", str(inst)]) == 0
+    calls = _spy(monkeypatch, "find_complex_transversal", NotFound("stub", 1.0))
+    capsys.readouterr()
+    assert main(["find", str(inst), "-o", str(tmp_path / "missing" / "h.json")]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: cannot write output")
+    assert calls == []
+    # a writable output is neither left behind by a run that finds nothing
+    # nor truncated: an existing file keeps its bytes
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for out in (new, old):
+        assert main(["find", str(inst), "-o", str(out)]) == 1
+    assert not new.exists() and old.read_text() == "kept"
+    assert len(calls) == 2
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", str(tmp_path / "nope.json"), "--transversal", "x"]) == 2

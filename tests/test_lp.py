@@ -402,6 +402,25 @@ def test_pivot_leaves_rows_with_a_zero_in_the_pivot_column_untouched():
     assert basis.tolist() == [[0, 1]]
 
 
+def test_float_pivot_keeps_a_negative_zero_whose_product_is_zero():
+    # T[0, 1, 1] is -0.0, its row has -1 in the pivot column and its column
+    # a zero in the pivot row: the product is -0.0, which the masked update
+    # subtracts (giving +0.0); the float update forms it as +0 and keeps
+    # -0.0, and a complex tableau keeps the masked update's bits
+    T = np.array([[[2.0, 0.0, 4.0], [-1.0, -0.0, -3.0]]])
+    for dtype in (np.float64, np.complex128):
+        got, want = T.astype(dtype), T.astype(dtype)
+        basis, want_basis = np.array([[0, 1]]), np.array([[0, 1]])
+        lp_module._pivot(got, basis, np.array([0]), np.array([0]), got[[0], :, 0].copy())
+        _masked_pivot(want, want_basis, np.array([0]), np.array([0]), want[[0], :, 0].copy())
+        assert got[0, 1].tolist() == [0.0, 0.0, -1.0] and basis.tolist() == want_basis.tolist()
+        if dtype is np.float64:
+            assert np.signbit(got[0, 1, 1]) and not np.signbit(want[0, 1, 1])
+        else:
+            assert not np.signbit(got[0, 1, 1].real)
+            assert got.tobytes() == want.tobytes()
+
+
 def _masked_pivot(T, basis, i, j, col):
     """Reference pivot whose update touches only the rows with a nonzero in
     the pivot column, through masked multiply and subtract ufuncs."""
@@ -415,11 +434,23 @@ def _masked_pivot(T, basis, i, j, col):
     basis[e, i] = j
 
 
-def test_float_pivot_matches_the_masked_update_bit_for_bit():
+def _zero_product_pivot(T, basis, i, j, col):
+    """Reference float pivot whose update subtracts every nonzero product
+    and leaves each entry whose product is zero, of either sign, as it was."""
+    e = np.arange(len(T))
+    prow = T[e, i] / col[e, i][:, None]
+    prod = col[:, :, None] * prow[:, None, :]
+    np.subtract(T, prod, out=T, where=prod != 0)
+    T[e, i] = prow
+    basis[e, i] = j
+
+
+def test_pivot_matches_its_reference_update_bit_for_bit():
     # small float and complex tableaux seeded with signed zeros, in either
     # part of a complex entry, also in the pivot column and the pivot row:
-    # the dense update gives the masked one's bits; on Fraction tableaux it
-    # gives the masked one's values
+    # the float update gives the bits of the reference that leaves every
+    # entry with a zero product as it was, the complex one the masked
+    # update's bits; on Fraction tableaux it gives the masked one's values
     pytest.importorskip("hypothesis")
     from hypothesis import given
     from hypothesis import strategies as st
@@ -454,7 +485,8 @@ def test_float_pivot_matches_the_masked_update_bit_for_bit():
             T.real[e, i, j] = pivots
         basis = np.zeros((B, rows), dtype=int)
         want, want_basis = T.copy(), basis.copy()
-        _masked_pivot(want, want_basis, i, j, want[e, :, j].copy())
+        reference = _zero_product_pivot if dtype is np.float64 else _masked_pivot
+        reference(want, want_basis, i, j, want[e, :, j].copy())
         lp_module._pivot(T, basis, i, j, T[e, :, j].copy())
         if dtype is object:
             assert T.tolist() == want.tolist()
@@ -464,6 +496,82 @@ def test_float_pivot_matches_the_masked_update_bit_for_bit():
 
     for dtype in (np.float64, np.complex128, object):
         check(dtype)
+
+
+def test_numpy_einsum_forms_the_products_the_float_pivot_relies_on():
+    # the float update's contract rests on two behaviours of numpy's einsum
+    # with no summed index: it accumulates into a zeroed output, so a zero
+    # product of either sign comes out +0.0, and its nonzero products are the
+    # broadcast multiply's, bit for bit, subnormal operands included
+    rng = np.random.default_rng(15)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308, 1e-200, -1e-200, 0.5, -2.0])
+    zero_signs = set()
+    for B, m, n in ((1, 3, 5), (4, 8, 28), (3, 5, 33)):
+        col = rng.standard_normal((B, m)) * 10.0 ** rng.integers(-3, 4, (B, m))
+        prow = rng.standard_normal((B, n)) * 10.0 ** rng.integers(-3, 4, (B, n))
+        for a in (col, prow):
+            pick = rng.random(a.shape) < 0.4
+            a[pick] = rng.choice(special, pick.sum())
+        got = np.einsum("bi,bj->bij", col, prow)
+        want = col[:, :, None] * prow[:, None, :]
+        zero = want == 0
+        zero_signs.update(np.signbit(want[zero]).tolist())
+        assert not np.signbit(got[zero]).any(), (
+            f"numpy {np.__version__}: einsum gives a -0.0 product, so the float pivot"
+            " no longer keeps the bits of the entries with a zero product"
+        )
+        assert got[~zero].tobytes() == want[~zero].tobytes(), (
+            f"numpy {np.__version__}: einsum's nonzero products differ from the"
+            " broadcast multiply's bits"
+        )
+    assert zero_signs == {False, True}
+
+
+def test_float_cone_solves_match_the_masked_pivot_up_to_the_sign_of_zero(monkeypatch):
+    # the float cone LPs of d=2 checks built as the benchmark builds them,
+    # planted families with their transversal's frame and unplanted ones
+    # with a Gaussian witness in C^1, solved again with the masked reference
+    # pivot: the same statuses and bases, and x and y equal in bits once
+    # -0.0 is read as +0.0
+    from tvlab.consistency import (
+        ConsistencyConfig,
+        ConsistencyWitness,
+        check_dependency_consistency,
+    )
+    from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
+
+    checks = []
+    for seed, n, planted in ((9101, 6, True), (9102, 5, True), (9103, 4, False), (9104, 6, False)):
+        inst = gen_instance(GenSpec(d=2, n_sets=n, planted=planted, seed=seed))
+        if planted:
+            witness = witness_from_transversal(inst, inst.planted)
+        else:
+            rng = np.random.default_rng([seed, 1])
+            pts = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+            witness = ConsistencyWitness(1, pts, {l: i for i, l in enumerate(inst.family.labels)})
+        checks.append((inst.family, witness, ConsistencyConfig(samples=64, seed=seed)))
+    programs = []
+    solve = lp_module._solve_standard
+
+    def spy(A, b, c, ar):
+        if ar is lp_module._FLOAT:
+            programs.append((A.copy(), b.copy(), c))
+        return solve(A, b, c, ar)
+
+    monkeypatch.setattr(lp_module, "_solve_standard", spy)
+    for family, witness, config in checks:
+        check_dependency_consistency(family, witness, config)
+    monkeypatch.undo()
+    assert sum(len(A) for A, _, _ in programs) > 1000
+    for A, b, c in programs:
+        got = solve(A, b, c, lp_module._FLOAT)
+        with monkeypatch.context() as m:
+            m.setattr(lp_module, "_pivot", _masked_pivot)
+            want = solve(A, b, c, lp_module._FLOAT)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[3].tolist() == want[3].tolist()
+        for g, w in zip(got[1:3], want[1:3]):
+            assert (g + 0.0).tobytes() == (w + 0.0).tobytes()
 
 
 def test_lock_step_batch_matches_single_solves():

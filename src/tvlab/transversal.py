@@ -1,7 +1,7 @@
-"""Transversal search: real hyperplanes by direction sweep, complex
-hyperplanes by projected-polygon intersection and by zero-finding on the odd
-sphere map built from closest projection coefficients; the coefficient
-polygons and their closest points come from geometry's coefficient block.
+"""Transversal search: real lines from vertex pairs, real hyperplanes by
+direction sweep, complex hyperplanes by projected-polygon intersection and by
+zero-finding on the odd sphere map of closest projection coefficients;
+geometry's coefficient block gives the polygons and their closest points.
 
 Search design: the existence arguments are non-constructive, so location is
 by seeded multistart derivative-free descent (pattern search with step decay
@@ -12,8 +12,7 @@ that one objective call (in the complex searches, one closest-point kernel
 call) serves a step of both; each search reads their results in start order
 and stops at its first success, so results and early exits are those of
 running the starts one after the other.  NotFound is a budget statement,
-never a nonexistence certificate, except where noted (d = 1 common-point LP,
-d = 2 real exhaustive angle grid).
+never a nonexistence certificate, except where it is marked exhaustive.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._exact import integers
 from .geometry import (
     POLE_GUARD,
     ComplexHyperplane,
@@ -44,7 +44,6 @@ BORSUK_VERIFY_TOL = 1e-4  # to which the hyperplane of an accepted Borsuk zero m
 MARGIN_TOL = 1e-9
 STEP_INIT = 0.5  # pattern-search step size, shrunk by STEP_DECAY on no progress
 STEP_DECAY = 0.7
-ANGLE_RESOLUTION = 10000  # exhaustive grid for the real d=2 sweep
 # Starts of one search in lock-step.  A step's objective call has a fixed
 # numpy cost larger than its rows' work, so two starts share it; a wider
 # window makes a start that succeeds pay for more starts beside it.
@@ -56,8 +55,8 @@ class TransversalConfig:
     """Budget of the searches: seeded multistart pattern search with starts
     starts of at most iters steps each (from step size STEP_INIT shrunk by
     STEP_DECAY), run two at a time in lock-step and read in start order;
-    zero_tol is the accepted norm of a Borsuk zero.  The exhaustive real
-    d = 2 sweep uses the fixed grid ANGLE_RESOLUTION."""
+    zero_tol is the accepted norm of a Borsuk zero.  Real d <= 2 and complex
+    d = 1 are decided exactly and use no budget."""
 
     starts: int = 32
     iters: int = 2000
@@ -92,8 +91,9 @@ class RealHyperplane:
 
 @dataclass(frozen=True, eq=False)
 class NotFound:
-    """Search failure report.  exhaustive marks the two definitive cases
-    (d=1 LP, d=2 real angle grid); best is the best margin or residual seen."""
+    """Search failure report; best is the best margin or residual seen.
+    exhaustive marks a definitive none: real d <= 2, complex d = 1, and the
+    common-point LP of complex_transversal_for_normal along its one normal."""
 
     reason: str
     best: float | None = None
@@ -232,13 +232,13 @@ def _interval_offset(family: Family, u: np.ndarray) -> float:
 
 
 def real_hyperplane_transversal(family: Family, config: TransversalConfig | None = None):
-    """A real hyperplane meeting every set, by maximizing the common
-    projection-interval margin g over unit directions.
-
-    d = 1 is a single evaluation and d = 2 an exhaustive angle grid with
-    local refinement, so NotFound is definitive there; higher d uses seeded
-    multistart and NotFound only reports the best margin at budget.
-    """
+    """A real hyperplane meeting every set: a unit normal u and the middle
+    of its common projection interval.  At d = 2, if some line meets every
+    set, so does one through two distinct vertices (translate it onto a
+    vertex, then turn it about that vertex onto another); those lines are
+    decided by exact orientation signs, an exact meet first, then the best
+    margin g >= -MARGIN_TOL.  NotFound is definitive at d <= 2; higher d
+    maximizes g by seeded multistart."""
     config = config or TransversalConfig()
     if family.ambient != "real":
         raise ValueError("real_hyperplane_transversal expects a real family")
@@ -250,28 +250,27 @@ def real_hyperplane_transversal(family: Family, config: TransversalConfig | None
         return NotFound("projection intervals disjoint", best=g, exhaustive=True,
                         note="d=1 direction set is exhaustive")
     if d == 2:
-        m = ANGLE_RESOLUTION
-        theta = np.linspace(0.0, np.pi, m, endpoint=False)
-        g = _interval_margin(family, np.column_stack([np.cos(theta), np.sin(theta)]))
-        j = int(np.argmax(g))
-        best_t, best_g = float(theta[j]), float(g[j])
-        width = np.pi / m
-        for _ in range(40):
-            t = np.linspace(best_t - width, best_t + width, 9)
-            gt = _interval_margin(family, np.column_stack([np.cos(t), np.sin(t)]))
-            jt = int(np.argmax(gt))
-            if gt[jt] > best_g:
-                best_t, best_g = float(t[jt]), float(gt[jt])
-            width *= 0.35
-        u = np.array([np.cos(best_t), np.sin(best_t)])
-        if best_g >= -MARGIN_TOL:
-            return RealHyperplane(u, _interval_offset(family, u))
-        return NotFound(
-            "no stabbing direction on the exhaustive grid",
-            best=best_g,
-            exhaustive=True,
-            note=f"angle grid resolution {m} over [0, pi) plus local refinement",
-        )
+        P, inv = np.unique(np.vstack([p.vertices for p in family.sets]), axis=0, return_inverse=True)
+        if len(P) == 1:  # every line through the one point meets every set
+            return RealHyperplane(np.array([1.0, 0.0]), float(P[0, 0]))
+        X, Y = np.array(integers(P.ravel().tolist())[0], dtype=object).reshape(-1, 2).T
+        C = np.outer(X, Y) - np.outer(Y, X)  # C[a, b] = x_a y_b - y_a x_b
+        I, J = np.triu_indices(len(P), 1)
+        meets = np.ones(len(I), dtype=bool)
+        # keep, set by set, the lines p_i p_j that meet it: the side of its vertex p_k is
+        # C[i, j] + C[j, k] + C[k, i] (k: rows of P; numpy 2.0.0 shapes inv (n, 1))
+        for k in np.split(inv.ravel(), np.cumsum([p.n_vertices for p in family.sets])[:-1]):
+            i, j = I[meets], J[meets]
+            side = C[i, j][:, None] + C[j[:, None], k] - C[i[:, None], k]
+            meets[meets] = ~((side > 0).all(axis=1) | (side < 0).all(axis=1))
+        U = np.column_stack([P[I, 1] - P[J, 1], P[J, 0] - P[I, 0]])
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        g = _interval_margin(family, U)
+        best = np.lexsort((g, meets))[-1]  # an exact meet first, then the best margin
+        if meets[best] or g[best] >= -MARGIN_TOL:
+            return RealHyperplane(U[best], _interval_offset(family, U[best]))
+        return NotFound("no line meets every set", best=float(g[best]), exhaustive=True,
+                        note=f"{len(I)} vertex-pair lines decided exactly")
     # d >= 3: multistart maximization of g
     U0 = np.random.default_rng(config.seed).standard_normal((config.starts, d))
     best_val = -np.inf

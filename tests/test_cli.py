@@ -58,6 +58,17 @@ def test_find_reports_not_found(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
+def test_find_reports_the_best_margin_of_a_real_line_none(tmp_path, capsys):
+    # no line meets three non-collinear points, and the d = 2 real decision
+    # still reports the best margin of its vertex-pair normals
+    fam = Family(("S0", "S1", "S2"), tuple(
+        Polytope("real", np.array([p])) for p in ([0.0, 0.0], [2.0, 0.0], [1.0, 2.0])))
+    path = tmp_path / "pts.json"
+    write_instance(Instance(fam), path)
+    assert main(["find", str(path), "--method", "direction"]) == 1
+    assert "(best margin -1.789e+00)" in capsys.readouterr().out
+
+
 def test_find_borsuk_rejects_unverified_zero(tmp_path, capsys):
     inst = tmp_path / "segs.json"
     assert main(["gen", "--d", "1", "--sets", "3", "--verts", "2", "--seed", "4", "-o", str(inst)]) == 0

@@ -4,12 +4,18 @@ LP offset recovery, the odd sphere map, its zero finder, and verification."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 import tvlab.transversal as transversal
-from tvlab.consistency import NoLift, lift_dependence
+from tvlab.consistency import (
+    ConsistencyWitness,
+    NoLift,
+    lift_dependence,
+    separates_consistently,
+)
 from tvlab.geometry import (
     ComplexHyperplane,
     Family,
@@ -122,7 +128,113 @@ def test_real_d2_noncollinear_points_exhausted():
     assert isinstance(res, NotFound)
     assert res.exhaustive
     assert res.best < -1e-3
-    assert "grid" in res.note
+    assert res.note == "3 vertex-pair lines decided exactly"
+
+
+def _counterexample():
+    """ROADMAP item 16's four segments: the line through +-e meets them all
+    with margin 1e-5, but its normals fall between two angles of a grid of
+    10,000, and the vertical normal, on the grid, misses by 2 delta."""
+    delta, c, alpha = 1e-8, 1e-5, np.pi / 20000
+    e = np.array([np.cos(alpha), np.sin(alpha)])
+    n = np.array([-np.sin(alpha), np.cos(alpha)])
+    return _family("real", [-e, [-delta, 1.0]], [e, [delta, 1.0]],
+                   [-e + c * n, [0.0, -1.0]], [e + c * n, [0.0, -1.0]])
+
+
+def _triangles(seed):
+    rng = np.random.default_rng(seed)
+    return _family("real", *(2 * rng.uniform(-1, 1, 2) + 0.6 * rng.standard_normal((3, 2))
+                             for _ in range(3 + seed % 2)))
+
+
+def _weak_orderings(n):
+    """Each weak ordering of n sets once up to mirror, as ranks 0 .. top."""
+    for r in itertools.product(range(n), repeat=n):
+        top = max(r)
+        if set(r) == set(range(top + 1)) and r <= tuple(top - x for x in r):
+            yield r
+
+
+def test_real_d2_finds_the_line_between_grid_angles():
+    fam = _counterexample()
+    res = real_hyperplane_transversal(fam)
+    assert isinstance(res, RealHyperplane)
+    assert verify_transversal(res, fam).passed
+
+
+def test_real_d2_line_exists_iff_some_weak_ordering_separates_consistently():
+    # Goodman-Pollack-Wenger at d = 2: a line meets every set iff a witness on
+    # a line, a weak ordering of the sets, passes separates_consistently
+    found = 0
+    for fam in [_triangles(seed) for seed in range(30)] + [_counterexample()]:
+        line = isinstance(real_hyperplane_transversal(fam), RealHyperplane)
+        ordered = any(
+            separates_consistently(fam, ConsistencyWitness(
+                1, np.array(r, dtype=float)[:, None], dict(zip(fam.labels, range(len(r))))
+            )).passed
+            for r in _weak_orderings(len(fam))
+        )
+        assert line == ordered
+        found += line
+    assert 10 <= found <= 21  # both answers are tested
+
+
+@pytest.mark.parametrize("sets", [
+    [[[1.5, -2.0]], [[1.5, -2.0]], [[1.5, -2.0], [1.5, -2.0]]],  # one point
+    [[[0.0, 0.0]], [[1.0, 3.0]], [[2.0, 6.0], [5.0, 15.0]], [[-3.0, -9.0]]],  # collinear
+    [[[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]],  # a single set
+], ids=["one-point", "collinear", "one-triangle"])
+def test_real_d2_degenerate_families_found(sets):
+    fam = _family("real", *sets)
+    res = real_hyperplane_transversal(fam)
+    assert isinstance(res, RealHyperplane)
+    assert verify_transversal(res, fam, tol=1e-15).passed
+
+
+@pytest.mark.parametrize("e", [26, 40])
+def test_real_d2_exact_meet_found_where_its_float_margin_rounds_below_tolerance(e):
+    # the one line meeting every set passes through three points on a line of
+    # slope 3; at these scales its rounded unit normal has an interval margin
+    # below -MARGIN_TOL, and only the exact signs find it
+    sets = [[[2, -2]], [[-1, -11]], [[-3, -17]], [[2, 16], [10, 4]], [[-4, -2], [6, -8]]]
+    fam = _family("real", *(2.0**e * np.array(v, dtype=float) for v in sets))
+    res = real_hyperplane_transversal(fam)
+    assert isinstance(res, RealHyperplane)
+    assert transversal._interval_margin(fam, res.normal[None])[0] < -transversal.MARGIN_TOL
+    assert verify_transversal(res, fam, tol=2.0**e * 1e-12).passed
+
+
+def test_real_d2_repeated_vertices_leave_the_answer_unchanged():
+    def bits(res):
+        if isinstance(res, RealHyperplane):
+            return res.normal.tobytes(), res.offset
+        return res.best, res.note
+
+    outcomes = set()
+    for seed in range(10):
+        fam = _triangles(seed)
+        res = real_hyperplane_transversal(fam)
+        copied = Family(fam.labels + ("copy",), fam.sets + (fam.sets[0],))
+        twice = _family("real", *(np.vstack([p.vertices, p.vertices[::-1]]) for p in fam.sets))
+        for other in (copied, twice):
+            again = real_hyperplane_transversal(other)
+            assert type(again) is type(res) and bits(again) == bits(res), seed
+        outcomes.add(type(res))
+    assert outcomes == {RealHyperplane, NotFound}
+
+
+def test_real_d2_float_planted_tangent_lines_found():
+    # each set is a segment from a random point to a vertex on the planted
+    # line up to rounding; many of them miss every vertex-pair line by about
+    # 1e-16 in exact arithmetic and are found through the MARGIN_TOL rule
+    for seed in range(60):
+        spec = GenSpec(d=2, n_sets=3 + seed % 4, vertices_per_set=1, planted=True, seed=seed,
+                       ambient="real")
+        fam = gen_instance(spec).family
+        res = real_hyperplane_transversal(fam)
+        assert isinstance(res, RealHyperplane), seed
+        assert verify_transversal(res, fam).passed, seed
 
 
 def test_real_d2_planted_lines_found():

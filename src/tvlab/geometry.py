@@ -266,8 +266,9 @@ def embed_family(family: Family) -> Family:
 # coefficients for drawing and for half-plane descriptions; it does not
 # compute closest points.  Every closest-point query goes through
 # _closest_rows, which treats a polygon as the union of the segments between
-# all its vertex pairs (a hull edge is one of them) and decides "origin
-# inside" by the angular-gap criterion, vectorized over a block of rows.
+# its vertex pairs i < j (a hull edge is one of them; every vertex but the
+# last starts one) plus its last vertex alone, and decides "origin inside"
+# by the angular-gap criterion, vectorized over a block of rows.
 
 
 def _hull2d(pts):
@@ -297,9 +298,11 @@ def _hull2d(pts):
 
 @lru_cache(maxsize=None)
 def _vertex_pairs(n: int):
-    """(i1, i2) = ``np.triu_indices(n)``: every pair i <= j, row by row.
-    Cached, so the arrays are read-only."""
-    pairs = np.triu_indices(n)
+    """(i1, i2): the segments i < j row by row (``np.triu_indices(n, 1)``),
+    then the pair (n - 1, n - 1), n(n - 1)/2 + 1 pairs in all.  Vertex
+    j < n - 1 is the t = 0 end of (j, j + 1); the last vertex needs its own
+    pair.  Cached, so the arrays are read-only."""
+    pairs = tuple(np.append(v, n - 1) for v in np.triu_indices(n, 1))
     for v in pairs:
         v.flags.writeable = False
     return pairs
@@ -314,16 +317,18 @@ def _closest_rows(C: np.ndarray):
     inside, i.e. when the angles of the row's points leave no gap wider
     than pi, with no slack), the index k of the first pair whose segment
     holds the closest point, and the (m, n_pairs) nearest-point parameters t
-    on every segment (0 on a zero-length segment, without a division by
-    zero).  Repeating a row's last point leaves q unchanged, so polygons of
-    different vertex counts share one block padded that way in coefficient
-    space."""
+    on every segment (0 on a zero-length one, such as the last pair,
+    without a division by zero).  Repeating a row's last point leaves q
+    unchanged, so polygons of different vertex counts share one block
+    padded that way in coefficient space."""
     i1, i2 = _vertex_pairs(C.shape[1])
-    A = C[:, i1]
-    D = C[:, i2] - A
-    dd = (D * np.conj(D)).real
+    A = C.take(i1, axis=1)
+    D = C.take(i2, axis=1)
+    D -= A
+    cD = np.conj(D)
+    dd = (D * cD).real
     seg = dd > 0.0  # zero-length pairs divide by 1 and then get t = 0
-    t = -(np.conj(D) * A).real / np.where(seg, dd, 1.0)
+    t = -(cD * A).real / np.where(seg, dd, 1.0)
     t.clip(0.0, 1.0, out=t)
     t[~seg] = 0.0
     Q = A + t * D

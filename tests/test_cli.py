@@ -410,6 +410,30 @@ def test_plot_draws_the_separating_half_plane_of_a_missed_set(tmp_path):
         assert dashed == (0 if name == "met" else 3), name
 
 
+# sha256 of the SVG that `plot` draws for the planted d = 2 instance of
+# `gen --d 2 --sets 3 --planted --seed 1`, along its planted transversal and
+# along one whose offset is moved by 10 (every panel then draws a nonzero
+# closest point), recorded with the kernel over every vertex pair i <= j
+PLOT_DIGESTS = {
+    "planted": "44728d90016bbda832abdb7123ca1e19005016529736d6143cdc840bb22a73cb",
+    "missed": "f722e21d0ffb257600d8906962ddd139b3df0d3206b9eafc656306ac45a5863d",
+}
+
+
+def test_plot_keeps_recorded_bytes(tmp_path, capsys):
+    inst = tmp_path / "d2.json"
+    t = tmp_path / "t.json"
+    svg = tmp_path / "d2.svg"
+    assert main(["gen", "--d", "2", "--sets", "3", "--planted", "--seed", "1", "-o", str(inst)]) == 0
+    assert main(["plot", str(inst), "-o", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == PLOT_DIGESTS["planted"]
+    doc = json.loads(inst.read_text())["planted"]
+    t.write_text(json.dumps(dict(doc, offset=[doc["offset"][0] + 10.0, 0.0])))
+    assert main(["plot", str(inst), "--transversal", str(t), "-o", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == PLOT_DIGESTS["missed"]
+    capsys.readouterr()
+
+
 def test_plot_d2_without_direction_is_input_error(tmp_path, capsys):
     inst = tmp_path / "d2.json"
     svg = tmp_path / "d2.svg"

@@ -318,8 +318,11 @@ def test_closest_rows_coincident_vertices_warn_nothing():
         warnings.simplefilter("error")
         q, _, t = _closest_rows(C)
     i1, i2 = _vertex_pairs(C.shape[1])
+    assert (i1.tolist(), i2.tolist()) == ([0, 0, 1, 2], [1, 2, 2, 2])
     coincident = C[:, i1] == C[:, i2]
-    assert coincident.sum() > C.shape[0] * C.shape[1]
+    # the last pair of each row, and (0, 1) of rows 0, 3, 4 and (0, 2), (1, 2)
+    # of rows 1 and 2
+    assert coincident.sum() == 14
     assert np.all(t[coincident] == 0.0)
     assert q[1] == 2 - 1j and q[2] == 0 and q[3] == 0
 
@@ -403,16 +406,103 @@ def _kernel_digest(C):
 
 
 # sha256 of (q, best, t) of _closest_rows on the block above and on its
-# first column alone, recorded with the kernel's nested np.where form
+# first column alone: width 1 recorded with the kernel's nested np.where
+# form, width 4 when the diagonal pairs (i, i), i < n - 1, left the pair list
+# (best and t index the pairs, so their bits follow the list)
 KERNEL_DIGESTS = {
-    4: "dd3b0d017bd578103729ca180386d18a063082f3d40a9f20676fd28448854bc9",
+    4: "a1f0437532814b3a45437213b837e1ffded2ca1526d5b68af4ef56bc1f4d13b8",
     1: "3b0f65a4374f9f19afbbcad802ef0c45bedd49bf4fee4fa8e961ee0ab2d31d0f",
+}
+
+# sha256 of q alone on the same blocks, recorded with the pair list of every
+# i <= j: leaving out the diagonal pairs moves no bit of these closest points
+KERNEL_Q_DIGESTS = {
+    4: "6cb0388e273f5ef026f7d2a33d47b4751ac20094a8db29bec8b07bd5738d3c45",
+    1: "ceb280f7bae316d048626b933f0dfda3bda77d94c59d5474b8180b11744ce5d3",
 }
 
 
 @pytest.mark.parametrize("width", list(KERNEL_DIGESTS))
 def test_closest_rows_keeps_recorded_bits(width):
     assert _kernel_digest(_kernel_block()[:, :width]) == KERNEL_DIGESTS[width]
+
+
+@pytest.mark.parametrize("width", list(KERNEL_Q_DIGESTS))
+def test_closest_rows_keeps_the_all_pairs_closest_points(width):
+    q = _closest_rows(_kernel_block()[:, :width])[0]
+    assert hashlib.sha256(q.tobytes()).hexdigest() == KERNEL_Q_DIGESTS[width]
+
+
+def _all_pairs_closest(C):
+    """Reference kernel: closest points over the segments of every vertex
+    pair i <= j, each vertex (i, i) a candidate of its own, with the same
+    t, first-minimum and angular-gap rules."""
+    i1, i2 = np.triu_indices(C.shape[1])
+    A = C[:, i1]
+    D = C[:, i2] - A
+    dd = (D * np.conj(D)).real
+    seg = dd > 0.0
+    t = -(np.conj(D) * A).real / np.where(seg, dd, 1.0)
+    t.clip(0.0, 1.0, out=t)
+    t[~seg] = 0.0
+    Q = A + t * D
+    q = Q[np.arange(C.shape[0]), np.abs(Q).argmin(axis=1)]
+    ang = np.arctan2(C.imag, C.real)
+    ang.sort(axis=1)
+    ang = ang.T.copy()
+    maxgap = 2.0 * np.pi - (ang[-1] - ang[0])
+    if C.shape[1] > 1:
+        np.maximum((ang[1:] - ang[:-1]).max(axis=0), maxgap, out=maxgap)
+    q[maxgap <= np.pi] = 0.0
+    return q
+
+
+def test_closest_rows_matches_the_all_pairs_reference():
+    # rows of 1 to 8 vertices at magnitudes from 1e-6 to 1e6 in one row, some
+    # rows with exact zeros of either sign (0j vertices among them), some
+    # vertices repeated (coincident, or padding at the end): |q| is the
+    # reference's on every row and q its bits wherever no coordinate is an
+    # exact zero (there only the sign of a zero or a last bit at equal
+    # modulus may move), and a nonzero q is the point of the pair the kernel
+    # names, A + t D, bit for bit.  The values come from a drawn seed, so
+    # the segments that end at a row's closest vertex rarely land on it
+    # exactly; hypothesis draws the zeros and the repeats.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        parts = rng.standard_normal((m, 2 * n)) * 10.0 ** rng.integers(-6, 7, (m, 2 * n))
+        zero = st.sampled_from([None, 0.0, -0.0])  # None keeps the drawn part
+        index = st.integers(0, n - 1)
+        rows = []
+        for part in parts:
+            if data.draw(st.booleans()):
+                zeros = data.draw(st.lists(zero, min_size=2 * n, max_size=2 * n))
+                part = [p if z is None else z for p, z in zip(part, zeros)]
+            row = [complex(x, y) for x, y in zip(part[::2], part[1::2])]
+            for i, j in data.draw(st.lists(st.tuples(index, index), max_size=3)):
+                row[j] = row[i]
+            pad = data.draw(st.integers(0, n - 1))
+            rows.append(row[: n - pad] + [row[n - pad - 1]] * pad)
+        C = np.array(rows, dtype=complex)
+        q, best, t = _closest_rows(C)
+        want = _all_pairs_closest(C)
+        assert np.abs(q).tobytes() == np.abs(want).tobytes()
+        plain = ((C.real != 0.0) & (C.imag != 0.0)).all(axis=1)
+        assert q[plain].tobytes() == want[plain].tobytes()
+        i1, i2 = _vertex_pairs(n)
+        r = np.arange(m)
+        A = C[r, i1[best]]
+        point = A + t[r, best] * (C[r, i2[best]] - A)
+        moved = q != 0
+        assert point[moved].tobytes() == q[moved].tobytes()
+
+    check()
 
 
 # -- hyperplane recovery -----------------------------------------------------

@@ -16,7 +16,14 @@ from tvlab.consistency import (
     _exact_generators,
     check_dependency_consistency,
 )
-from tvlab.geometry import ComplexHyperplane, Family, Polytope, hermitian_inner
+from tvlab.geometry import (
+    ComplexHyperplane,
+    Family,
+    Polytope,
+    _closest_rows,
+    _vertex_pairs,
+    hermitian_inner,
+)
 from tvlab.harness import (
     EquivConfig,
     GenSpec,
@@ -334,6 +341,25 @@ def test_witness_fallback_projects_nearest_set_point():
     assert abs(hermitian_inner(point, a) - b) < 1e-12  # on T
     # nearest set point: the segment's midpoint, whose coefficient is b + miss
     assert np.linalg.norm(point - seg.mean(axis=0)) == pytest.approx(miss, rel=1e-6)
+    # a triangle whose nearest point is a vertex: the last one, held by the
+    # pair (n - 1, n - 1) (on this triangle both segments that end there
+    # round A + D off it), or the first, the t = 0 end of (0, 1); the
+    # witness point is that vertex projected onto T
+    i1, i2 = _vertex_pairs(3)
+    for coeffs, pair in (
+        ((0.7 - 0.4j, 0.5 - 0.2j, 0j), (2, 2)),
+        ((0j, 0.3 + 0.2j, 0.4 - 0.3j), (0, 1)),
+    ):
+        V = np.array([(b + miss + c) * a + s * e for c, s in zip(coeffs, (0.2, -0.4, 0.2))])
+        _, k, t = _closest_rows(np.conj(a[None, :]) @ V.T - b)
+        k = int(k[0])
+        assert (i1[k], i2[k], t[0, k]) == (*pair, 0.0)
+        family = Family(inst.family.labels + ("Y",), inst.family.sets + (Polytope("complex", V),))
+        assert verify_transversal(T, family, tol=1e-6).passed
+        assert next(certify(*_coefficient_rows(V[None], a, b)))[0] is None
+        point = b * a + basis.T @ witness_from_transversal(Instance(family), T).point_of("Y")
+        v = V[pair[0]]
+        assert np.abs(point - (v - (hermitian_inner(v, a) - b) * a)).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -265,10 +265,11 @@ def embed_family(family: Family) -> Family:
 # The monotone chain below gives the hull of a handful of projected
 # coefficients for drawing and for half-plane descriptions; it does not
 # compute closest points.  Every closest-point query goes through
-# _closest_rows, which treats a polygon as the union of the segments between
-# its vertex pairs i < j (a hull edge is one of them; every vertex but the
-# last starts one) plus its last vertex alone, and decides "origin inside"
-# by the angular-gap criterion, vectorized over a block of rows.
+# _closest_rows, vectorized over a block of rows.  It first decides "origin
+# inside" by the angular-gap criterion, and only on the rows outside runs
+# _segment_closest, which treats a polygon as the union of the segments
+# between its vertex pairs i < j (a hull edge is one of them; every vertex
+# but the last starts one) plus its last vertex alone.
 
 
 def _hull2d(pts):
@@ -308,19 +309,16 @@ def _vertex_pairs(n: int):
     return pairs
 
 
-def _closest_rows(C: np.ndarray):
-    """Closest point to the origin of the hull of each row of the (m, n)
-    complex block C, with the vertex pairs (i1[k], i2[k]) =
-    ``_vertex_pairs(n)``.
+def _segment_closest(C: np.ndarray):
+    """Closest point to the origin on the vertex-pair segments of each row of
+    the (m, n) complex block C, with the pairs (i1[k], i2[k]) =
+    ``_vertex_pairs(n)``, whether or not the origin is inside the row's hull.
 
-    Returns (q, k, t): per row the closest point (0 when the origin is
-    inside, i.e. when the angles of the row's points leave no gap wider
-    than pi, with no slack), the index k of the first pair whose segment
-    holds the closest point, and the (m, n_pairs) nearest-point parameters t
-    on every segment (0 on a zero-length one, such as the last pair,
-    without a division by zero).  Repeating a row's last point leaves q
-    unchanged, so polygons of different vertex counts share one block
-    padded that way in coefficient space."""
+    Returns (q, k, t): per row the closest point, the index k of the first
+    pair whose segment holds it, and the (m, n_pairs) nearest-point
+    parameters t on every segment (0 on a zero-length one, such as the last
+    pair, without a division by zero).  Each row's results depend on that
+    row alone."""
     i1, i2 = _vertex_pairs(C.shape[1])
     A = C.take(i1, axis=1)
     D = C.take(i2, axis=1)
@@ -333,7 +331,18 @@ def _closest_rows(C: np.ndarray):
     t[~seg] = 0.0
     Q = A + t * D
     best = np.abs(Q).argmin(axis=1)
-    q = Q[np.arange(C.shape[0]), best]
+    return Q[np.arange(C.shape[0]), best], best, t
+
+
+def _closest_rows(C: np.ndarray) -> np.ndarray:
+    """Closest point to the origin of the hull of each row of the (m, n)
+    complex block C.
+
+    A row whose points' angles leave no gap wider than pi, with no slack,
+    holds the origin and gets 0; only the other rows (a NaN row among them)
+    go through :func:`_segment_closest`.  Repeating a row's last point
+    leaves q unchanged, so polygons of different vertex counts share one
+    block padded that way in coefficient space."""
     # sorted angles, one column per row, so the gaps reduce across rows
     ang = np.arctan2(C.imag, C.real)
     ang.sort(axis=1)
@@ -341,8 +350,10 @@ def _closest_rows(C: np.ndarray):
     maxgap = 2.0 * np.pi - (ang[-1] - ang[0])
     if C.shape[1] > 1:
         np.maximum((ang[1:] - ang[:-1]).max(axis=0), maxgap, out=maxgap)
-    q[maxgap <= np.pi] = 0.0
-    return q, best, t
+    out = np.flatnonzero(~(maxgap <= np.pi))
+    q = np.zeros(C.shape[0], complex)
+    q[out] = _segment_closest(C.take(out, axis=0))[0]
+    return q
 
 
 def _coefficient_block(family: Family, X: np.ndarray, shift=None) -> np.ndarray:
@@ -371,7 +382,7 @@ def _closest_coefficients(family: Family, X: np.ndarray, shift=None) -> np.ndarr
     """(m, n_sets) closest points to the origin of the polygons of
     :func:`_coefficient_block`, by one kernel call."""
     block = _coefficient_block(family, X, shift)
-    q = _closest_rows(block.reshape(-1, block.shape[2]))[0]
+    q = _closest_rows(block.reshape(-1, block.shape[2]))
     return q.reshape(len(family.sets), X.shape[0]).T
 
 

@@ -36,8 +36,8 @@ from .geometry import (
     ComplexHyperplane,
     Family,
     Polytope,
-    _closest_rows,
     _integer,
+    _segment_closest,
     _vertex_pairs,
     embed_family,
     hermitian_inner,
@@ -375,9 +375,9 @@ def witness_from_transversal(instance: Instance, T: ComplexHyperplane) -> Consis
         if point is None:
             # the transversal passes only within WITNESS_TOL; project onto T the set
             # point whose coefficient is nearest b, on the vertex-pair
-            # segment the closest-point kernel picks
+            # segment the kernel's segment search picks
             V = poly.vertices
-            _, k, t = _closest_rows(np.conj(a[None, :]) @ V.T - b)
+            _, k, t = _segment_closest(np.conj(a[None, :]) @ V.T - b)
             k = int(k[0])
             i, j = (int(v[k]) for v in _vertex_pairs(V.shape[0]))
             t = float(t[0, k])

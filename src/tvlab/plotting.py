@@ -116,7 +116,7 @@ def _panel(canvas, coeffs, color, origin_shift, set_label):
     canvas.polygon(_hull2d(pts), color, fill=color)
     o = (origin_shift, 0.0)
     canvas.dot(o, "#000000", r=0.03)
-    p = complex(_closest_rows(np.array([coeffs]))[0][0])
+    p = complex(_closest_rows(np.array([coeffs]))[0])
     pq = (p.real + origin_shift, p.imag)
     canvas.arrow(o, pq, "#000000")
     canvas.label((origin_shift + 0.05, -0.12), set_label, color)

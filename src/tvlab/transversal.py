@@ -541,7 +541,7 @@ def verify_transversal(T, family: Family, tol: float = ZERO_TOL) -> Verification
         e = np.frexp(np.abs(C).max(axis=1))[1][:, None]
         e[e <= 500] = 0
         C.real, C.imag = np.ldexp(C.real, -e), np.ldexp(C.imag, -e)
-        dists = np.ldexp(np.abs(_closest_rows(C)[0]), e[:, 0]).tolist()
+        dists = np.ldexp(np.abs(_closest_rows(C)), e[:, 0]).tolist()
     else:
         dists = []
         for poly in family.sets:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tvlab import geometry
 from tvlab.geometry import (
     ComplexHyperplane,
     Family,
@@ -18,6 +19,7 @@ from tvlab.geometry import (
     SpherePoint,
     _closest_coefficients,
     _closest_rows,
+    _segment_closest,
     _vertex_pairs,
     complex_to_real,
     embed_family,
@@ -197,24 +199,24 @@ def test_project_dimension_mismatch():
 
 
 def test_closest_real_segment():
-    assert _closest_rows(np.array([[3 + 0j, 5 + 0j]]))[0][0] == 3
+    assert _closest_rows(np.array([[3 + 0j, 5 + 0j]]))[0] == 3
 
 
 def test_closest_origin_inside():
     square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
-    assert _closest_rows(np.array([square]))[0][0] == 0
+    assert _closest_rows(np.array([square]))[0] == 0
 
 
 def test_closest_vertical_segment():
-    got = _closest_rows(np.array([[1 + 1j, 1 - 1j]]))[0][0]
+    got = _closest_rows(np.array([[1 + 1j, 1 - 1j]]))[0]
     assert got == pytest.approx(1.0)
     assert got == pytest.approx(_segment_closest_oracle((1, 1), (1, -1)))
 
 
 def test_closest_singleton_and_degenerate():
-    assert _closest_rows(np.array([[2 - 1j]]))[0][0] == 2 - 1j
-    assert _closest_rows(np.array([[2 - 1j, 2 - 1j, 2 - 1j]]))[0][0] == 2 - 1j
-    assert _closest_rows(np.array([[1 + 0j, 3 + 0j, 2 + 0j]]))[0][0] == 1
+    assert _closest_rows(np.array([[2 - 1j]]))[0] == 2 - 1j
+    assert _closest_rows(np.array([[2 - 1j, 2 - 1j, 2 - 1j]]))[0] == 2 - 1j
+    assert _closest_rows(np.array([[1 + 0j, 3 + 0j, 2 + 0j]]))[0] == 1
 
 
 def _origin_in_some_triangle(pts):
@@ -250,9 +252,9 @@ def test_closest_matches_edge_oracle_random():
     for pts in cases + [np.array(c) for c in DEGENERATE]:
         # repeating the last vertex, as a padded block row does, keeps the bits
         padded = np.concatenate([pts, np.repeat(pts[-1:], 3)])
-        q = _closest_rows(pts[None, :])[0]
+        q = _closest_rows(pts[None, :])
         got = q[0]
-        assert _closest_rows(padded[None, :])[0].tobytes() == q.tobytes()
+        assert _closest_rows(padded[None, :]).tobytes() == q.tobytes()
         if _origin_in_some_triangle(pts):
             assert got == 0
             continue
@@ -273,7 +275,7 @@ def test_projection_variational_inequality():
     for _ in range(300):
         n = rng.integers(1, 7)
         pts = rng.standard_normal(n) * 2 + 1j * rng.standard_normal(n) * 2
-        q = _closest_rows(pts[None, :])[0][0]
+        q = _closest_rows(pts[None, :])[0]
         for c in pts:
             assert (np.conj(q) * c).real >= abs(q) ** 2 - 1e-9
 
@@ -304,7 +306,8 @@ def test_projection_continuity_probe():
 
 
 def test_closest_rows_coincident_vertices_warn_nothing():
-    # zero-length segments get t = 0 without a 0/0 or x/0 division
+    # zero-length segments get t = 0 without a 0/0 or x/0 division; the
+    # segment search runs on the whole block, the rows the kernel skips too
     C = np.array(
         [
             [1 + 1j, 1 + 1j, 2 - 1j],
@@ -316,7 +319,8 @@ def test_closest_rows_coincident_vertices_warn_nothing():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q, _, t = _closest_rows(C)
+        q = _closest_rows(C)
+        _, _, t = _segment_closest(C)
     i1, i2 = _vertex_pairs(C.shape[1])
     assert (i1.tolist(), i2.tolist()) == ([0, 0, 1, 2], [1, 2, 2, 2])
     coincident = C[:, i1] == C[:, i2]
@@ -399,14 +403,14 @@ def _kernel_block():
 
 def _kernel_digest(C):
     h = hashlib.sha256()
-    for out in _closest_rows(C):
+    for out in (_closest_rows(C), *_segment_closest(C)[1:]):
         h.update(repr(out.shape).encode())
         h.update(np.ascontiguousarray(out).tobytes())
     return h.hexdigest()
 
 
-# sha256 of (q, best, t) of _closest_rows on the block above and on its
-# first column alone: width 1 recorded with the kernel's nested np.where
+# sha256 of q of _closest_rows and (best, t) of _segment_closest on the
+# block above and on its first column alone: width 1 recorded with the kernel's nested np.where
 # form, width 4 when the diagonal pairs (i, i), i < n - 1, left the pair list
 # (best and t index the pairs, so their bits follow the list)
 KERNEL_DIGESTS = {
@@ -429,9 +433,90 @@ def test_closest_rows_keeps_recorded_bits(width):
 
 @pytest.mark.parametrize("width", list(KERNEL_Q_DIGESTS))
 def test_closest_rows_keeps_the_all_pairs_closest_points(width):
-    q = _closest_rows(_kernel_block()[:, :width])[0]
+    q = _closest_rows(_kernel_block()[:, :width])
     assert hashlib.sha256(q.tobytes()).hexdigest() == KERNEL_Q_DIGESTS[width]
 
+
+
+def _edge_blocks():
+    """Blocks at the edges of the kernel's inside test: a NaN coordinate,
+    inf coordinates (one row outside, one inside), the origin on an edge
+    (the widest gap exactly pi) and as a vertex; rows that all hold the
+    origin, rows that all miss it, single vertices, and no rows at all."""
+    nan, inf = float("nan"), float("inf")
+    return {
+        "mixed": np.array(
+            [
+                [1 + 1j, complex(nan, 0.0), 2 - 1j],
+                [complex(inf, 0.0), 1 + 1j, 2 + 1j],
+                [complex(inf, 0.0), -1 + 1j, -1 - 1j],
+                [-1 + 0j, 1 + 0j, 1 + 1j],
+                [3 + 0j, 5 + 0j, 4 + 1j],
+                [1 + 1j, -1 + 1j, -1 - 1j],
+                [0j, 1 + 1j, 1 - 1j],
+            ]
+        ),
+        "inside": np.array(
+            [
+                [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j],
+                [2 + 0j, -1 + 1j, -1 - 1j, -1 - 1j],
+                [1e-3 + 0j, -1e3 + 1e3j, -1e3 - 1e3j, 5j],
+            ]
+        ),
+        "outside": np.array(
+            [
+                [3 + 0j, 5 + 1j, 4 - 1j, 4 - 1j],
+                [1 + 1j, 1 + 1j, 2 - 1j, 2 - 1j],
+                [-1e-3 + 2e-3j, -1e3 + 1e2j, -5e2 + 7e2j, -1 + 0.5j],
+            ]
+        ),
+        "width1": np.array([[2 - 1j], [0j], [-0.5 + 2j], [1e300 + 1e300j]]),
+        "empty": np.zeros((0, 4), dtype=complex),
+    }
+
+
+# sha256 of the shape and q of _closest_rows on each block above, recorded
+# while the kernel still ran the segment search on every row
+EDGE_Q_DIGESTS = {
+    "mixed": "64852fd8c30699e86595641db3af0a0ccc5ca295850aa5ca2a52881ef0ef29b0",
+    "inside": "02e3a82fba9c589e320612d610dbf27c8446c90a94427673428c213c648f44bc",
+    "outside": "9e3392ff2b1657cde4dc7b84f11cc78497060bafb524d767992f0efdad1a6ac1",
+    "width1": "e64fe896a3005c22dc88c8834e1d863c666c1409fa025489f30728fef11c7533",
+    "empty": "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_Q_DIGESTS))
+def test_closest_rows_keeps_recorded_bits_on_edge_cases(name):
+    with np.errstate(invalid="ignore"):  # inf - inf on the inf rows
+        q = _closest_rows(_edge_blocks()[name])
+    assert hashlib.sha256(repr(q.shape).encode() + q.tobytes()).hexdigest() == EDGE_Q_DIGESTS[name]
+    if name == "mixed":
+        # a NaN row counts as outside and keeps its NaN, which
+        # verify_transversal reads as a miss; the edge row holds the origin
+        assert np.isnan(q[0]) and q[3] == 0
+
+
+def test_closest_rows_searches_segments_only_outside(monkeypatch):
+    # the segment search gets exactly the rows whose angles leave a gap
+    # wider than pi, in block order, and nothing on rows that hold the origin
+    seen = []
+
+    def spy(C):
+        seen.append(C.copy())
+        return _segment_closest(C)
+
+    monkeypatch.setattr(geometry, "_segment_closest", spy)
+    C = _kernel_block()
+    ang = np.sort(np.arctan2(C.imag, C.real), axis=1)
+    gap = np.maximum(np.diff(ang, axis=1).max(axis=1), 2.0 * np.pi - (ang[:, -1] - ang[:, 0]))
+    outside = gap > np.pi
+    assert (C.shape[0], outside.sum()) == (22, 17)
+    _closest_rows(C)
+    assert len(seen) == 1 and seen[0].tobytes() == C[outside].tobytes()
+    seen.clear()
+    assert not _closest_rows(_edge_blocks()["inside"]).any()
+    assert [block.shape for block in seen] == [(0, 4)]
 
 def _all_pairs_closest(C):
     """Reference kernel: closest points over the segments of every vertex
@@ -490,7 +575,8 @@ def test_closest_rows_matches_the_all_pairs_reference():
             pad = data.draw(st.integers(0, n - 1))
             rows.append(row[: n - pad] + [row[n - pad - 1]] * pad)
         C = np.array(rows, dtype=complex)
-        q, best, t = _closest_rows(C)
+        q = _closest_rows(C)
+        _, best, t = _segment_closest(C)
         want = _all_pairs_closest(C)
         assert np.abs(q).tobytes() == np.abs(want).tobytes()
         plain = ((C.real != 0.0) & (C.imag != 0.0)).all(axis=1)

@@ -20,7 +20,7 @@ from tvlab.geometry import (
     ComplexHyperplane,
     Family,
     Polytope,
-    _closest_rows,
+    _segment_closest,
     _vertex_pairs,
     hermitian_inner,
 )
@@ -351,7 +351,7 @@ def test_witness_fallback_projects_nearest_set_point():
         ((0j, 0.3 + 0.2j, 0.4 - 0.3j), (0, 1)),
     ):
         V = np.array([(b + miss + c) * a + s * e for c, s in zip(coeffs, (0.2, -0.4, 0.2))])
-        _, k, t = _closest_rows(np.conj(a[None, :]) @ V.T - b)
+        _, k, t = _segment_closest(np.conj(a[None, :]) @ V.T - b)
         k = int(k[0])
         assert (i1[k], i2[k], t[0, k]) == (*pair, 0.0)
         family = Family(inst.family.labels + ("Y",), inst.family.sets + (Polytope("complex", V),))

@@ -745,7 +745,7 @@ def test_margin_and_verify_read_each_sets_own_coefficients():
         b = complex(fam.sets[0].vertices[0] @ np.conj(a))
         margin = polygon_intersection_margin(a, fam)
         assert margin.hex() == _margin_from_own_coefficients(a, fam).hex()
-        own = [_closest_rows((poly.vertices @ np.conj(a) - b)[None, :])[0][0] for poly in fam.sets]
+        own = [_closest_rows((poly.vertices @ np.conj(a) - b)[None, :])[0] for poly in fam.sets]
         rep = verify_transversal(ComplexHyperplane(a, b), fam)
         assert np.array([dist for _, dist in rep.distances]).tobytes() == np.abs(own).tobytes()
 

@@ -269,7 +269,9 @@ def embed_family(family: Family) -> Family:
 # inside" by the angular-gap criterion, and only on the rows outside runs
 # _segment_closest, which treats a polygon as the union of the segments
 # between its vertex pairs i < j (a hull edge is one of them; every vertex
-# but the last starts one) plus its last vertex alone.
+# but the last starts one) plus its last vertex alone.  The searches hand it
+# the block of _coefficient_block, into which a family of one vertex count
+# gets its product written directly.
 
 
 def _hull2d(pts):
@@ -316,7 +318,7 @@ def _segment_closest(C: np.ndarray):
 
     Returns (q, k, t): per row the closest point, the index k of the first
     pair whose segment holds it, and the (m, n_pairs) nearest-point
-    parameters t on every segment (0 on a zero-length one, such as the last
+    parameters t on every segment (+0.0 on a zero-length one, such as the last
     pair, without a division by zero).  Each row's results depend on that
     row alone."""
     i1, i2 = _vertex_pairs(C.shape[1])
@@ -325,10 +327,9 @@ def _segment_closest(C: np.ndarray):
     D -= A
     cD = np.conj(D)
     dd = (D * cD).real
-    seg = dd > 0.0  # zero-length pairs divide by 1 and then get t = 0
-    t = -(cD * A).real / np.where(seg, dd, 1.0)
+    t = np.zeros(dd.shape)  # zero-length pairs are not divided and keep t = +0.0
+    np.divide(-(cD * A).real, dd, out=t, where=dd > 0.0)
     t.clip(0.0, 1.0, out=t)
-    t[~seg] = 0.0
     Q = A + t * D
     best = np.abs(Q).argmin(axis=1)
     return Q[np.arange(C.shape[0]), best], best, t
@@ -345,7 +346,8 @@ def _closest_rows(C: np.ndarray) -> np.ndarray:
     block padded that way in coefficient space."""
     # sorted angles, one column per row, so the gaps reduce across rows
     ang = np.arctan2(C.imag, C.real)
-    ang.sort(axis=1)
+    # ties can flip only the sign of a zero gap, which never decides maxgap
+    ang.sort(axis=1, kind="stable")
     ang = ang.T.copy()
     maxgap = 2.0 * np.pi - (ang[-1] - ang[0])
     if C.shape[1] > 1:
@@ -362,17 +364,22 @@ def _coefficient_block(family: Family, X: np.ndarray, shift=None) -> np.ndarray:
     shift is given.  The sets of one vertex count take one stacked product,
     each slice of which is the product the set would get alone (padding the
     vertices, or one product over all sets, would change the shape BLAS sees
-    and the low bits); each set is then padded to the family's largest vertex
-    count by repeating its last coefficient, which the kernel's q ignores."""
+    and the low bits).  A family of one vertex count gets that product
+    written straight into the block; otherwise each count's product is
+    copied in, and each set padded to the family's largest vertex count by
+    repeating its last coefficient, which the kernel's q ignores."""
     width, groups = family._layout
     cX = np.conj(X)
     block = np.empty((len(family.sets), X.shape[0], width), dtype=complex)
-    for idx, cols in groups:
-        n = cols.shape[2]
-        coeffs = cX @ cols
-        block[idx, :, :n] = coeffs
-        if n < width:
-            block[idx, :, n:] = coeffs[:, :, n - 1 : n]
+    if len(groups) == 1:  # its indices are 0..k-1 and its count is the width
+        np.matmul(cX, groups[0][1], out=block)
+    else:
+        for idx, cols in groups:
+            n = cols.shape[2]
+            coeffs = cX @ cols
+            block[idx, :, :n] = coeffs
+            if n < width:
+                block[idx, :, n:] = coeffs[:, :, n - 1 : n]
     if shift is not None:
         block -= shift[:, None]
     return block

@@ -193,7 +193,7 @@ def _pattern_min(objective, U0: np.ndarray, config: TransversalConfig, target: f
         live = [s for s in window if not done(s)]
         if not live:
             continue  # the starts that just entered are done at their first point
-        cands = np.vstack([s[0] + s[2] * stencil for s in live])
+        cands = np.concatenate([s[0] + s[2] * stencil for s in live])
         part = cands[:, unit]  # a view; the sum of squares np.linalg.norm takes
         part /= np.sqrt((part * part).sum(axis=1))[:, None]
         vals = objective(cands).reshape(len(live), 2 * n)

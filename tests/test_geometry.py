@@ -28,6 +28,7 @@ from tvlab.geometry import (
     hyperplane_from_sphere_point,
     real_to_complex,
 )
+from tvlab.harness import GenSpec, gen_instance
 
 
 def _inner_oracle(u, v):
@@ -306,8 +307,10 @@ def test_projection_continuity_probe():
 
 
 def test_closest_rows_coincident_vertices_warn_nothing():
-    # zero-length segments get t = 0 without a 0/0 or x/0 division; the
-    # segment search runs on the whole block, the rows the kernel skips too
+    # zero-length segments get t = +0.0 without a 0/0 or x/0 division; the
+    # segment search runs on the whole block, the rows the kernel skips too.
+    # A pair with a NaN end has a NaN length, which is not > 0, so it gets
+    # t = +0.0 as well
     C = np.array(
         [
             [1 + 1j, 1 + 1j, 2 - 1j],
@@ -315,6 +318,7 @@ def test_closest_rows_coincident_vertices_warn_nothing():
             [0j] * 3,
             [0j, 0j, 1 + 0j],
             [1e-300 + 0j, 1e-300 + 0j, -1e-300j],
+            [complex(float("nan"), 0.0), 1 - 1j, 1 - 1j],
         ]
     )
     with warnings.catch_warnings():
@@ -324,11 +328,17 @@ def test_closest_rows_coincident_vertices_warn_nothing():
     i1, i2 = _vertex_pairs(C.shape[1])
     assert (i1.tolist(), i2.tolist()) == ([0, 0, 1, 2], [1, 2, 2, 2])
     coincident = C[:, i1] == C[:, i2]
-    # the last pair of each row, and (0, 1) of rows 0, 3, 4 and (0, 2), (1, 2)
-    # of rows 1 and 2
-    assert coincident.sum() == 14
-    assert np.all(t[coincident] == 0.0)
-    assert q[1] == 2 - 1j and q[2] == 0 and q[3] == 0
+    # the last pair of each row, and (0, 1) of rows 0, 3, 4, (0, 2), (1, 2)
+    # of rows 1 and 2, and (1, 2) of row 5
+    assert coincident.sum() == 16
+    D = C[:, i2] - C[:, i1]
+    seg = (D * np.conj(D)).real > 0.0
+    # the coincident pairs, the two of row 4 whose squared length underflows
+    # to 0, and the two of the NaN vertex
+    assert (~seg).sum() == 20 and not seg[coincident].any()
+    assert not seg[4, 1:3].any() and not seg[5, :2].any()
+    assert np.all(t[~seg] == 0.0) and not np.signbit(t[~seg]).any()
+    assert q[1] == 2 - 1j and q[2] == 0 and q[3] == 0 and np.isnan(q[5])
 
 
 def _mixed_family() -> Family:
@@ -361,6 +371,39 @@ def test_closest_all_keeps_recorded_bits(shifted):
     P = _closest_coefficients(_mixed_family(), X, shift=shift)
     assert P.shape == (13, 9)
     assert hashlib.sha256(P.tobytes()).hexdigest() == CLOSEST_ALL_DIGESTS[shifted]
+
+
+def _one_count_family() -> Family:
+    """A search-d2-shaped family: 10 unplanted sets of 4 vertices in C^2,
+    one vertex-count group in its layout."""
+    return gen_instance(GenSpec(d=2, n_sets=10, seed=4303)).family
+
+
+# sha256 of _closest_coefficients on the family above and on its
+# embed_family (without and with a shift per row), recorded while the
+# product of a family's one group still went through a temporary
+ONE_COUNT_DIGESTS = {
+    (False, False): "03d76b6135a0d37d636cef1aebb3c45b76e0724c32f531a69435e44be48b2e86",
+    (False, True): "537736bc751aa37b2e62f39057fe6617e695c29a06e839ea1d093df284956656",
+    (True, False): "285c7d591a39ec5f2b090fe54fe7717153f54efcda5c84e8ac6bdc6b1b3a2f19",
+    (True, True): "3626f7bd83fb099c93cb6a65bd2689ecfdc5e8bd2d47ee69ed3d843d15eed980",
+}
+
+
+@pytest.mark.parametrize("embedded, shifted", list(ONE_COUNT_DIGESTS))
+def test_closest_coefficients_of_one_vertex_count_keep_recorded_bits(embedded, shifted):
+    fam = _one_count_family()
+    if embedded:
+        fam = embed_family(fam)
+    assert len(fam._layout[1]) == 1
+    dim = fam.sets[0].dim
+    rng = np.random.default_rng(4304 + dim)
+    X = rng.standard_normal((13, dim)) + 1j * rng.standard_normal((13, dim))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    shift = rng.standard_normal(13) + 1j * rng.standard_normal(13) if shifted else None
+    P = _closest_coefficients(fam, X, shift=shift)
+    assert P.shape == (13, 10)
+    assert hashlib.sha256(P.tobytes()).hexdigest() == ONE_COUNT_DIGESTS[embedded, shifted]
 
 
 def test_subfamily_and_embedded_family_get_their_own_layout():
@@ -442,7 +485,8 @@ def _edge_blocks():
     """Blocks at the edges of the kernel's inside test: a NaN coordinate,
     inf coordinates (one row outside, one inside), the origin on an edge
     (the widest gap exactly pi) and as a vertex; rows that all hold the
-    origin, rows that all miss it, single vertices, and no rows at all."""
+    origin, rows that all miss it, single vertices, no rows at all, and
+    rows of tied angles."""
     nan, inf = float("nan"), float("inf")
     return {
         "mixed": np.array(
@@ -472,7 +516,31 @@ def _edge_blocks():
         ),
         "width1": np.array([[2 - 1j], [0j], [-0.5 + 2j], [1e300 + 1e300j]]),
         "empty": np.zeros((0, 4), dtype=complex),
+        "ties": _tied_angle_block(),
     }
+
+
+def _tied_angle_block():
+    """Rows of 16 vertices whose angles tie: +0.0 and -0.0 (vertices 1 + 0j
+    and 1 - 0j), +pi and -pi (-1 + 0j and -1 - 0j), repeated vertices, the
+    origin as a vertex of every signed zero, and the origin on an edge
+    reached through +-0.  Sort kinds may order such equal angles
+    differently, and so flip the sign of a zero gap: numpy 2.4's default
+    sort orders five of these rows unlike a stable sort on an AVX-512 CPU."""
+    nan = float("nan")
+    p0, m0 = complex(1, 0.0), complex(1, -0.0)
+    return np.array(
+        [
+            [m0, p0] * 8,
+            [p0, m0, complex(-1, 0.0), complex(-1, -0.0)] * 4,
+            [complex(-1, -0.0), complex(-1, 0.0)] * 7 + [1j, 1j],
+            [complex(-2, 0.0), complex(3, -0.0)] * 7 + [1 + 1j, 1 + 1j],
+            [complex(-2, -0.0), complex(3, 0.0)] * 7 + [1 - 1j, 1 - 1j],
+            [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)] * 4,
+            [complex(nan, 0.0)] + [m0, p0] * 7 + [2 + 0j],
+            [complex(2, -0.0), 2 + 0j, 3 + 1j, 3 + 1j] * 4,
+        ]
+    )
 
 
 # sha256 of the shape and q of _closest_rows on each block above, recorded
@@ -483,6 +551,8 @@ EDGE_Q_DIGESTS = {
     "outside": "9e3392ff2b1657cde4dc7b84f11cc78497060bafb524d767992f0efdad1a6ac1",
     "width1": "e64fe896a3005c22dc88c8834e1d863c666c1409fa025489f30728fef11c7533",
     "empty": "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+    # recorded while the angles were sorted by numpy's default kind
+    "ties": "d83d690ea13ae749cc522930acf9df188961f57168cc65162288b6573e770951",
 }
 
 
@@ -495,6 +565,9 @@ def test_closest_rows_keeps_recorded_bits_on_edge_cases(name):
         # a NaN row counts as outside and keeps its NaN, which
         # verify_transversal reads as a miss; the edge row holds the origin
         assert np.isnan(q[0]) and q[3] == 0
+    if name == "ties":
+        # the signed-zero ties hold the origin on an edge or as a vertex
+        assert (q[[1, 3, 4, 5]] == 0).all() and np.isnan(q[6]) and (q[[0, 2, 7]] != 0).all()
 
 
 def test_closest_rows_searches_segments_only_outside(monkeypatch):

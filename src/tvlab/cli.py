@@ -138,7 +138,7 @@ def _cmd_find(args) -> int:
         _check_writable(args.output)
     if args.method == "direction":
         if family.ambient == "real":
-            result = real_hyperplane_transversal(family, config)
+            result = real_hyperplane_transversal(family)
         else:
             result = find_complex_transversal(family, config)
         if isinstance(result, NotFound):
@@ -262,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="search for a transversal")
     p.add_argument("instance")
     p.add_argument("--method", choices=("direction", "borsuk"), default="direction")
-    p.add_argument("--starts", type=int, default=TransversalConfig.starts)
+    p.add_argument("--starts", type=int, default=TransversalConfig.starts,
+                   help="pattern-search starts of a complex instance (a real instance is "
+                   "decided exactly and takes no budget)")
     p.add_argument("--zero-tol", type=float, default=TransversalConfig.zero_tol)
     p.add_argument("--seed", type=int, default=TransversalConfig.seed)
     p.add_argument("-o", "--output")

@@ -1,27 +1,28 @@
-"""Transversal search: real lines from vertex pairs, real hyperplanes by
-direction sweep, complex hyperplanes by projected-polygon intersection and by
-zero-finding on the odd sphere map of closest projection coefficients;
-geometry's coefficient block gives the polygons and their closest points.
+"""Transversal search: real hyperplanes through d vertices, decided exactly,
+complex hyperplanes by projected-polygon intersection and by zero-finding on
+the odd sphere map of closest projection coefficients; geometry's
+coefficient block gives the polygons and their closest points.
 
-Search design: the existence arguments are non-constructive, so location is
-by seeded multistart derivative-free descent (pattern search with step decay
-on the relevant sphere).  The map being minimized is continuous but not
-smooth where the closest polygon point crosses a vertex or edge, which is
-why no gradients are used.  The starts run two at a time in lock-step, so
-that one objective call (in the complex searches, one closest-point kernel
-call) serves a step of both; each search reads their results in start order
-and stops at its first success, so results and early exits are those of
-running the starts one after the other.  NotFound is a budget statement,
-never a nonexistence certificate, except where it is marked exhaustive.
+Complex search design: the existence arguments are non-constructive, so
+location is by seeded multistart derivative-free descent (pattern search with
+step decay on the relevant sphere).  The map being minimized is continuous
+but not smooth where the closest polygon point crosses a vertex or edge, which
+is why no gradients are used.  The starts run two at a time in lock-step, so
+that one objective call, one closest-point kernel call, serves a step of
+both; each search reads their results in start order and stops at its first
+success, so results and early exits are those of running the starts one
+after the other.  NotFound is a budget statement, never a nonexistence
+certificate, except where it is marked exhaustive, as every real one is.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import integers
+from ._exact import integers, null_vector
 from .geometry import (
     POLE_GUARD,
     ComplexHyperplane,
@@ -52,11 +53,11 @@ _WINDOW = 2
 
 @dataclass(frozen=True)
 class TransversalConfig:
-    """Budget of the searches: seeded multistart pattern search with starts
-    starts of at most iters steps each (from step size STEP_INIT shrunk by
-    STEP_DECAY), run two at a time in lock-step and read in start order;
-    zero_tol is the accepted norm of a Borsuk zero.  Real d <= 2 and complex
-    d = 1 are decided exactly and use no budget."""
+    """Budget of the complex searches: seeded multistart pattern search with
+    starts starts of at most iters steps each (from step size STEP_INIT shrunk
+    by STEP_DECAY), run two at a time in lock-step and read in start order;
+    zero_tol is the accepted norm of a Borsuk zero.  Complex d = 1 and every
+    real family are decided exactly and use no budget."""
 
     starts: int = 32
     iters: int = 2000
@@ -92,8 +93,8 @@ class RealHyperplane:
 @dataclass(frozen=True, eq=False)
 class NotFound:
     """Search failure report; best is the best margin or residual seen.
-    exhaustive marks a definitive none: real d <= 2, complex d = 1, and the
-    common-point LP of complex_transversal_for_normal along its one normal."""
+    exhaustive marks a definitive none: every real one, complex d = 1, and
+    the common-point LP of complex_transversal_for_normal along its normal."""
 
     reason: str
     best: float | None = None
@@ -208,7 +209,7 @@ def _pattern_min(objective, U0: np.ndarray, config: TransversalConfig, target: f
 
 
 # ---------------------------------------------------------------------------
-# real direction sweep
+# real hyperplanes through d vertices
 
 
 def _interval_margin(family: Family, U: np.ndarray) -> np.ndarray:
@@ -231,61 +232,115 @@ def _interval_offset(family: Family, u: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
-def real_hyperplane_transversal(family: Family, config: TransversalConfig | None = None):
-    """A real hyperplane meeting every set: a unit normal u and the middle
-    of its common projection interval.  At d = 2, if some line meets every
-    set, so does one through two distinct vertices (translate it onto a
-    vertex, then turn it about that vertex onto another); those lines are
-    decided by exact orientation signs, an exact meet first, then the best
-    margin g >= -MARGIN_TOL.  NotFound is definitive at d <= 2; higher d
-    maximizes g by seeded multistart."""
-    config = config or TransversalConfig()
+def _normals(X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Integer normals (C, d) through the rows X[S[c]]: the signed minors of
+    their differences from X[S[c, 0]], 0 where they are dependent.  With S in
+    combinations order, a minor of the first r + 1 differences is expanded
+    along its last row once per prefix S[c, :r + 2]."""
+    d = X.shape[1]
+    pair = X[None, :, :] - X[:, None, :]  # pair[i, j] = X[j] - X[i]
+    minors = {(): np.ones(1, dtype=object)}  # of no rows, for the empty prefix
+    group = np.zeros(len(S), dtype=np.intp)  # each row's prefix among minors
+    for r in range(d - 1):
+        first = np.ones(len(S), dtype=bool)
+        first[1:] = (S[1:, :r + 2] != S[:-1, :r + 2]).any(axis=1)
+        row, up, group = pair[S[first, 0], S[first, r + 1]], group[first], np.cumsum(first) - 1
+        below, minors = minors, {}
+        for cols in itertools.combinations(range(d), r + 1):
+            minors[cols] = 0
+            for p, c in enumerate(cols):
+                t = row[:, c] * below[cols[:p] + cols[p + 1:]][up]
+                minors[cols] = minors[cols] - t if (r + p) % 2 else minors[cols] + t
+    rest = [minors[tuple(c for c in range(d) if c != k)][group] for k in range(d)]
+    return np.stack([m if (d - 1 + k) % 2 == 0 else -m for k, m in enumerate(rest)], axis=1)
+
+
+def _unit_scaled(N: np.ndarray) -> np.ndarray:
+    """The nonzero integer rows of N as floats, each scaled by the power of
+    two that puts its largest entry in [1, 2); int / int rounds correctly."""
+    e = np.frompyfunc(int.bit_length, 1, 1)(np.abs(N).max(axis=1)) - 1
+    return (N / (2 ** e)[:, None]).astype(float)
+
+
+def _signs(P, X, S, N, U, k) -> np.ndarray:
+    """Exact signs (C, len(k)) of the sides N[c] . (P[k[t]] - P[S[c, 0]]),
+    for float vertex rows P, their integer rows X over one scale, hyperplanes
+    through the rows S[c] with integer normals N, and U = _unit_scaled(N).
+
+    A hyperplane's own vertices have side 0.  Another side is computed in
+    floats, U[c] . fl(P[k[t]] - P[S[c, 0]]), and decided when its modulus
+    exceeds err * sum_i |U[c, i] w_i| (Shewchuk's forward error bound; at
+    d = 2 orient2d's, up to its eps^2 term) plus an absolute term.  Along
+    each product, U's, the difference's and the product's roundings and
+    d - 1 sums make n + 1 = d + 2 roundings, the last of which keeps the
+    sign; err = (n + 2 (n + 1)^2 eps) eps also covers the bound's own.
+    Rounding is not relative on underflow, where U and each product lose at
+    most 2^-1075 and |w_i| is at most twice the largest coordinate: the
+    absolute term.  A side or bound that is not finite decides nothing.  The
+    undecided sides are evaluated in integers."""
+    d = P.shape[1]
+    eps = 2.0**-53
+    err = (d + 1 + 2 * (d + 2) ** 2 * eps) * eps
+    tiny = d * (2 * float(np.abs(P).max()) + 1) * 2.0**-1068
+    base = S[:, 0]
+    side = bound = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            term = U[:, i, None] * (P[k, i] - P[base, i, None])
+            side, bound = side + term, bound + np.abs(term)
+        own = (S[:, :, None] == k).any(axis=1)
+        signs = np.where(own, 0, np.sign(side)).astype(np.int8)
+        c, t = np.nonzero(~own & ~(np.abs(side) > err * bound + tiny))
+    if len(c):
+        exact = (N[c] * (X[k[t]] - X[base[c]])).sum(axis=1)
+        signs[c, t] = (exact > 0).astype(np.int8) - (exact < 0)
+    return signs
+
+
+def real_hyperplane_transversal(family: Family):
+    """A real hyperplane meeting every set, decided exactly: a unit normal u
+    and the middle of its common projection interval.  The hyperplanes (u, t)
+    meeting every set form a union of closed cells of the arrangement of
+    {u . v = t} over the vertices v; a cell's extreme ray, or the vertices'
+    own hyperplane if they span one, passes through d independent vertices.
+    So the candidates are the d-subsets of distinct vertices (combinations
+    order) with a nonzero normal, kept set by set while the set's sides are
+    neither all > 0 nor all < 0; an exact meet is returned first, then the
+    best margin g >= -MARGIN_TOL, and NotFound is exhaustive.  Vertices in a
+    flat of dimension d - 2 or less leave none: a hyperplane through it
+    meets every set."""
     if family.ambient != "real":
         raise ValueError("real_hyperplane_transversal expects a real family")
     d = family.dim
-    if d == 1:
-        g = float(_interval_margin(family, np.array([[1.0]]))[0])
-        if g >= -MARGIN_TOL:
-            return RealHyperplane(np.array([1.0]), _interval_offset(family, np.array([1.0])))
-        return NotFound("projection intervals disjoint", best=g, exhaustive=True,
-                        note="d=1 direction set is exhaustive")
-    if d == 2:
-        P, inv = np.unique(np.vstack([p.vertices for p in family.sets]), axis=0, return_inverse=True)
-        if len(P) == 1:  # every line through the one point meets every set
-            return RealHyperplane(np.array([1.0, 0.0]), float(P[0, 0]))
-        X, Y = np.array(integers(P.ravel().tolist())[0], dtype=object).reshape(-1, 2).T
-        C = np.outer(X, Y) - np.outer(Y, X)  # C[a, b] = x_a y_b - y_a x_b
-        I, J = np.triu_indices(len(P), 1)
-        meets = np.ones(len(I), dtype=bool)
-        # keep, set by set, the lines p_i p_j that meet it: the side of its vertex p_k is
-        # C[i, j] + C[j, k] + C[k, i] (k: rows of P; numpy 2.0.0 shapes inv (n, 1))
-        for k in np.split(inv.ravel(), np.cumsum([p.n_vertices for p in family.sets])[:-1]):
-            i, j = I[meets], J[meets]
-            side = C[i, j][:, None] + C[j[:, None], k] - C[i[:, None], k]
-            meets[meets] = ~((side > 0).all(axis=1) | (side < 0).all(axis=1))
-        U = np.column_stack([P[I, 1] - P[J, 1], P[J, 0] - P[I, 0]])
-        U /= np.linalg.norm(U, axis=1)[:, None]
-        g = _interval_margin(family, U)
-        best = np.lexsort((g, meets))[-1]  # an exact meet first, then the best margin
-        if meets[best] or g[best] >= -MARGIN_TOL:
-            return RealHyperplane(U[best], _interval_offset(family, U[best]))
-        return NotFound("no line meets every set", best=float(g[best]), exhaustive=True,
-                        note=f"{len(I)} vertex-pair lines decided exactly")
-    # d >= 3: multistart maximization of g
-    U0 = np.random.default_rng(config.seed).standard_normal((config.starts, d))
-    best_val = -np.inf
-    best_u = None
-    for u, neg in _pattern_min(
-        lambda X: -_interval_margin(family, X), U0, config, target=-MARGIN_TOL
-    ):
-        if -neg > best_val:
-            best_val = -neg
-            best_u = u
-        if best_val >= MARGIN_TOL:
-            break
-    if best_val >= -MARGIN_TOL:
-        return RealHyperplane(best_u, _interval_offset(family, best_u))
-    return NotFound("no stabbing direction at budget", best=float(best_val))
+    P, inv = np.unique(np.vstack([p.vertices for p in family.sets]), axis=0, return_inverse=True)
+    X = np.array(integers(P.ravel().tolist())[0], dtype=object).reshape(P.shape)
+    S = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(len(P)), d)),
+                    dtype=np.intp).reshape(-1, d)
+    N = _normals(X, S)
+    independent = (N != 0).any(axis=1)
+    S, N = S[independent], N[independent]
+    if not len(S):  # one point gives the zero row's null vector (1, 0, ...)
+        flat = (X[1:] - X[0]).tolist() or [[0] * d]
+        u = _unit_scaled(np.array([null_vector(flat)], dtype=object))[0]
+        u /= np.linalg.norm(u)
+        return RealHyperplane(u, _interval_offset(family, u))
+    U = _unit_scaled(N)
+    meets = np.ones(len(S), dtype=bool)
+    # numpy 2.0.0 shapes inv (n, 1)
+    for k in np.split(inv.ravel(), np.cumsum([p.n_vertices for p in family.sets])[:-1]):
+        s = _signs(P, X, S[meets], N[meets], U[meets], k)
+        meets[meets] = ~((s > 0).all(axis=1) | (s < 0).all(axis=1))
+    U = U[meets] if meets.any() else U  # an exact meet first, then the best margin
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    g = _interval_margin(family, U)
+    best = np.argsort(g, kind="stable")[-1]  # the last of equal margins
+    if meets.any() or g[best] >= -MARGIN_TOL:
+        return RealHyperplane(U[best], _interval_offset(family, U[best]))
+    reason, tested = {1: ("projection intervals disjoint", "vertices"),
+                      2: ("no line meets every set", "vertex-pair lines")}.get(
+        d, ("no hyperplane meets every set", f"hyperplanes through {d} vertices"))
+    return NotFound(reason, best=float(g[best]), exhaustive=True,
+                    note=f"{len(S)} {tested} decided exactly")
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_public_surface_is_pinned():
         "lp_feasible": "lp exact",
         "plot_instance": "instance transversal",
         "read_instance": "path",
-        "real_hyperplane_transversal": "family config",
+        "real_hyperplane_transversal": "family",
         "reduce_dependence_support": "dep witness",
         "reverify_report": "doc",
         "run_equivalence": "config",

@@ -15,19 +15,27 @@ Two checkers live here:
   support, real-positive pivot) as one array block and deduplicated, in
   candidate order and across sizes, on integer keys of their labels and
   coefficients.  The kept dependences stay arrays up to the verdict: runs
-  with equal support labels form blocks (labels, coefficients, origins),
-  and consecutive blocks whose labels have equal vertex counts share one
-  cone LP layout.  They are lifted together, in lock-step batches within a
-  fixed budget of tableau cells: one array of cone LPs through
-  :func:`tvlab.lp.certify`, whose results are read in enumeration order up
-  to the first NoLift, and r, the in-set points and the residuals of the
-  lifted rows as arrays.  Its one escalation path decides alone and
+  with equal support labels form blocks (labels, coefficients, origins and,
+  for the rows of a sampled subfamily, the orthonormal basis of its null
+  space), and consecutive blocks whose labels have equal vertex counts
+  share one cone LP layout.  A sampled block that is not alone in its run
+  is lifted from one float realization LP, as the necessity proof lifts it
+  from a transversal: one point in each set such that the whole null space
+  is a space of dependences of those points, so every row lifts with equal
+  weights on them.  Such a candidate is kept only when it re-substitutes
+  into the row's own cone LP to FEAS_TOL.  The blocks are lifted together,
+  in lock-step batches within a fixed budget of tableau cells: one array of
+  cone LPs through :func:`tvlab.lp.certify`, which solves only those whose
+  candidate fails or that have none (circuits, lone blocks and blocks whose
+  realization LP is infeasible), whose results are read in enumeration
+  order up to the first NoLift, and r, the in-set points and the residuals
+  of the lifted rows as arrays.  Its one escalation path decides alone and
   exactly, and only when reached, every LP that the float batch leaves
-  uncertified, so every lift equals the one-dependence answer.  An
-  :class:`AffineDependence` is built only for a NoLift and for a new worst
-  lift, with its :class:`Lift`.  A pass is therefore "pass at budget", while a
-  fail carries an exact Farkas certificate that the cone LP of a
-  float-computed dependence is infeasible.
+  uncertified, so every NoLift carries the certificate that its dependence
+  alone gets.  An :class:`AffineDependence` is built only for a NoLift and
+  for a new worst lift, with its :class:`Lift`.  A pass is therefore "pass
+  at budget", while a fail carries an exact Farkas certificate that the
+  cone LP of a float-computed dependence is infeasible.
 * ``separates_consistently`` (real ambient): hull disjointness of subfamily
   images must be preserved, checked in contrapositive form on all disjoint
   subfamily pairs of total size at most k+2, with k the witness's target
@@ -42,13 +50,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
 from ._exact import gmul, integers, null_vector
 from .geometry import Family, _integer, complex_to_real
-from .lp import FeasibilityCertificate, _infeasible, _pivot, certify, hulls_intersect
+from .lp import FeasibilityCertificate, _float_solutions, _infeasible, _pivot, certify, hulls_intersect
 from .lp import nontrivial_zero_in_cone  # not called here: perfbench/spans.py wraps this name
 
 NULLSPACE_TOL = 1e-10
@@ -333,13 +341,14 @@ def _size_blocks(labels, pts, size, width, rng, samples, seen):
     M[:, 1:] = pts[combos].transpose(0, 2, 1)
     basis, nullity = _complex_nullspace(M)
     starts = np.flatnonzero(np.diff(nullity, prepend=-1)).tolist() + [len(combos)]
-    blocks = []
+    blocks, null = [], [None] * len(combos)  # null: each sampled subfamily's orthonormal basis
     for i, j in zip(starts, starts[1:]):
         nu = int(nullity[i])
         if nu == 1:
             blocks.append(basis[i:j, :, 0])
         elif nu > 1:
             q = np.linalg.qr(basis[i:j, :, :nu]).Q
+            null[i:j] = q
             g = rng.standard_normal((j - i, 2, nu, samples))
             blocks.append((q @ (g[:, 0] + 1j * g[:, 1])).transpose(0, 2, 1).reshape(-1, size))
     if not blocks:
@@ -364,7 +373,8 @@ def _size_blocks(labels, pts, size, width, rng, samples, seen):
     starts = np.flatnonzero(new).tolist()
     origins = np.where(nullity == 1, "circuit", "sampled")[sid[kept]]
     sups = [members[i][members[i] >= 0].tolist() for i in starts]
-    return [(tuple(labels[t] for t in sup), C[kept[i:j], : len(sup)], origins[i:j])
+    return [(tuple(labels[t] for t in sup), C[kept[i:j], : len(sup)], origins[i:j],
+             null[sid[kept[i]]] if len(sup) == size else None)
             for sup, i, j in zip(sups, starts, starts[1:] + [len(kept)])]
 
 
@@ -385,7 +395,7 @@ def enumerate_dependences(
     order is kept, through one set of keys carried across sizes."""
     sizes = _dependences_by_size(family, witness, config or ConsistencyConfig())
     return [AffineDependence(labels, c, o)
-            for blocks in sizes for labels, coeffs, origins in blocks
+            for blocks in sizes for labels, coeffs, origins, _ in blocks
             for c, o in zip(coeffs.tolist(), origins.tolist())]
 
 
@@ -414,46 +424,102 @@ def _exact_generators(coeffs, points):
 # above it is a batch alone.  2^17 float64 cells are 1 MiB, and a pivoting
 # batch keeps about three arrays of up to that size alive: its rows, its
 # tableau and one pivot's dense update.  At d=2 that is nine sampled blocks
-# of 64 LPs on 4 sets of 5 vertices (n=20).  On 6-set necessity checks of
-# such sets the traced peak is 3.4 MB and a check takes 29 ms of CPU,
-# against 1.8 MB and 32 ms at 2^16, 0.9 MB and 55 ms with one batch per
-# block, and 5.3 MB and 35 ms at 2^18.  A full batch pivots for about 20
-# iterations, and about half of them pivot fewer than a quarter of its LPs:
-# fewer, larger batches pay that fixed numpy cost per iteration less often.
+# of 64 LPs on 4 sets of 5 vertices (n=20).  A full batch pivots for about
+# 20 iterations, and fewer, larger batches pay the fixed numpy cost of an
+# iteration less often.  The sampled rows of planted checks now mostly come
+# from realization LPs and do not pivot: on 6-set necessity checks of such
+# sets the traced peak is 2.0 MB and a check takes 13-15 ms of CPU, as at
+# 2^16 (1.2 MB) and 2^18 (3.2 MB) within the noise of a shared 2-vCPU host,
+# against 0.9 MB and 22-26 ms with one batch per block.
 _BATCH_CELLS = 2**17
 
 
 def _batched_lifts(family: Family, blocks, config: ConsistencyConfig):
     """(resid, lift, nolift) of :func:`_lift_batch` for each lock-step batch
-    of the blocks (labels, coeffs, origins) of :func:`_dependences_by_size`,
-    in order.  Consecutive blocks whose labels have equal vertex counts, so
-    that their cone LPs share one shape and layout, are packed in order into
-    batches within _BATCH_CELLS, and each batch is lifted when it is
-    reached.  Every coefficient must be nonzero, as enumerated ones are on
-    their support: :func:`lift_dependence` drops a caller's zeros before it
-    comes here."""
+    of the blocks (labels, coeffs, origins, null) of
+    :func:`_dependences_by_size`, in order.  Consecutive blocks whose labels
+    have equal vertex counts, so that their cone LPs share one shape and
+    layout, form a run: the realization LPs of its blocks with a null basis
+    are solved first, unless ``config.exact``, and the run is packed in
+    order into batches within _BATCH_CELLS, each lifted when it is reached,
+    with each block's realization weights in place of its null basis.  Every
+    coefficient must be nonzero, as enumerated ones are on their support:
+    :func:`lift_dependence` drops a caller's zeros before it comes here."""
     m = 2 * family.dim + 3
-    batches, last, used = [], None, 0
+    runs, last, used = [], None, 0
     for block in blocks:
         counts = [len(family[label].vertices) for label in block[0]]
         cells = len(block[1]) * (m + 1) * (sum(counts) + m + 1)
+        if counts != last:
+            runs.append([])
         if counts != last or used + cells > _BATCH_CELLS:
-            batches.append([])
+            runs[-1].append([])
             last, used = counts, 0
-        batches[-1].append(block)
+        runs[-1][-1].append(block)
         used += cells
-    for batch in batches:
-        yield _lift_batch(family, batch, config)
+    for run in runs:
+        W = None if config.exact else _realizations(family, [b for batch in run for b in batch])
+        W = repeat(None) if W is None else iter(W)
+        for batch in run:
+            yield _lift_batch(family, [(*block[:3], next(W)) for block in batch], config)
+
+
+def _block_vertices(family: Family, blocks):
+    """Each block's vertices, label by label: (blocks, n, d)."""
+    return np.stack([np.concatenate([family[label].vertices for label in b[0]]) for b in blocks])
+
+
+def _realizations(family: Family, blocks):
+    """Candidate cone LP witnesses (blocks, n) of a run of blocks (labels,
+    coeffs, origins, null) whose labels have equal vertex counts, one for
+    every row of a block, NaN for a block without one; None when fewer than
+    two blocks have a null basis.  For a block of s labels with the
+    orthonormal basis q (s, nu) of its subfamily's null space, one float
+    realization LP asks for convex weights w over each label's vertices v
+    whose points p_F = sum_v w_Fv v give sum_F q_iF p_F = 0 for every i:
+    2d nu rows, read in R^{2d}, and s rows of ones.  Every row a of the
+    block lies in the span of q, so sum_F a_F p_F = 0 and sum_F a_F = 0, and
+    its candidate is w / s, with r_F = 1/s.  The blocks of one nullity are
+    solved as one batch.
+
+    A lone block is left to its cone LPs: its realization LP would be a
+    lock-step solve of its own, about 1 ms at d=2, against about 2.5 ms for
+    the cone LPs of 64 sampled rows that it saves when it is feasible.  On
+    the Gaussian witnesses of the refutation benchmark it is infeasible
+    about two times in three, and its cost would go to the slowest checks
+    (their 95th percentile rose by about 30%)."""
+    have = [b for b, block in enumerate(blocks) if block[3] is not None]
+    if len(have) < 2:
+        return None
+    counts = [len(family[label].vertices) for label in blocks[0][0]]
+    s, d = len(counts), family.dim
+    W = np.full((len(blocks), sum(counts)), np.nan)
+    convex = np.repeat(np.eye(s), counts, axis=1)  # each vertex's label
+    for nu in sorted({blocks[b][3].shape[1] for b in have}):
+        group = [b for b in have if blocks[b][3].shape[1] == nu]
+        V = _block_vertices(family, [blocks[b] for b in group])
+        G = np.repeat(np.stack([blocks[b][3] for b in group]), counts, axis=1)  # (g, n, nu)
+        G = (G[..., None] * V[:, :, None]).reshape(len(group), -1, nu * d)
+        rows = np.concatenate([complex_to_real(G).transpose(0, 2, 1),
+                               np.broadcast_to(convex, (len(group),) + convex.shape)], axis=1)
+        rhs = np.zeros(rows.shape[:2])
+        rhs[:, -s:] = 1.0
+        W[group] = _float_solutions(rows, rhs) / s
+    return W
 
 
 def _lift_batch(family: Family, batch, config: ConsistencyConfig):
-    """Lift the dependences of blocks whose labels have equal vertex counts,
-    in order, up to the first NoLift.  Their cone LPs are built as one array
-    and go through :func:`tvlab.lp.certify` as one (exactly with
-    ``config.exact``): each asks for convex weights of the columns, the
-    generators (a_F v, a_F) in C^{d+1}, read in R^{2d+2}, of the vertices v
-    of each label F over a one, that sum them to (0, 1).  The witnesses
-    come back in runs of consecutive programs and are read as one array.
+    """Lift the dependences of blocks (labels, coeffs, origins, realized)
+    whose labels have equal vertex counts, in order, up to the first NoLift.
+    Their cone LPs are built as one array and go through
+    :func:`tvlab.lp.certify` as one (exactly with ``config.exact``): each
+    asks for convex weights of the columns, the generators (a_F v, a_F) in
+    C^{d+1}, read in R^{2d+2}, of the vertices v of each label F over a one,
+    that sum them to (0, 1).  A block's realized weights of
+    :func:`_realizations` (NaN for none) are the candidate witness of each
+    of its rows; with None for every block there are no candidates.  The
+    witnesses come back in runs of consecutive programs and are read as one
+    array.
 
     r, the in-set points and both residuals of the lifted dependences are
     computed as arrays, in the bits of the one-dependence formulas.  Returns
@@ -461,12 +527,11 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
     dependence, lift(i), which builds the Lift of the i-th, and the NoLift
     that ends the batch, or None.  An AffineDependence is built only for
     these two."""
-    labels, coeffs, origins = zip(*batch)
+    labels, coeffs, origins, realized = zip(*batch)
     counts = [len(family[label].vertices) for label in labels[0]]
     a, origins = np.concatenate(coeffs), np.concatenate(origins)  # a: (B, s)
     of = np.repeat(np.arange(len(batch)), [len(c) for c in coeffs])  # each row's block
-    # each block's vertices, label by label: (blocks, n, d)
-    V = np.stack([np.concatenate([family[label].vertices for label in ls]) for ls in labels])
+    V = _block_vertices(family, batch)
     G = np.empty((len(a), V.shape[1], family.dim + 1), dtype=complex)
     G[..., -1] = np.repeat(a, counts, axis=1)
     np.multiply(G[..., -1:], V[of], out=G[..., :-1])
@@ -479,8 +544,9 @@ def _lift_batch(family: Family, batch, config: ConsistencyConfig):
     def dependence(i):
         return AffineDependence(labels[of[i]], a[i].tolist(), str(origins[i]))
 
+    cand = None if realized[0] is None else np.stack(realized)[of]
     runs, nolift = [np.empty((0, V.shape[1]))], None
-    for lam, farkas in certify(rows, rhs, exact=config.exact):
+    for lam, farkas in certify(rows, rhs, exact=config.exact, witnesses=cand):
         if farkas is not None:
             nolift = NoLift(dependence(sum(map(len, runs))), _infeasible(farkas))
             break
@@ -524,7 +590,7 @@ def lift_dependence(
     """
     nz = [g for g, a in enumerate(dep.coeffs) if a]
     coeffs = np.array([[dep.coeffs[g] for g in nz]])
-    part = (tuple(dep.labels[g] for g in nz), coeffs, np.array([dep.origin]))
+    part = (tuple(dep.labels[g] for g in nz), coeffs, np.array([dep.origin]), None)
     _, lift, nolift = next(_batched_lifts(family, [part], config or ConsistencyConfig()))
     if nolift is not None:
         return NoLift(dep, nolift.certificate)
@@ -545,16 +611,20 @@ def check_dependency_consistency(
     fail enumerates no size past its own.  They are lifted in the lock-step
     batches of :func:`_batched_lifts`, whose results are read in enumeration
     order: a NoLift stops the check before any exact work on the LPs after
-    it, and every verdict, lift and certificate is the one that the
-    dependence alone would give."""
+    it, and every NoLift and its certificate are the ones that the
+    dependence alone would give.  A lift from a realization re-substitutes
+    into the dependence's own cone LP to FEAS_TOL, the rule by which
+    certify keeps its own float witnesses, but it is not the lift that the
+    dependence alone would give, and where the sets are tangent to the
+    realization's points the dependence alone may have none."""
     config = config or ConsistencyConfig()
     if family.ambient != "complex":
         raise ValueError("dependency consistency is a complex-ambient check")
     n_dependences = n_circuits = 0
     max_resid, worst = 0.0, None
     for blocks in _dependences_by_size(family, witness, config):
-        n_dependences += sum(len(origins) for _, _, origins in blocks)
-        n_circuits += sum(int(np.count_nonzero(o == "circuit")) for _, _, o in blocks)
+        n_dependences += sum(len(origins) for _, _, origins, _ in blocks)
+        n_circuits += sum(int(np.count_nonzero(o == "circuit")) for _, _, o, _ in blocks)
         for resid, lift, nolift in _batched_lifts(family, blocks, config):
             if nolift is not None:
                 return ConsistencyVerdict("fail", config.samples, n_dependences, n_circuits,

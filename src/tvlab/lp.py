@@ -27,9 +27,11 @@ The pivot row is written after the update.
 
 :func:`certify` holds the one float-to-exact escalation policy, for a batch
 of programs of one shape and, as a batch of one, for :func:`lp_feasible`,
-and yields each run of consecutive kept float witnesses as one array.  A
-float answer is kept only as a witness that re-substitutes to within 1e-9,
-or as the Farkas functional of the element's own final phase-1 basis: its
+and yields each run of consecutive kept float witnesses as one array.  It
+may be given candidate witnesses, and then solves only the programs whose
+candidate does not re-substitute.  A float answer is kept only as a
+witness that re-substitutes to within 1e-9, or as the Farkas functional
+of the element's own final phase-1 basis: its
 dual y, solved exactly (floats are dyadic rationals, so in integers, by
 :mod:`tvlab._exact`) and kept when y'A <= 0 and y'b > 0 hold exactly, after
 QSopt_ex (Applegate, Cook, Dash & Espinoza, 2007).  Every other element is
@@ -355,15 +357,18 @@ def _verified(rows, rhs, n_nonneg, x) -> np.ndarray:
     )
 
 
-def certify(rows, rhs, objective=None, n_free=0, exact=False):
+def certify(rows, rhs, objective=None, n_free=0, exact=False, witnesses=None):
     """Certified feasibility of a batch of programs of one shape:
     rows[e] @ x = rhs[e] with rows (B, m, n) and rhs (B, m), the last
     ``n_free`` variables free and the others >= 0, minimizing
     objective[e] @ x when ``objective`` (B, n) is given.
 
-    Unless ``exact``, the batch is solved in one lock-step float tableau,
-    and all its float witnesses are re-substituted at once, in one batched
-    product rows @ x and one nonnegativity test (:func:`_verified`).
+    Unless ``exact``, candidate float witnesses (B, n) of a feasibility
+    batch may come in ``witnesses``, with NaN rows where a program has none,
+    and the programs whose candidate does not re-substitute are solved in
+    one lock-step float tableau; without candidates, every program is.  All
+    the float witnesses are re-substituted at once, in one batched product
+    rows @ x and one nonnegativity test (:func:`_verified`).
     Yields, in program order, (X, None) with the witnesses X (r, n) of r
     consecutive programs or (None, y) with the exact Farkas functional y
     (Fractions) of one program.  A float witness is kept when it
@@ -388,9 +393,17 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
 
     kept = np.zeros(B, dtype=bool)
     if not exact:
-        status, x, _, basis = _solve_standard(A, rhs, c, _FLOAT)
-        x = merged(x)
-        kept = (status == "feasible") & _verified(rows, rhs, k, x)
+        x = np.empty((B, n))
+        if witnesses is not None:
+            x[:] = witnesses
+            kept = _verified(rows, rhs, k, x)
+        status, basis = np.full(B, "feasible", dtype=object), np.zeros((B, m), dtype=int)
+        todo = np.flatnonzero(~kept)
+        if todo.size:  # the programs left, gathered only when some are kept
+            at = todo if todo.size < B else slice(None)
+            solved = _solve_standard(A[at], rhs[at], None if c is None else c[at], _FLOAT)
+            status[at], x[at], basis[at] = solved[0], merged(solved[1]), solved[3]
+            kept[at] = (status[at] == "feasible") & _verified(rows[at], rhs[at], k, x[at])
     first = 0  # the first program not yet yielded
     for e in np.flatnonzero(~kept).tolist():
         if first < e:  # the run of kept witnesses before e
@@ -412,6 +425,15 @@ def certify(rows, rhs, objective=None, n_free=0, exact=False):
         yield (merged(x_e), None) if status_e == "feasible" else (None, y)
     if first < B:
         yield x[first:], None
+
+
+def _float_solutions(rows, rhs) -> np.ndarray:
+    """Float solutions x (B, n) of a batch of feasibility programs
+    rows[e] @ x = rhs[e], x >= 0 of one shape, from one lock-step float
+    tableau, with NaN rows where the float solve finds none.  Nothing is
+    certified: they serve only as candidate witnesses of :func:`certify`."""
+    status, x, _, _ = _solve_standard(rows, rhs, None, _FLOAT)
+    return np.where((status == "feasible")[:, None], x, np.nan)
 
 
 def lp_feasible(lp: LinearProgram, exact: bool = False) -> FeasibilityCertificate:

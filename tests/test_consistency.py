@@ -54,19 +54,26 @@ def _cone_generators(fam, dep):
 
 
 def _blocks(deps):
-    """Dependences as the blocks (labels, coeffs, origins) that the check
-    lifts: each maximal run with equal support labels."""
+    """Dependences as the blocks (labels, coeffs, origins, null) that the
+    check lifts, each maximal run with equal support labels, but without a
+    null basis: each row is lifted from its own cone LP, as it is alone."""
     return [
-        (labels, np.array([d.coeffs for d in run]), np.array([d.origin for d in run]))
+        (labels, np.array([d.coeffs for d in run]), np.array([d.origin for d in run]), None)
         for labels, run in ((k, list(g)) for k, g in groupby(deps, attrgetter("labels")))
     ]
+
+
+def _check_blocks(fam, w, cfg):
+    """The blocks of every subfamily size as the check lifts them, those of
+    sampled subfamilies with their null bases."""
+    return [block for blocks in _dependences_by_size(fam, w, cfg) for block in blocks]
 
 
 def _sizes(fam, w, cfg):
     """The dependences of each subfamily size, as the check enumerates them."""
     return [
         [AffineDependence(labels, c, o)
-         for labels, coeffs, origins in blocks for c, o in zip(coeffs.tolist(), origins.tolist())]
+         for labels, coeffs, origins, _ in blocks for c, o in zip(coeffs.tolist(), origins.tolist())]
         for blocks in _dependences_by_size(fam, w, cfg)
     ]
 
@@ -612,17 +619,19 @@ def _gen_case(n_sets, seed, planted):
 # labels, max_lift_residual.hex()) at samples=32, recorded when every lift was
 # still solved on its own; the first three fail inside a sampled block of 32
 # (first no-lift at position 15, 11 and 14; the last two blocks hold three
-# no-lifts each), the other fails are circuits, whose counts stop at size 3
+# no-lifts each), the other fails are circuits, whose counts stop at size 3.
+# The residuals of the planted passes of five and six sets were recorded
+# again when their sampled rows came to be lifted from realization LPs
 GOLDEN = {
     (4, 31, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
     (4, 1111, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
     (4, 1337, False): ("fail", 36, 4, 32, ("S0", "S1", "S2", "S3"), "0x0.0p+0"),
     (3, 1, True): ("pass", 1, 1, 0, None, "0x1.43b0f532b2e5dp-52"),
     (4, 2, True): ("pass", 36, 4, 32, None, "0x1.cb2708efe7113p-48"),
-    (5, 3, True): ("pass", 202, 10, 192, None, "0x1.7410dbd542427p-48"),
-    (6, 4, True): ("pass", 692, 20, 672, None, "0x1.746d62b6a33cdp-42"),
-    (6, 5, True): ("pass", 692, 20, 672, None, "0x1.c5d47d1f49c16p-39"),
-    (5, 6, True): ("pass", 202, 10, 192, None, "0x1.101c60d3d8f53p-45"),
+    (5, 3, True): ("pass", 202, 10, 192, None, "0x1.19345d8321f7ap-49"),
+    (6, 4, True): ("pass", 692, 20, 672, None, "0x1.c2c000a391403p-45"),
+    (6, 5, True): ("pass", 692, 20, 672, None, "0x1.1a2156ae8abc2p-46"),
+    (5, 6, True): ("pass", 202, 10, 192, None, "0x1.c00492432c189p-49"),
     (4, 11, False): ("fail", 4, 4, 0, ("S0", "S1", "S2"), "0x0.0p+0"),
     (5, 12, False): ("fail", 10, 10, 0, ("S0", "S3", "S4"), "0x0.0p+0"),
     (6, 13, False): ("fail", 20, 20, 0, ("S0", "S2", "S3"), "0x0.0p+0"),
@@ -633,14 +642,29 @@ GOLDEN = {
 
 
 def _block_lifts(fam, w, cfg):
-    """Every lift of a passing check, block by block as the check solves them;
-    none for a failing one."""
+    """Every lift of a passing check, a batch per block, each row from its
+    own cone LP; none for a failing one."""
     lifts = []
     for block in _blocks(enumerate_dependences(fam, w, cfg)):
         [(resid, lift, nolift)] = _batched_lifts(fam, [block], cfg)
         if nolift is not None:
             return []
         lifts.extend(map(lift, range(len(resid))))
+    return lifts
+
+
+def _realized_lifts(fam, w, cfg):
+    """Every lift of a passing check, from the blocks as the check lifts
+    them, but each run of blocks with equal vertex counts as one batch."""
+    import tvlab.consistency as consistency
+
+    lifts = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(consistency, "_BATCH_CELLS", 2**62)
+        for blocks in _dependences_by_size(fam, w, cfg):
+            for resid, lift, nolift in _batched_lifts(fam, blocks, cfg):
+                assert nolift is None
+                lifts.extend(map(lift, range(len(resid))))
     return lifts
 
 
@@ -653,7 +677,7 @@ def test_block_lifts_keep_recorded_verdicts(case):
     got = (v.status, v.n_dependences, v.n_circuits, v.n_sampled, violating)
     assert got + (v.max_lift_residual.hex(),) == GOLDEN[case]
     assert v.violation is None or v.violation.exact
-    # a lift does not depend on the block it was solved in
+    # a lift from the row's own cone LP does not depend on the block it was solved in
     for lift in _block_lifts(fam, w, cfg):
         alone = lift_dependence(fam, lift.dependence, cfg)
         assert np.asarray(lift.r).tobytes() == np.asarray(alone.r).tobytes()
@@ -665,7 +689,7 @@ def test_worst_lift_is_the_first_largest_kept_lift(case):
     fam, w = _gen_case(*case)
     cfg = ConsistencyConfig(samples=32, seed=case[1])
     v = check_dependency_consistency(fam, w, cfg)
-    kept = _block_lifts(fam, w, cfg)
+    kept = _realized_lifts(fam, w, cfg)
     resid = [max(lift.residuals()) for lift in kept]
     want = kept[resid.index(max(resid))]
     got = v.worst_lift
@@ -782,6 +806,8 @@ def test_degenerate_batch_keeps_recorded_bits():
 
 
 def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
+    # the sampled block of (4, 2) is alone in its size, so it gets no
+    # realization LP and its rows are solved as a float batch
     import tvlab.lp as lp
 
     fam, w = _gen_case(4, 2, True)
@@ -799,19 +825,22 @@ def test_unverified_witness_in_block_is_decided_alone_exactly(monkeypatch):
         target = np.array([np.array_equal(A, target_rows) for A in rows])
         return verified(rows, rhs, n_nonneg, x) & ~target
 
-    exact_solves = []
+    exact_solves, float_solved = [], []
     solve = lp._solve_standard
 
     def spy(A, b, c, ar):
         result = solve(A, b, c, ar)
         if ar is lp._EXACT:
             exact_solves.append((A, result[0]))
+        else:
+            float_solved.extend(np.array_equal(rows, target_rows) for rows in A)
         return result
 
     monkeypatch.setattr(lp, "_verified", reject_target)
     monkeypatch.setattr(lp, "_solve_standard", spy)
     v = check_dependency_consistency(fam, w, cfg)
     assert v.passed and v.n_dependences == len(deps) == 36
+    assert float_solved.count(True) == 1  # in the block's float batch
     # only the rejected program was escalated, alone, and decided exactly
     assert len(exact_solves) == 1
     A, status = exact_solves[0]
@@ -839,7 +868,9 @@ def _lifts_until_nolift(fam, blocks, cfg):
 # (case, index of the rejected dependence): of (4, 31, False), the first and
 # the last of its batch of four circuits, and the first, an inner one and the
 # last before the NoLift at 19 of its sampled batch, 4 to 35; the last of
-# (4, 2, True), which passes
+# (4, 2, True), which passes.  Each sampled block is alone in its size, so
+# it gets no realization LP and the check solves every row of it in a float
+# batch
 REJECTED = [((4, 31, False), 0), ((4, 31, False), 3), ((4, 31, False), 4),
             ((4, 31, False), 10), ((4, 31, False), 18), ((4, 2, True), 35)]
 
@@ -867,7 +898,7 @@ def test_a_rejected_witness_ends_its_run_of_kept_witnesses(case, at, monkeypatch
     exact = []
     _spy(monkeypatch, exact, lp, "_solve_standard", lambda A, b, c, ar: A if ar is lp._EXACT else None)
     monkeypatch.setattr(lp, "_verified", reject_target)
-    resid, lifts, nolift = _lifts_until_nolift(fam, _blocks(deps), cfg)
+    resid, lifts, nolift = _lifts_until_nolift(fam, _check_blocks(fam, w, cfg), cfg)
     solved = [A for A in exact if A is not None]
     assert len(solved) == 1 and np.array_equal(solved[0], target_rows[None])
     want = _lifts_until_nolift(fam, [block for dep in deps for block in _blocks([dep])], cfg)
@@ -901,7 +932,9 @@ def test_block_certifies_its_nolift_from_its_own_basis(case, monkeypatch):
     # one float tableau per lifted batch, which holds several blocks, and no
     # float re-solve of the NoLift: its Farkas functional comes from its
     # batch's final basis, and is read off once, also in the batches that
-    # hold three no-lifts
+    # hold three no-lifts.  A sampled block of four sets is alone in its
+    # size, so it gets no realization LP: every row of it is solved in that
+    # tableau
     import tvlab.consistency as consistency
     import tvlab.lp as lp
 
@@ -909,11 +942,13 @@ def test_block_certifies_its_nolift_from_its_own_basis(case, monkeypatch):
     calls = []
     _spy(monkeypatch, calls, consistency, "certify")
     _spy(monkeypatch, calls, consistency, "_lift_batch")
+    _spy(monkeypatch, calls, consistency, "_float_solutions")
     _spy(monkeypatch, calls, lp, "_basis_farkas")
     _spy(monkeypatch, calls, lp, "_solve_standard",
          lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
     v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=32, seed=case[1]))
     assert v.status == "fail" and v.violation.exact
+    assert "_float_solutions" not in calls
     assert calls.count("float") == calls.count("certify") > 0
     assert calls.count("certify") <= calls.count("_lift_batch")
     assert calls.count("_basis_farkas") == 1
@@ -953,14 +988,15 @@ def test_nolift_in_a_later_block_of_a_batch_is_the_first_and_ends_the_work(monke
 def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeypatch):
     # the 960 sampled LPs of support size 4 hold more cells than the budget,
     # so they go in several batches, each within it; at a budget below one
-    # block, each block is a batch alone.  Either way each block's residuals
-    # are those of the lifts of its own batch, to the bit.  The 1364
-    # dependences at samples=64 were counted with the budget at 2^16
+    # block, each block is a batch alone.  Either way the residuals are those
+    # of one batch per run of blocks with equal vertex counts, to the bit,
+    # the run's realization LPs included.  The 1364 dependences at
+    # samples=64 were counted with the budget at 2^16
     import tvlab.consistency as consistency
 
     fam, w = _gen_case(6, 4, True)
     cfg = ConsistencyConfig(samples=64, seed=4)
-    lifted = [max(lift.residuals()) for lift in _block_lifts(fam, w, cfg)]
+    lifted = [max(lift.residuals()) for lift in _realized_lifts(fam, w, cfg)]
     if budget == "one-block":
         monkeypatch.setattr(consistency, "_BATCH_CELLS", 1)
     limit = consistency._BATCH_CELLS
@@ -1008,7 +1044,7 @@ def test_mixed_vertex_counts_give_the_blockwise_verdict(seed, monkeypatch):
     fam = Family(inst.family.labels, sets)
     cfg = ConsistencyConfig(samples=16, seed=seed)
     want, worst = None, 0.0
-    for block in _blocks(enumerate_dependences(fam, w, cfg)):
+    for block in _check_blocks(fam, w, cfg):
         [(resid, _, nolift)] = _batched_lifts(fam, [block], cfg)
         if nolift is not None:
             want = nolift
@@ -1048,7 +1084,7 @@ def test_a_fail_stops_the_enumeration_at_its_size(case, monkeypatch):
     deps = [dep for size in sizes for dep in size]
     assert _enumeration_digest(deps) == _enumeration_digest(enumerate_dependences(fam, w, cfg))
     want, worst, max_resid = None, None, 0.0  # the eager reference's verdict
-    for resid, lift, nolift in _batched_lifts(fam, _blocks(deps), cfg):
+    for resid, lift, nolift in _batched_lifts(fam, _check_blocks(fam, w, cfg), cfg):
         if nolift is not None:
             want, worst, max_resid = nolift, None, 0.0
             break
@@ -1102,20 +1138,24 @@ def test_nolift_inside_sampled_block_is_the_first_failure(seed):
     assert all(t <= 0 for t in yA) and y[-1] > 0
 
 
-@pytest.mark.xfail(
+TANGENT_CIRCUIT = pytest.mark.xfail(
     strict=True,
     reason="ROADMAP items 2 and 7: the sets are tangent to the planted transversal, and "
-    "the float-rounded witness has a true NoLift: on (S0, S1, S3, S5), for the "
-    "float-sampled dependence and for an exact one on the same support, and on the "
-    "circuit (S0, S4, S5), which a relative 1e-12 inflation of every set mends",
+    "the float-rounded witness has a true NoLift on the circuit (S0, S4, S5), which a "
+    "relative 1e-12 inflation of every set mends",
 )
-@pytest.mark.parametrize("seed", [868085967, 3397384325], ids=["304-22", "932-129"])
+
+
+@pytest.mark.parametrize("seed", [pytest.param(868085967, id="304-22"),
+                                  pytest.param(3397384325, id="932-129", marks=TANGENT_CIRCUIT)])
 def test_planted_family_is_not_refuted(seed):
     # a planted family is consistent by construction (necessity-d2 seed 304,
     # pool index 22, and seed 932, pool index 129), but only for witness
-    # points exactly on H and in the sets; rounded to floats, the first
-    # witness has no lift on (S0, S1, S3, S5) and the second none on the
-    # circuit (S0, S4, S5)
+    # points exactly on H and in the sets; rounded to floats, the second
+    # witness has no lift on the circuit (S0, S4, S5).  The first has none on
+    # one sampled dependence of (S0, S1, S3, S5), whose exact cone LP misses
+    # by 3e-17, but the realization of that subfamily lifts it to within
+    # FEAS_TOL
     inst = gen_instance(GenSpec(d=2, n_sets=6, planted=True, seed=seed))
     w = witness_from_transversal(inst, inst.planted)
     v = check_dependency_consistency(inst.family, w, ConsistencyConfig(samples=64, seed=seed))
@@ -1136,6 +1176,166 @@ def test_passing_check_builds_a_dependence_only_for_a_new_worst_lift(monkeypatch
     assert v.passed and v.n_dependences == 692
     assert 0 < calls.count("AffineDependence") <= calls.count("certify")
     assert isinstance(v.worst_lift.dependence, AffineDependence)
+
+
+# -- sampled blocks lifted from realization LPs ---------------------------------
+
+
+def _alone_verdict(fam, w, cfg):
+    """(status, dependences, circuits, sampled, violating labels, exact
+    Farkas vector) from lifting each dependence alone, size by size, up to
+    the first NoLift."""
+    n = circuits = 0
+    for size in _sizes(fam, w, cfg):
+        n += len(size)
+        circuits += sum(dep.origin == "circuit" for dep in size)
+        for dep in size:
+            got = lift_dependence(fam, dep, cfg)
+            if isinstance(got, NoLift):
+                return ("fail", n, circuits, n - circuits, dep.labels, got.certificate.farkas_exact)
+    return ("pass", n, circuits, n - circuits, None, None)
+
+
+# 40 seeded d=2 families with 3 to 6 sets, planted and Gaussian, at samples=8
+SEEDED = [(3 + seed % 4, 500 + seed, seed // 4 % 2 == 0) for seed in range(40)]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN) + SEEDED, ids=str)
+def test_realized_check_gives_the_verdict_of_each_dependence_alone(case):
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=32 if case in GOLDEN else 8, seed=case[1])
+    v = check_dependency_consistency(fam, w, cfg)
+    nolift = v.violation
+    got = (v.status, v.n_dependences, v.n_circuits, v.n_sampled,
+           nolift and nolift.dependence.labels, nolift and nolift.certificate.farkas_exact)
+    assert got == _alone_verdict(fam, w, cfg)
+
+
+def _certified(monkeypatch):
+    """Spy on the check's certify calls: (rows, rhs, candidates, runs) of
+    each, its runs read to the end."""
+    import tvlab.consistency as consistency
+
+    calls = []
+    certify = consistency.certify
+
+    def spy(rows, rhs, exact=False, witnesses=None):
+        runs = list(certify(rows, rhs, exact=exact, witnesses=witnesses))
+        calls.append((rows, rhs, witnesses, runs))
+        yield from runs
+
+    monkeypatch.setattr(consistency, "certify", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case, every", [((5, 3, True), False), ((6, 4, True), True),
+                                         ((6, 207, True), True), ((6, 229, False), False)], ids=str)
+def test_every_realized_lift_re_substitutes_into_its_own_cone_lp(case, every, monkeypatch):
+    # a row whose candidate, its realization's weights over s, is kept, is
+    # yielded with the candidate's bits, and that witness re-substitutes
+    # into the row's own cone LP to FEAS_TOL; the check lifts every sampled
+    # row of the planted six-set families so
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(*case)
+    calls = _certified(monkeypatch)
+    v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=16, seed=case[1]))
+    assert v.passed
+    realized = 0
+    for rows, rhs, cand, runs in calls:
+        lam = np.concatenate([x for x, _ in runs])
+        assert len(lam) == len(rows)
+        if cand is None:
+            continue
+        kept = (lam == cand).all(axis=1)
+        assert (kept == lp._verified(rows, rhs, rows.shape[2], cand)).all()
+        assert lp._verified(rows[kept], rhs[kept], rows.shape[2], lam[kept]).all()
+        realized += int(kept.sum())
+    assert 0 < realized <= v.n_sampled
+    assert (realized == v.n_sampled) == every
+
+
+def test_exact_check_builds_no_realization(monkeypatch):
+    # the float check of this family realizes its five sampled blocks of size 4
+    import tvlab.consistency as consistency
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(5, 3, True)
+    calls = []
+    _spy(monkeypatch, calls, consistency, "_float_solutions")
+    check_dependency_consistency(fam, w, ConsistencyConfig(samples=1, seed=3))
+    assert calls == ["_float_solutions"]
+    calls.clear()
+    _spy(monkeypatch, calls, consistency, "_realizations")
+    _spy(monkeypatch, calls, lp, "_solve_standard", lambda A, b, c, ar: "float" if ar is lp._FLOAT else "exact")
+    v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=1, seed=3, exact=True))
+    assert v.passed and v.n_sampled == 6
+    assert calls == ["exact"] * v.n_dependences
+
+
+# fails inside a sampled block of size 4 at samples=16, among the blocks of
+# five or six sets, some of which are realized
+SAMPLED_FAILS = [(5, 231, False), (6, 463, False), (6, 569, False)]
+
+
+@pytest.mark.parametrize("case", SAMPLED_FAILS, ids=str)
+def test_unrealized_block_falls_back_to_its_own_cone_lps(case, monkeypatch):
+    # the failing block's realization LP is infeasible, so each of its rows
+    # is solved from its own cone LP, and the NoLift is that of the
+    # dependence alone
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=16, seed=case[1])
+    calls = _certified(monkeypatch)
+    v = check_dependency_consistency(fam, w, cfg)
+    assert v.status == "fail" and v.violation.dependence.origin == "sampled"
+    failing = v.violation.dependence.labels
+    rows, rhs, cand, runs = calls[-1]
+    first = next(i for i, (x, _) in enumerate(runs) if x is None)
+    at = sum(len(x) for x, _ in runs[:first])  # the NoLift's row
+    assert cand is not None and tuple(runs[first][1]) == v.violation.certificate.farkas_exact
+    block = [b for b in _check_blocks(fam, w, cfg) if b[0] == failing]
+    assert len(block) == 1 and block[0][3] is not None  # it has a null basis
+    assert np.isnan(cand[at]).all()
+    want = lift_dependence(fam, v.violation.dependence, cfg)
+    assert isinstance(want, NoLift)
+    assert v.violation.certificate.farkas_exact == want.certificate.farkas_exact
+    assert _alone_verdict(fam, w, cfg)[4] == failing
+
+
+def test_planted_check_solves_only_its_circuits_cone_lps(monkeypatch):
+    # a count guard, no timing: a 6-set planted check at samples 64 lifts
+    # every sampled row from its realization, so the float cone LPs that
+    # certify solves are the 20 circuits', and there is one realization LP
+    # per sampled subfamily
+    import tvlab.lp as lp
+
+    fam, w = _gen_case(6, 4, True)
+    cone = 2 * fam.dim + 3
+    solved = []
+    _spy(monkeypatch, solved, lp, "_solve_standard",
+         lambda A, b, c, ar: (A.shape[1] == cone, len(A)) if ar is lp._FLOAT else "exact")
+    v = check_dependency_consistency(fam, w, ConsistencyConfig(samples=64, seed=4))
+    assert v.passed and (v.n_dependences, v.n_circuits) == (1364, 20)
+    assert "exact" not in solved
+    assert sum(n for is_cone, n in solved if is_cone) == v.n_circuits
+    assert sum(n for is_cone, n in solved if not is_cone) == 15 + 6  # sizes 4 and 5
+
+
+def _reordered(fam, order):
+    """The family with its members in the given order."""
+    labels = tuple(fam.labels[i] for i in order)
+    return Family(labels, tuple(fam[label] for label in labels))
+
+
+@pytest.mark.parametrize("case", SEEDED[:20], ids=str)
+def test_member_order_leaves_status_and_counts(case):
+    # a metamorphic check: the members in a seeded order give another
+    # enumeration order and other samples, but the same status and counts
+    fam, w = _gen_case(*case)
+    cfg = ConsistencyConfig(samples=8, seed=case[1])
+    order = np.random.default_rng(case[1]).permutation(len(fam.labels)).tolist()
+    verdicts = [check_dependency_consistency(f, w, cfg) for f in (fam, _reordered(fam, order))]
+    assert len({(v.status, v.n_dependences, v.n_circuits, v.n_sampled) for v in verdicts}) == 1
 
 
 def test_config_rejects_samples_that_are_not_integers():

@@ -528,15 +528,17 @@ def test_numpy_einsum_forms_the_products_the_float_pivot_relies_on():
 
 
 def test_float_cone_solves_match_the_masked_pivot_up_to_the_sign_of_zero(monkeypatch):
-    # the float cone LPs of d=2 checks built as the benchmark builds them,
-    # planted families with their transversal's frame and unplanted ones
-    # with a Gaussian witness in C^1, solved again with the masked reference
-    # pivot: the same statuses and bases, and x and y equal in bits once
-    # -0.0 is read as +0.0
+    # the float cone LPs of the dependences of d=2 checks built as the
+    # benchmark builds them, planted families with their transversal's frame
+    # and unplanted ones with a Gaussian witness in C^1, each lifted alone (a
+    # check lifts most sampled ones from a realization instead), solved again
+    # as batches of one shape with the masked reference pivot: the same
+    # statuses and bases, and x and y equal in bits once -0.0 is read as +0.0
     from tvlab.consistency import (
         ConsistencyConfig,
         ConsistencyWitness,
-        check_dependency_consistency,
+        enumerate_dependences,
+        lift_dependence,
     )
     from tvlab.harness import GenSpec, gen_instance, witness_from_transversal
 
@@ -560,14 +562,18 @@ def test_float_cone_solves_match_the_masked_pivot_up_to_the_sign_of_zero(monkeyp
 
     monkeypatch.setattr(lp_module, "_solve_standard", spy)
     for family, witness, config in checks:
-        check_dependency_consistency(family, witness, config)
+        for dep in enumerate_dependences(family, witness, config):
+            lift_dependence(family, dep, config)
     monkeypatch.undo()
     assert sum(len(A) for A, _, _ in programs) > 1000
-    for A, b, c in programs:
-        got = solve(A, b, c, lp_module._FLOAT)
+    assert all(c is None for _, _, c in programs)
+    for shape in sorted({A.shape[1:] for A, _, _ in programs}):
+        A = np.concatenate([P for P, _, _ in programs if P.shape[1:] == shape])
+        b = np.concatenate([q for P, q, _ in programs if P.shape[1:] == shape])
+        got = solve(A, b, None, lp_module._FLOAT)
         with monkeypatch.context() as m:
             m.setattr(lp_module, "_pivot", _masked_pivot)
-            want = solve(A, b, c, lp_module._FLOAT)
+            want = solve(A, b, None, lp_module._FLOAT)
         assert got[0].tolist() == want[0].tolist()
         assert got[3].tolist() == want[3].tolist()
         for g, w in zip(got[1:3], want[1:3]):
@@ -598,6 +604,48 @@ def test_lock_step_batch_matches_single_solves():
                 assert one[1][0].tobytes() == x[e].tobytes()
             if status[e] == "infeasible":
                 assert one[2][0].tobytes() == y[e].tobytes()
+
+
+def _per_program(runs):
+    """certify's runs as one result per program: a witness row or a Farkas vector."""
+    out = []
+    for x, y in runs:
+        out.extend(list(x) if y is None else [y])
+    return out
+
+
+def test_certify_solves_only_the_programs_whose_candidate_fails(monkeypatch):
+    # candidates for some feasible programs, a wrong one (all zeros) for
+    # another, NaN for the rest: the kept candidates are yielded as they are
+    # and only the other programs reach the float tableau, each with the
+    # result it has without candidates
+    rng = np.random.default_rng(5)
+    A = np.round(rng.standard_normal((24, 3, 6)) * 2, 1)
+    b = np.round(rng.standard_normal((24, 3)) * 2, 1)
+    status, x, _, _ = lp_module._solve_standard(A, b, None, lp_module._FLOAT)
+    feasible = np.flatnonzero(status == "feasible")
+    assert 4 < len(feasible) < len(A)
+    cand = np.full(x.shape, np.nan)
+    cand[feasible[:-1:2]] = x[feasible[:-1:2]]
+    cand[feasible[-1]] = 0.0
+    plain = _per_program(certify(A, b))
+    solved = []
+    solve = lp_module._solve_standard
+
+    def spy(A, b, c, ar):
+        solved.append((ar is lp_module._FLOAT, len(A)))
+        return solve(A, b, c, ar)
+
+    monkeypatch.setattr(lp_module, "_solve_standard", spy)
+    got = _per_program(certify(A, b, witnesses=cand))
+    assert solved[0] == (True, len(A) - len(feasible[:-1:2]))
+    assert all(not is_float for is_float, _ in solved[1:])  # exact ones, one program each
+    for g, p in zip(got, plain, strict=True):
+        assert g.dtype == p.dtype
+        assert list(g) == list(p) if g.dtype == object else g.tobytes() == p.tobytes()
+    # an exact solve takes no candidates
+    exact = _per_program(certify(A, b, exact=True, witnesses=cand))
+    assert [g.dtype for g in exact] == [object] * len(A)
 
 
 def test_float_infeasible_verdict_is_certified_from_the_basis(monkeypatch):
@@ -631,9 +679,11 @@ def test_float_infeasible_verdict_is_certified_from_the_basis(monkeypatch):
 # sha256 over status, x, y and basis of every float _solve_standard batch of
 # a seeded pool: planted d=2 checks, checks of Gaussian witnesses in C^1 and
 # budgeted direction searches, with 3 to 6 sets on seeds 0-3; recorded at
-# commit c16bbb2 with numpy 2.4.6 / OpenBLAS 0.3.31.  It checks that the
-# float simplex keeps those bits
-FLOAT_SOLVE_DIGEST = "434b24b5a1d7708ca0654b7535910878405c1aa546c6aaefab4d897d01ae21f3"
+# commit c16bbb2 with numpy 2.4.6 / OpenBLAS 0.3.31, and again for the new
+# batches when the checks came to lift sampled blocks from realization LPs
+# (the float simplex of 8617378 gives the same bits on them).  It checks
+# that the float simplex keeps those bits
+FLOAT_SOLVE_DIGEST = "526e1b772378fab37f53ea6409d7abdc1df5f369b76afe58d74c3bb954942a70"
 
 
 def test_float_solves_keep_recorded_bits(monkeypatch):

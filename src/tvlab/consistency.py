@@ -318,8 +318,10 @@ def _dependences_by_size(family: Family, witness: ConsistencyWitness, config: Co
     blocks per subfamily size 2 .. min(n, 2k+3) (empty where a size has none),
     each yielded before the next size is eliminated or sampled.  A block is a
     maximal run of consecutive dependences with equal support labels, held as
-    (labels, coeffs, origins): the labels, a (b, s) complex array of the
-    coefficients and a (b,) array of the origins."""
+    (labels, coeffs, origins, null): the labels, a (b, s) complex array of
+    the coefficients, a (b,) array of the origins and, for the sampled rows
+    of a subfamily with full support, its orthonormal null basis (s, nu),
+    else None."""
     if not witness.covers(family):
         raise ValueError("witness must assign every family label")
     labels = family.labels
@@ -439,12 +441,14 @@ def _batched_lifts(family: Family, blocks, config: ConsistencyConfig):
     of the blocks (labels, coeffs, origins, null) of
     :func:`_dependences_by_size`, in order.  Consecutive blocks whose labels
     have equal vertex counts, so that their cone LPs share one shape and
-    layout, form a run: the realization LPs of its blocks with a null basis
-    are solved first, unless ``config.exact``, and the run is packed in
-    order into batches within _BATCH_CELLS, each lifted when it is reached,
-    with each block's realization weights in place of its null basis.  Every
-    coefficient must be nonzero, as enumerated ones are on their support:
-    :func:`lift_dependence` drops a caller's zeros before it comes here."""
+    layout, form a run, packed in order into batches within _BATCH_CELLS.
+    Unless ``config.exact``, the realization LPs of a run's blocks with a
+    null basis are solved together, ahead of the run's first batch: a
+    NoLift in an early batch does not spare the later batches' share.
+    Each batch is lifted when it is reached, with each block's realization
+    weights in place of its null basis.  Every coefficient must be nonzero,
+    as enumerated ones are on their support: :func:`lift_dependence` drops
+    a caller's zeros before it comes here."""
     m = 2 * family.dim + 3
     runs, last, used = [], None, 0
     for block in blocks:

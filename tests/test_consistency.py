@@ -984,19 +984,28 @@ def test_nolift_in_a_later_block_of_a_batch_is_the_first_and_ends_the_work(monke
     assert calls == ["float"] + ["exact"] * first + ["_basis_farkas"]
 
 
-@pytest.mark.parametrize("budget", ["module", "one-block"])
-def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeypatch):
+@pytest.mark.parametrize(
+    "budget,realized",
+    [("module", True), ("one-block", True), ("module", False), ("one-block", False)],
+    ids=["module", "one-block", "module-pivoted", "one-block-pivoted"],
+)
+def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, realized, monkeypatch):
     # the 960 sampled LPs of support size 4 hold more cells than the budget,
     # so they go in several batches, each within it; at a budget below one
-    # block, each block is a batch alone.  Either way the residuals are those
-    # of one batch per run of blocks with equal vertex counts, to the bit,
-    # the run's realization LPs included.  The 1364 dependences at
-    # samples=64 were counted with the budget at 2^16
+    # block, each block is a batch alone.  Either way the residuals are to
+    # the bit those of one batch per run of blocks with equal vertex counts,
+    # the run's realization LPs included, and, with no realization, those of
+    # one batch per block, so that the sampled rows that pivot in the float
+    # tableau keep their bits when a block's batch is split.  The 1364
+    # dependences at samples=64 were counted with the budget at 2^16
     import tvlab.consistency as consistency
 
     fam, w = _gen_case(6, 4, True)
     cfg = ConsistencyConfig(samples=64, seed=4)
-    lifted = [max(lift.residuals()) for lift in _realized_lifts(fam, w, cfg)]
+    if not realized:
+        monkeypatch.setattr(consistency, "_realizations", lambda family, blocks: None)
+    ref = _realized_lifts if realized else _block_lifts
+    lifted = [max(lift.residuals()) for lift in ref(fam, w, cfg)]
     if budget == "one-block":
         monkeypatch.setattr(consistency, "_BATCH_CELLS", 1)
     limit = consistency._BATCH_CELLS
@@ -1005,18 +1014,24 @@ def test_batches_keep_to_the_cell_budget_and_the_block_residuals(budget, monkeyp
         B, m, n = shape
         return B * (m + 1) * (n + m + 1)
 
-    batches, resid = [], []
-    lift_batch = consistency._lift_batch
+    batches, candidates, resid = [], [], []
+    lift_batch, certify = consistency._lift_batch, consistency.certify
 
     def lift_batch_spy(family, batch, config):
         out = lift_batch(family, batch, config)
         resid.append(out[0])
         return out
 
-    _spy(monkeypatch, batches, consistency, "certify", lambda rows, rhs: rows.shape)
+    def certify_spy(rows, rhs, **kwargs):
+        batches.append(rows.shape)
+        candidates.append(kwargs.get("witnesses") is not None)
+        return certify(rows, rhs, **kwargs)
+
+    monkeypatch.setattr(consistency, "certify", certify_spy)
     monkeypatch.setattr(consistency, "_lift_batch", lift_batch_spy)
     v = check_dependency_consistency(fam, w, cfg)
     assert v.passed and v.n_dependences == 1364
+    assert any(candidates) == realized  # without, every sampled row pivots
     deps = enumerate_dependences(fam, w, cfg)
     blocks = [list(b) for _, b in groupby(deps, attrgetter("labels"))]
     size4 = [d for d in deps if len(d.labels) == 4]
